@@ -69,6 +69,8 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise UsageError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise UsageError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _load_enhancement(path: str) -> Enhancement:

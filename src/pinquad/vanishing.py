@@ -1,18 +1,40 @@
-"""Search for subspaces on which an enhancement vanishes identically.
+"""Subspaces on which an enhancement vanishes identically.
 
-A subspace is q-null exactly when some (equivalently, every) basis of it
-consists of pairwise-orthogonal classes with q = 0, so the search walks
-reduced-echelon bases directly, pruning any branch whose partial span is
-not q-null.  Candidate sets are kept as bitsets over all 2^n classes, one
+Whether they exist is answered in closed form from the classification of
+enhancements by rank and Brown invariant (E. H. Brown, Ann. of Math. 95,
+1972; Kirby-Taylor, Pin structures on low-dimensional manifolds, 1990).  A
+nondegenerate enhancement of rank n splits as a q-null hyperbolic part plus
+an anisotropic part of rank d(beta) = (0, 1, 2, 3, 2, 3, 2, 1)[beta], so its
+largest q-null subspace has dimension (n - d(beta)) / 2 and a q-null
+Lagrangian exists exactly when n is even and beta = 0.  On a degenerate form
+q is linear on the radical R, with values in {0, 2}: if it is zero there,
+R adds to every q-null subspace of the nondegenerate quotient; otherwise a
+q-null subspace meets R in at most the hyperplane ker(q|R), and every
+isotropic subspace of the quotient lifts to a q-null one (its values are
+corrected by a radical class with q = 2).
+
+Listing the subspaces is exponential by nature, so ``vanishing_subspaces``
+walks reduced-echelon bases directly, pruning any branch whose partial span
+is not q-null.  Candidate sets are kept as bitsets over all 2^n classes, one
 bit per class, so each step of the walk is a handful of word operations.
 """
 from __future__ import annotations
 
+from .brown import brown_invariant
 from .errors import DegenerateFormError, DimensionMismatchError, LimitError
-from .f2 import F2Vector, Subspace
-from .forms import Enhancement, _eval_bits, value_table
+from .f2 import F2Vector, Subspace, kernel_basis
+from .forms import Enhancement, _eval_bits, restrict, value_table
 
 MAX_SEARCH_DIM = 10
+
+# rank of the anisotropic part of a nondegenerate enhancement, by beta
+_ANISOTROPIC_RANK = (0, 1, 2, 3, 2, 3, 2, 1)
+
+
+def _check_search_guard(q: Enhancement) -> None:
+    n = q.form.dim
+    if n > MAX_SEARCH_DIM:
+        raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
 
 
 def kernel_vanishing_check(q: Enhancement, k: Subspace) -> bool:
@@ -106,34 +128,6 @@ class _NullSearch:
         walk([], self.zero_set, self.n)
         return out
 
-    def exists(self, d: int) -> bool:
-        """Whether any d-dimensional q-null subspace exists (early exit)."""
-        if d == 0:
-            return True
-        if d > self.n:
-            return False
-        functional = self.q.form.functional_mask
-        orth = self._orth
-        has_low_bit = self.has_low_bit
-
-        def walk(depth: int, cand: int, min_pivot: int) -> bool:
-            want = d - depth
-            pool = cand & has_low_bit[min_pivot]
-            if pool.bit_count() < want:
-                return False
-            if want == 1:
-                return True
-            while pool:
-                low = pool & -pool
-                pool &= pool - 1
-                x = low.bit_length() - 1
-                p = (x & -x).bit_length() - 1
-                if walk(depth + 1, cand & orth(functional(x)) & orth(1 << p), p):
-                    return True
-            return False
-
-        return walk(0, self.zero_set, self.n)
-
 
 def _null_bases(q: Enhancement, d: int) -> list[tuple[int, ...]]:
     return sorted(_NullSearch(q).collect(d))
@@ -145,9 +139,8 @@ def vanishing_subspaces(q: Enhancement, dim: int) -> list[Subspace]:
     Every returned subspace is automatically isotropic: q zero on a span
     forces 2*(x.y) = 0 for all pairs in it.
     """
+    _check_search_guard(q)
     n = q.form.dim
-    if n > MAX_SEARCH_DIM:
-        raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
     if dim < 0 or dim > n:
         return []
     out = []
@@ -157,34 +150,41 @@ def vanishing_subspaces(q: Enhancement, dim: int) -> list[Subspace]:
 
 
 def max_vanishing_dim(q: Enhancement) -> int:
-    """Largest dimension of a q-null subspace.
+    """Largest dimension of a q-null subspace, in closed form.
 
-    For nondegenerate forms this is at most dim/2, so the scan starts there;
-    degenerate forms can carry larger q-null subspaces and are scanned from
-    the full dimension.
+    Nondegenerate rank n: (n - d(beta)) // 2, where d(beta) is the rank of
+    the anisotropic part (Brown; Kirby-Taylor).  Degenerate, with radical R
+    of dimension r and m = n - r: r + (m - d(beta')) // 2 when q vanishes on
+    R, where beta' is the Brown invariant of q on a complement of R (the
+    span of the coordinate vectors off R's pivots); r - 1 + m // 2 when it
+    does not.  So a degenerate form can exceed n / 2.
     """
+    _check_search_guard(q)
     n = q.form.dim
-    if n > MAX_SEARCH_DIM:
-        raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
-    start = n // 2 if q.form.nondegenerate else n
-    search = _NullSearch(q)
-    for d in range(start, 0, -1):
-        if search.exists(d):
-            return d
-    return 0
+    if q.form.nondegenerate:
+        return (n - _ANISOTROPIC_RANK[brown_invariant(q)]) // 2
+    radical = kernel_basis(q.form.matrix)
+    r = radical.dim
+    if any(_eval_bits(q, v.bits) for v in radical.basis):
+        return r - 1 + (n - r) // 2
+    pivots = 0
+    for v in radical.basis:
+        pivots |= v.bits & -v.bits
+    complement = Subspace(
+        n, tuple(F2Vector.basis(n, i) for i in range(n) if not (pivots >> i) & 1)
+    )
+    beta = brown_invariant(restrict(q, complement))
+    return r + (n - r - _ANISOTROPIC_RANK[beta]) // 2
 
 
 def has_null_lagrangian(q: Enhancement) -> bool:
     """Whether a q-null subspace of half the dimension exists.
 
-    Odd-rank forms never carry one (a half-dimensional subspace would need
-    dim/2 to be an integer), so they answer False.
+    On a nondegenerate form this holds exactly when the rank is even and
+    beta = 0 (the anisotropic part must vanish; Brown, Kirby-Taylor).  Odd
+    ranks answer False without computing beta.
     """
-    n = q.form.dim
-    if n > MAX_SEARCH_DIM:
-        raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
+    _check_search_guard(q)
     if not q.form.nondegenerate:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
-    if n % 2 == 1:
-        return False
-    return _NullSearch(q).exists(n // 2)
+    return q.form.dim % 2 == 0 and brown_invariant(q) == 0

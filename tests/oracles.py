@@ -93,3 +93,33 @@ def standard_grams(max_dim):
     grams = [hyperbolic_gram(g) for g in range(0, max_dim // 2 + 1)]
     grams += [identity_gram(k) for k in range(1, max_dim + 1)]
     return [g for g in grams if len(g) <= max_dim]
+
+
+def naive_max_null_dim(gram, values):
+    """Largest dimension of a subspace on which the enhancement is identically zero.
+
+    A subspace is q-null exactly when it is spanned by pairwise-orthogonal
+    classes with q = 0, so the search grows spans one such class at a time.
+    Each span is grown once, along its greedy basis (every new basis class is
+    larger than the last and the smallest of its coset, so every class added
+    later is larger too), and a branch stops when its span plus its
+    candidates is too small to hold a larger q-null subspace than the best
+    found.
+    """
+    n = len(values)
+    table = law_table(gram, values)
+    best = 0
+
+    def grow(span, dim, cand):
+        nonlocal best
+        best = max(best, dim)
+        if (len(span) + len(cand)).bit_length() - 1 <= best:
+            return
+        for x in cand:
+            if all(x < x ^ s for s in span if s):
+                wider = span | {x ^ s for s in span}
+                rest = [c for c in cand if c > x and c not in wider and naive_dot(gram, x, c) == 0]
+                grow(wider, dim + 1, rest)
+
+    grow(frozenset({0}), 0, [x for x in range(1, 1 << n) if table[x] == 0])
+    return best

@@ -80,6 +80,15 @@ class TestExitCodes:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "brown", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "nested too deeply" in err
+
     def test_parity_violating_enhancement(self, capsys, tmp_path):
         bad = tmp_path / "bad_values.json"
         bad.write_text(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pinquad.brown import brown_invariant
@@ -16,7 +18,13 @@ from pinquad.vanishing import (
     max_vanishing_dim,
     vanishing_subspaces,
 )
-from oracles import standard_grams
+from oracles import (
+    all_enhancement_values,
+    law_table,
+    naive_dot,
+    naive_max_null_dim,
+    standard_grams,
+)
 
 TORUS = hyperbolic_form(1)
 RP2 = crosscap_form(1)
@@ -175,3 +183,85 @@ class TestHasNullLagrangian:
             form = BilinearForm.from_rows(gram)
             for q in enumerate_enhancements(form):
                 assert has_null_lagrangian(q) == (brown_invariant(q) == 0)
+
+
+PIECES = ([[1]], [[0, 1], [1, 0]])
+
+
+def block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[at + i][at : at + len(b)] = row
+        at += len(b)
+    return gram
+
+
+def random_basis(rng, n):
+    """Rows of a random invertible matrix over F2, as class bitmasks."""
+    rows = [1 << i for i in range(n)]
+    for _ in range(n * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    return rows
+
+
+def rebase(gram, values, rows):
+    """The same enhancement written in the basis ``rows``."""
+    table = law_table(gram, values)
+    return [[naive_dot(gram, a, b) for b in rows] for a in rows], tuple(table[a] for a in rows)
+
+
+def random_nondegenerate(rng, max_dim):
+    blocks = []
+    while True:
+        piece = rng.choice(PIECES)
+        if sum(map(len, blocks)) + len(piece) > max_dim:
+            break
+        blocks.append(piece)
+    gram = block_sum(blocks)
+    return gram, tuple((gram[i][i] + 2 * rng.randrange(2)) % 4 for i in range(len(gram)))
+
+
+def random_degenerate(rng, max_dim, radical_q):
+    """A nondegenerate part plus a radical on which q is 0, or takes the value 2."""
+    gram, values = random_nondegenerate(rng, max_dim - 1)
+    r = rng.randint(1, max_dim - len(gram))
+    radical_values = [0] * r
+    if radical_q == 2:
+        radical_values = [2 * rng.randrange(2) for _ in range(r)]
+        radical_values[rng.randrange(r)] = 2
+    return block_sum([gram, [[0] * r for _ in range(r)]]), values + tuple(radical_values)
+
+
+def closed_form_cases(kind):
+    rng = random.Random(f"closed-form-{kind}")
+    if kind == "standard":
+        return [(g, v) for g in standard_grams(7) for v in all_enhancement_values(g)]
+    if kind == "rebased":
+        cases = [random_nondegenerate(rng, rng.randint(1, 7)) for _ in range(100)]
+    else:
+        cases = [random_degenerate(rng, rng.randint(1, 7), k) for k in (0, 2) for _ in range(50)]
+        cases += [([[0] * n for _ in range(n)], (0,) * n) for n in range(1, 8)]
+        cases += [([[0] * n for _ in range(n)], (2,) + (0,) * (n - 1)) for n in (1, 7)]
+    return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
+
+
+class TestClosedForm:
+    """max_vanishing_dim and has_null_lagrangian against exhaustive search."""
+
+    @pytest.mark.parametrize("kind", ["standard", "rebased", "degenerate"])
+    def test_matches_oracle_and_listing(self, kind):
+        for gram, values in closed_form_cases(kind):
+            q = Enhancement(BilinearForm.from_rows(gram), values)
+            n = q.form.dim
+            if kind == "degenerate":
+                assert not q.form.nondegenerate
+            expected = naive_max_null_dim(gram, values)
+            assert max_vanishing_dim(q) == expected, (gram, values)
+            assert next(d for d in range(n, -1, -1) if vanishing_subspaces(q, d)) == expected
+            if q.form.nondegenerate:
+                assert has_null_lagrangian(q) == (n % 2 == 0 and expected == n // 2)
