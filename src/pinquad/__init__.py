@@ -20,7 +20,6 @@ from .f2 import (
     F2Vector,
     Subspace,
     enumerate_subspaces,
-    gaussian_binomial,
     kernel_basis,
     rank,
     solve,
@@ -29,7 +28,6 @@ from .forms import (
     BilinearForm,
     Covector,
     Enhancement,
-    SurfaceModel,
     crosscap_form,
     direct_sum,
     enumerate_enhancements,
@@ -55,7 +53,6 @@ from .fourmanifold import (
 )
 from .vanishing import (
     has_null_lagrangian,
-    kernel_vanishing_check,
     max_vanishing_dim,
     vanishing_subspaces,
 )

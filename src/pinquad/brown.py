@@ -63,14 +63,18 @@ def decode_brown(gs: GaussSumResult) -> int:
     return 3 if b > 0 else 5
 
 
+def _require_nondegenerate(q: Enhancement) -> None:
+    if not q.form.nondegenerate:
+        raise DegenerateFormError("Brown invariant undefined: degenerate form")
+
+
 def brown_invariant(q: Enhancement) -> int:
     """The Brown invariant beta(q) in Z/8 of a nondegenerate enhancement.
 
     Raises DegenerateFormError when the form is degenerate (no convention is
     chosen for that case).
     """
-    if not q.form.nondegenerate:
-        raise DegenerateFormError("Brown invariant undefined: degenerate form")
+    _require_nondegenerate(q)
     return decode_brown(gauss_sum(q))
 
 

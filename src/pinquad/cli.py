@@ -19,19 +19,22 @@ import os
 import sys
 from typing import Sequence
 
-from .brown import brown_invariant, gauss_sum
+from .brown import _require_nondegenerate, brown_invariant, decode_brown, gauss_sum
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
     LimitError,
     NotCharacteristicError,
+    PinquadError,
     SurgeryObstructionError,
+    UnsupportedInputError,
 )
 from .f2 import F2Vector
 from .forms import (
     BilinearForm,
     Covector,
     Enhancement,
+    _check_enumeration_guard,
     crosscap_form,
     enumerate_enhancements,
     eval_q,
@@ -57,8 +60,20 @@ EXIT_NOT_CHARACTERISTIC = 5
 EXIT_OBSTRUCTED = 6
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(PinquadError):
+    """Bad flags or malformed input files."""
+
+
+# the exit code of each error class; main reports the first entry that matches
+EXIT_CODES: tuple[tuple[type[PinquadError], int], ...] = (
+    (SurgeryObstructionError, EXIT_OBSTRUCTED),
+    (NotCharacteristicError, EXIT_NOT_CHARACTERISTIC),
+    (LimitError, EXIT_GUARD),
+    (DegenerateFormError, EXIT_DEGENERATE),
+    (DimensionMismatchError, EXIT_USAGE),
+    (UnsupportedInputError, EXIT_USAGE),
+    (UsageError, EXIT_USAGE),
+)
 
 
 def _load_json(path: str) -> dict:
@@ -67,20 +82,24 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad syntax, bad UTF-8, or an integer past the digit limit
         raise UsageError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
         raise UsageError(f"{path} is not valid JSON: nested too deeply") from None
 
 
-def _load_enhancement(path: str) -> Enhancement:
-    data = _load_json(path)
+def _parse(parse, data, prefix: str = ""):
+    """parse(data); malformed data becomes a UsageError, the package's own errors pass through."""
     try:
-        return Enhancement.from_json(data)
+        return parse(data)
+    except PinquadError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, DimensionMismatchError):
-            raise
-        raise UsageError(f"{path} is not a valid enhancement: {e}") from None
+        raise UsageError(f"{prefix}{e}") from None
+
+
+def _load_enhancement(path: str) -> Enhancement:
+    return _parse(Enhancement.from_json, _load_json(path), f"{path} is not a valid enhancement: ")
 
 
 def _parse_bits(text: str, what: str) -> tuple[int, ...]:
@@ -100,41 +119,26 @@ def _surface_form(args: argparse.Namespace) -> BilinearForm:
     if args.genus is not None:
         if args.genus < 0:
             raise UsageError("--genus must be >= 0")
+        # checked before the form is built: its Gram matrix is quadratic in the genus
+        _check_enumeration_guard(2 * args.genus)
         return hyperbolic_form(args.genus)
     if args.crosscaps is not None:
         if args.crosscaps < 1:
             raise UsageError("--crosscaps must be >= 1")
+        _check_enumeration_guard(args.crosscaps)
         return crosscap_form(args.crosscaps)
     expr = args.form
     if os.path.exists(expr):
-        data = _load_json(expr)
-        try:
-            return BilinearForm.from_json(data)
-        except (KeyError, TypeError, ValueError) as e:
-            raise UsageError(f"{expr} is not a valid form: {e}") from None
-    try:
-        return parse_form_name(expr).mod2()
-    except ValueError as e:
-        if isinstance(e, LimitError):
-            raise
-        raise UsageError(str(e)) from None
+        return _parse(BilinearForm.from_json, _load_json(expr), f"{expr} is not a valid form: ")
+    return _parse(parse_form_name, expr).mod2()
 
 
 def _unimodular_form(expr: str) -> UnimodularForm:
     if os.path.exists(expr):
-        data = _load_json(expr)
-        try:
-            return UnimodularForm.from_json(data)
-        except (KeyError, TypeError, ValueError) as e:
-            if isinstance(e, LimitError):
-                raise
-            raise UsageError(f"{expr} is not a valid unimodular form: {e}") from None
-    try:
-        return parse_form_name(expr)
-    except ValueError as e:
-        if isinstance(e, LimitError):
-            raise
-        raise UsageError(str(e)) from None
+        return _parse(
+            UnimodularForm.from_json, _load_json(expr), f"{expr} is not a valid unimodular form: "
+        )
+    return _parse(parse_form_name, expr)
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -175,8 +179,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_brown(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
-    beta = brown_invariant(q)
+    _require_nondegenerate(q)  # before the Gauss-sum guard: degenerate input exits 3
     gs = gauss_sum(q)
+    beta = decode_brown(gs)
     if args.json:
         print(json.dumps({"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}))
     else:
@@ -360,21 +365,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except SurgeryObstructionError as e:
+    except PinquadError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_OBSTRUCTED
-    except NotCharacteristicError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NOT_CHARACTERISTIC
-    except LimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GUARD
-    except DegenerateFormError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (UsageError, DimensionMismatchError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
 
 
 def entry() -> None:

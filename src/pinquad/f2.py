@@ -111,9 +111,6 @@ class F2Matrix:
     def zero(cls, rows: int, cols: int) -> "F2Matrix":
         return cls(rows, cols, (0,) * rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_masks[i] >> j) & 1
-
     def apply(self, x: F2Vector) -> F2Vector:
         """Matrix-vector product m.x (x has dim = cols, result dim = rows)."""
         if x.dim != self.cols:
@@ -157,31 +154,20 @@ def rank(m: F2Matrix) -> int:
 def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
     """One solution x of m.x = b, or None if the system is inconsistent.
 
-    Free variables are set to zero under leftmost-pivot elimination, so the
-    returned solution is reproducible.
+    The right-hand side rides along as column ``m.cols`` of the elimination;
+    a pivot there means the system is inconsistent.  Free variables are set
+    to zero, so the returned solution is reproducible.
     """
     if b.dim != m.rows:
         raise DimensionMismatchError(f"matrix has {m.rows} rows, rhs has dim {b.dim}")
-    aug = [(r, (b.bits >> i) & 1) for i, r in enumerate(m.row_masks)]
-    pivots: list[tuple[int, int, int]] = []  # (col, row_mask, rhs_bit) after full reduction
-    for col in range(m.cols):
-        bit = 1 << col
-        piv = None
-        for i, (r, rb) in enumerate(aug):
-            if r & bit:
-                piv = aug.pop(i)
-                break
-        if piv is None:
-            continue
-        aug = [(r ^ piv[0], rb ^ piv[1]) if r & bit else (r, rb) for r, rb in aug]
-        pivots = [((c, r ^ piv[0], rb ^ piv[1]) if r & bit else (c, r, rb)) for c, r, rb in pivots]
-        pivots.append((col, piv[0], piv[1]))
-    if any(rb for r, rb in aug if r == 0):
-        return None
+    rhs = 1 << m.cols
+    augmented = (r | rhs * ((b.bits >> i) & 1) for i, r in enumerate(m.row_masks))
     x = 0
-    for col, _r, rb in pivots:
+    for r in _rref(augmented, m.cols + 1):
+        if r == rhs:
+            return None
         # rows are fully reduced, so each pivot variable equals its rhs bit
-        x |= rb << col
+        x |= (r >> m.cols) * (r & -r)
     return F2Vector(m.cols, x)
 
 
@@ -280,18 +266,6 @@ def kernel_basis(m: F2Matrix) -> Subspace:
                 bits |= 1 << p
         gens.append(F2Vector(m.cols, bits))
     return Subspace.span(gens, m.cols)
-
-
-def gaussian_binomial(n: int, k: int) -> int:
-    """Number of k-dimensional subspaces of F2^n."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (i + 1)) - 1
-    assert num % den == 0
-    return num // den
 
 
 def enumerate_subspaces(ambient_dim: int, dim: int) -> Iterator[Subspace]:

@@ -26,6 +26,20 @@ from .f2 import F2Matrix, F2Vector, Subspace, kernel_basis, parity, rank, solve
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 
 
+def _json_int(x: object) -> int:
+    """A JSON integer; floats, booleans and strings are refused, not coerced."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _check_enumeration_guard(dim: int) -> None:
+    if dim > MAX_ENHANCEMENT_ENUMERATION_DIM:
+        raise LimitError(
+            f"dim {dim} exceeds enhancement enumeration guard {MAX_ENHANCEMENT_ENUMERATION_DIM}"
+        )
+
+
 @dataclass(frozen=True)
 class BilinearForm:
     """Symmetric bilinear form on F2^dim given by its Gram matrix."""
@@ -93,7 +107,7 @@ class BilinearForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "BilinearForm":
-        return cls(int(data["dim"]), tuple(tuple(int(b) for b in row) for row in data["gram"]))
+        return cls(_json_int(data["dim"]), tuple(tuple(map(_json_int, row)) for row in data["gram"]))
 
 
 def hyperbolic_form(genus: int) -> BilinearForm:
@@ -116,50 +130,13 @@ def crosscap_form(crosscaps: int) -> BilinearForm:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """A closed surface presented by its standard mod-2 intersection form."""
-
-    kind: str  # "orientable" | "nonorientable"
-    parameter: int  # genus, or number of crosscaps
-    form: BilinearForm
-
-    @classmethod
-    def orientable(cls, genus: int) -> "SurfaceModel":
-        return cls("orientable", genus, hyperbolic_form(genus))
-
-    @classmethod
-    def nonorientable(cls, crosscaps: int) -> "SurfaceModel":
-        return cls("nonorientable", crosscaps, crosscap_form(crosscaps))
-
-
-@dataclass(frozen=True)
-class Covector:
+class Covector(F2Vector):
     """A linear functional on F2^dim; pairs with vectors by dot product."""
-
-    dim: int
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bit mask {self.bits:#x} does not fit in dimension {self.dim}")
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "Covector":
-        v = F2Vector.from_coords(coords)
-        return cls(v.dim, v.bits)
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.dim))
 
     def pair(self, x: F2Vector) -> int:
         if x.dim != self.dim:
             raise DimensionMismatchError(f"covector dim {self.dim}, vector dim {x.dim}")
         return parity(self.bits & x.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.coords)
 
 
 @dataclass(frozen=True)
@@ -192,7 +169,9 @@ class Enhancement:
 
     @classmethod
     def from_json(cls, data: dict) -> "Enhancement":
-        return cls(BilinearForm.from_json(data["form"]), tuple(int(v) % 4 for v in data["values"]))
+        return cls(
+            BilinearForm.from_json(data["form"]), tuple(_json_int(v) % 4 for v in data["values"])
+        )
 
 
 def eval_q(q: Enhancement, x: F2Vector) -> int:
@@ -240,11 +219,7 @@ def enumerate_enhancements(form: BilinearForm) -> Iterator[Enhancement]:
 
     Choice bit i toggles values[i] between gram[i][i] and gram[i][i] + 2.
     """
-    if form.dim > MAX_ENHANCEMENT_ENUMERATION_DIM:
-        raise LimitError(
-            f"dim {form.dim} exceeds enhancement enumeration guard "
-            f"{MAX_ENHANCEMENT_ENUMERATION_DIM}"
-        )
+    _check_enumeration_guard(form.dim)
     diag = tuple(form.gram[i][i] for i in range(form.dim))
     for choice in range(1 << form.dim):
         values = tuple((diag[i] + 2 * ((choice >> i) & 1)) % 4 for i in range(form.dim))
@@ -265,7 +240,7 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
         raise DimensionMismatchError(f"form dim {form.dim}, covector dim {y.dim}")
     if not form.nondegenerate:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")
-    sol = solve(form.matrix, F2Vector(form.dim, y.bits))
+    sol = solve(form.matrix, y)
     assert sol is not None  # nondegenerate Gram matrix is invertible
     return sol
 

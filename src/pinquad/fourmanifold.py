@@ -10,33 +10,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, LimitError, NotCharacteristicError
 from .f2 import F2Matrix, F2Vector, solve
-from .forms import BilinearForm, Enhancement
+from .forms import BilinearForm, Enhancement, _json_int
 
 MAX_FORM_DIM = 12
 
 
-def _det(gram: Sequence[Sequence[int]]) -> Fraction:
+def _diagonalize(gram: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Diagonal of an exact congruence diagonalization of a symmetric integer matrix.
+
+    Symmetric pivoting over rationals, updating only the trailing block; when
+    the active block has an all-zero diagonal, a hyperbolic off-diagonal entry
+    is folded onto the diagonal by a symmetric row-and-column addition, and an
+    all-zero active block contributes zeros.  Every step has determinant +-1,
+    so the product of the diagonal is the determinant of ``gram``.
+    """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
-    det = Fraction(1)
+    diag: list[Fraction] = []
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
         if piv is None:
-            return Fraction(0)
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
+            )
+            if pair is None:
+                return diag + [Fraction(0)] * (n - k)
+            i, j = pair
+            # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal
+            for t in range(k, n):
+                a[i][t] += a[j][t]
+            for t in range(k, n):
+                a[t][i] += a[t][j]
+            piv = i
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        d = a[k][k]
+        diag.append(d)
+        pivot_row = a[k]
+        for r in range(k + 1, n):
+            f = a[r][k] / d
             if f:
-                a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
-    return det
+                target = a[r]
+                for t in range(k + 1, n):
+                    target[t] -= f * pivot_row[t]
+    return diag
 
 
 @dataclass(frozen=True)
@@ -55,7 +80,7 @@ class UnimodularForm:
             for j in range(i, self.dim):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-        d = _det(self.gram)
+        d = prod(_diagonalize(self.gram))
         if d not in (1, -1):
             raise ValueError(f"form is not unimodular: det = {d}")
 
@@ -79,7 +104,7 @@ class UnimodularForm:
 
     @classmethod
     def from_json(cls, data: dict) -> "UnimodularForm":
-        return cls(int(data["dim"]), tuple(tuple(int(x) for x in row) for row in data["gram"]))
+        return cls(_json_int(data["dim"]), tuple(tuple(map(_json_int, row)) for row in data["gram"]))
 
 
 @dataclass(frozen=True)
@@ -121,45 +146,8 @@ def is_characteristic(m: UnimodularForm, c: "CharacteristicVector | Sequence[int
 
 
 def signature(m: UnimodularForm) -> int:
-    """Positive minus negative diagonal count after exact congruence diagonalization.
-
-    Symmetric pivoting over rationals; when the active block has an all-zero
-    diagonal, a hyperbolic off-diagonal entry is folded onto the diagonal by
-    a symmetric row-and-column addition (contributing one +1 and one -1).
-    """
-    n = m.dim
-    a = [[Fraction(x) for x in row] for row in m.gram]
-    pos = neg = 0
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            i, j = next(
-                (i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0
-            )
-            # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a:
-                row[k], row[piv] = row[piv], row[k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            f = a[r][k] / d
-            if f:
-                for t in range(n):
-                    a[r][t] -= f * a[k][t]
-                for t in range(n):
-                    a[t][r] -= f * a[t][k]
-    assert pos + neg == n
-    return pos - neg
+    """Positive minus negative diagonal count after exact congruence diagonalization."""
+    return sum(1 if d > 0 else -1 for d in _diagonalize(m.gram))
 
 
 def characteristic_classes_mod2(m: UnimodularForm) -> list[F2Vector]:

@@ -21,7 +21,7 @@ bit per class, so each step of the walk is a handful of word operations.
 from __future__ import annotations
 
 from .brown import brown_invariant
-from .errors import DegenerateFormError, DimensionMismatchError, LimitError
+from .errors import DegenerateFormError, LimitError
 from .f2 import F2Vector, Subspace, kernel_basis
 from .forms import Enhancement, _eval_bits, restrict, value_table
 
@@ -35,15 +35,6 @@ def _check_search_guard(q: Enhancement) -> None:
     n = q.form.dim
     if n > MAX_SEARCH_DIM:
         raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
-
-
-def kernel_vanishing_check(q: Enhancement, k: Subspace) -> bool:
-    """Whether q is zero on every vector of the subspace (all 2^dim checked)."""
-    if k.ambient_dim != q.form.dim:
-        raise DimensionMismatchError(
-            f"enhancement dim {q.form.dim}, subspace ambient dim {k.ambient_dim}"
-        )
-    return all(_eval_bits(q, x.bits) == 0 for x in k.elements())
 
 
 def _class_set_with_zero_pairing(func_mask: int, n: int) -> int:

@@ -1,11 +1,14 @@
 """Independent brute-force reference implementations used to check the library.
 
 Everything here works on plain lists and dicts with naive loops, no shared
-code with the package: values are built from the enhancement law one basis
-vector at a time, subspaces are enumerated as raw span sets, and Gauss sums
-are counted per class.
+code with the package (only its error class for a dimension mismatch):
+values are built from the enhancement law one basis vector at a time,
+subspaces are enumerated as raw span sets, and Gauss sums are counted per
+class.
 """
 from itertools import combinations
+
+from pinquad.errors import DimensionMismatchError
 
 
 def naive_dot(gram, x_bits, y_bits):
@@ -29,6 +32,22 @@ def law_table(gram, values):
     return [table[x] for x in range(1 << n)]
 
 
+def naive_q(gram, values, x_bits):
+    """q(x) by definition: basis values over the support plus twice the Gram pairs inside it."""
+    support = [i for i in range(len(values)) if (x_bits >> i) & 1]
+    pairs = sum(gram[i][j] for a, i in enumerate(support) for j in support[a + 1:])
+    return (sum(values[i] for i in support) + 2 * pairs) % 4
+
+
+def kernel_vanishing_check(q, k):
+    """Whether the enhancement q is zero on every class of the subspace k (all 2^dim checked)."""
+    if k.ambient_dim != q.form.dim:
+        raise DimensionMismatchError(
+            f"enhancement dim {q.form.dim}, subspace ambient dim {k.ambient_dim}"
+        )
+    return all(naive_q(q.form.gram, q.values, x) == 0 for x in span_of(v.bits for v in k.basis))
+
+
 def naive_gauss(gram, values):
     counts = [0, 0, 0, 0]
     for v in law_table(gram, values):
@@ -46,6 +65,31 @@ def naive_beta(gram, values):
     if a > 0:
         return 1 if b > 0 else 7
     return 3 if b > 0 else 5
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of F2^n, by the product formula."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= (1 << (n - i)) - 1
+        den *= (1 << (i + 1)) - 1
+    assert num % den == 0
+    return num // den
+
+
+def naive_rank(row_masks):
+    """Rank over F2, inserting each row into a basis keyed by its highest set bit."""
+    basis = {}
+    for r in row_masks:
+        while r:
+            top = r.bit_length() - 1
+            if top not in basis:
+                basis[top] = r
+                break
+            r ^= basis[top]
+    return len(basis)
 
 
 def span_of(bit_vectors):

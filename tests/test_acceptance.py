@@ -38,10 +38,10 @@ from pinquad.fourmanifold import (
 )
 from pinquad.vanishing import (
     has_null_lagrangian,
-    kernel_vanishing_check,
     max_vanishing_dim,
     vanishing_subspaces,
 )
+from oracles import kernel_vanishing_check
 from test_cli import GOLDEN_CASES, run
 
 GOLDEN = Path(__file__).parent / "golden"

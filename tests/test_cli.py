@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from pinquad.cli import main
+import pinquad.brown
+import pinquad.cli as cli
+from pinquad.cli import EXIT_CODES, main
+from pinquad.errors import PinquadError
 from pinquad.forms import Enhancement
 
 DATA = Path(__file__).parent / "data"
@@ -132,6 +135,88 @@ class TestExitCodes:
     def test_torsor_dimension_mismatch(self, capsys):
         code, _out, _err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "10")
         assert code == 2
+
+    def test_every_package_error_has_an_exit_code(self):
+        pending, seen = [PinquadError], []
+        while pending:
+            cls = pending.pop()
+            pending += cls.__subclasses__()
+            seen.append(cls)
+        for cls in seen[1:]:
+            assert any(issubclass(cls, handled) for handled, _code in EXIT_CODES), cls
+
+    @pytest.mark.parametrize("flag", ["--genus", "--crosscaps"])
+    def test_enumeration_guard_checked_before_building_the_form(self, capsys, monkeypatch, flag):
+        def refuse(_n):
+            raise AssertionError("form built before the enumeration guard")
+
+        monkeypatch.setattr(cli, "hyperbolic_form", refuse)
+        monkeypatch.setattr(cli, "crosscap_form", refuse)
+        code, out, err = run(capsys, "enumerate", flag, str(10**6))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: dim ") and "enumeration guard 12" in err
+
+    def test_brown_tabulates_once(self, capsys, monkeypatch):
+        calls = []
+        table = pinquad.brown.value_table
+        monkeypatch.setattr(pinquad.brown, "value_table", lambda q: calls.append(q) or table(q))
+        code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
+        assert code == 0
+        assert out == "beta=0 A=4 B=0 n=4\n"
+        assert len(calls) == 1
+
+    def test_degenerate_brown_over_the_gauss_guard(self, capsys, tmp_path):
+        n = 21
+        big = tmp_path / "degenerate21.json"
+        gram = [[0] * n for _ in range(n)]
+        big.write_text(json.dumps({"form": {"dim": n, "gram": gram}, "values": [0] * n}))
+        code, _out, err = run(capsys, "brown", str(big))
+        assert code == 3
+        assert "degenerate" in err
+
+
+STRICT_JSON_CASES = {
+    "dim_overflow": '{"form": {"dim": 1e400, "gram": [[1]]}, "values": [1]}',
+    "values_overflow": '{"form": {"dim": 1, "gram": [[1]]}, "values": [1e400]}',
+    "float": '{"form": {"dim": 1, "gram": [[1.7]]}, "values": [1]}',
+    "bool": '{"form": {"dim": 1, "gram": [[true]]}, "values": [1]}',
+    "string": '{"form": {"dim": 1, "gram": [["1"]]}, "values": [1]}',
+    "past_digit_limit": '{"form": {"dim": 1, "gram": [[1]]}, "values": [%s]}' % ("1" * 5000),
+}
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("text", STRICT_JSON_CASES.values(), ids=STRICT_JSON_CASES)
+    def test_only_json_integers(self, capsys, tmp_path, text):
+        path = tmp_path / "q.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "brown", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unimodular_form_file(self, capsys, tmp_path):
+        path = tmp_path / "form.json"
+        path.write_text('{"dim": 1e400, "gram": [[1]]}', encoding="utf-8")
+        code, out, err = run(capsys, "gm", "--form", str(path), "--char", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path} is not a valid unimodular form: expected an integer, got inf\n"
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_bytes(b'{"form": {"dim": 1, "gram": [[1]]}, "values": [\xff]}')
+        code, _out, err = run(capsys, "brown", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+    def test_integer_values_still_reduced_mod_4(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"form": {"dim": 1, "gram": [[1]]}, "values": [-3]}', encoding="utf-8")
+        code, out, _err = run(capsys, "brown", str(path))
+        assert code == 0
+        assert out.startswith("beta=1 ")
 
 
 class TestJsonMode:

@@ -9,12 +9,11 @@ from pinquad.f2 import (
     F2Vector,
     Subspace,
     enumerate_subspaces,
-    gaussian_binomial,
     kernel_basis,
     rank,
     solve,
 )
-from oracles import all_subspace_spans
+from oracles import all_subspace_spans, gaussian_binomial, naive_rank
 
 
 def vec(*coords):
@@ -113,6 +112,39 @@ class TestSolve:
                         assert not solvable
                     else:
                         assert m.apply(x) == b
+
+    def test_rank_deficient_32_against_rank_oracle(self):
+        # m = L.R with L 32 x r and R r x 32, so rank(m) <= r; half the right-hand
+        # sides are m.y (consistent), half random (mostly inconsistent)
+        rng = random.Random(3232)
+        n = 32
+        outcomes = set()
+        for trial in range(80):
+            r = rng.randrange(n)
+            right = [rng.getrandbits(n) for _ in range(r)]
+            rows = []
+            for _ in range(n):
+                left, row = rng.getrandbits(r), 0
+                for k in range(r):
+                    if (left >> k) & 1:
+                        row ^= right[k]
+                rows.append(row)
+            m = F2Matrix(n, n, tuple(rows))
+            b = m.apply(F2Vector(n, rng.getrandbits(n))).bits if trial % 2 else rng.getrandbits(n)
+            x = solve(m, F2Vector(n, b))
+            augmented = [row | (((b >> i) & 1) << n) for i, row in enumerate(rows)]
+            consistent = naive_rank(augmented) == naive_rank(rows)
+            outcomes.add(consistent)
+            assert (x is not None) == consistent
+            if x is None:
+                continue
+            assert m.apply(x).bits == b
+            # column j is a pivot column iff it is independent of columns 0..j-1
+            ranks = [naive_rank(row & ((1 << j) - 1) for row in rows) for j in range(n + 1)]
+            for j in range(n):
+                if ranks[j + 1] == ranks[j]:
+                    assert not (x.bits >> j) & 1, f"free column {j} is set"
+        assert outcomes == {True, False}
 
 
 class TestKernelBasis:

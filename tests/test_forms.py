@@ -13,7 +13,6 @@ from pinquad.forms import (
     BilinearForm,
     Covector,
     Enhancement,
-    SurfaceModel,
     crosscap_form,
     direct_sum,
     enumerate_enhancements,
@@ -44,13 +43,6 @@ class TestBilinearForm:
     def test_rejects_asymmetric_gram(self):
         with pytest.raises(ValueError):
             BilinearForm.from_rows([[0, 1], [0, 0]])
-
-    def test_surface_models(self):
-        torus = SurfaceModel.orientable(1)
-        assert torus.form == TORUS
-        assert torus.form.gram == ((0, 1), (1, 0))
-        klein = SurfaceModel.nonorientable(2)
-        assert klein.form.gram == ((1, 0), (0, 1))
 
     def test_hyperbolic_basis_vectors_are_isotropic(self):
         form = hyperbolic_form(3)

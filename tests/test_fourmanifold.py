@@ -52,7 +52,54 @@ def characteristic_candidates(m, bound=3):
     return product(*choices)
 
 
+def random_congruence(gram, rng, steps=6):
+    """T^t G T for a random integer T with |det T| = 1, built from row operations."""
+    n = len(gram)
+    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        op = rng.randrange(3)
+        i, j = rng.randrange(n), rng.randrange(n)
+        if op == 0 and i != j:
+            f = rng.randint(-2, 2)
+            for k in range(n):
+                t[i][k] += f * t[j][k]
+        elif op == 1:
+            t[i], t[j] = t[j], t[i]
+        else:
+            t[i] = [-x for x in t[i]]
+    return [
+        [sum(t[k][i] * gram[k][l] * t[l][j] for k in range(n) for l in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 class TestUnimodularForm:
+    def test_accepts_exactly_determinant_one_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4242)
+        verdicts = set()
+        for trial in range(400):
+            n = rng.randint(1, 6)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.randint(-2, 2)
+            if trial % 3 >= 1:  # zero diagonal: only the hyperbolic fold finds pivots
+                for i in range(n):
+                    g[i][i] = 0
+            if trial % 3 == 2:  # a zero row and column leave an all-zero active block
+                k = rng.randrange(n)
+                for i in range(n):
+                    g[i][k] = g[k][i] = 0
+            det = sympy.Matrix(g).det()
+            verdicts.add(det in (1, -1))
+            if det in (1, -1):
+                assert UnimodularForm.from_rows(g).dim == n
+            else:
+                with pytest.raises(ValueError, match=rf"not unimodular: det = {det}$"):
+                    UnimodularForm.from_rows(g)
+        assert verdicts == {True, False}
+
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
             UnimodularForm.from_rows([[2]])
@@ -110,28 +157,35 @@ class TestSignature:
         # T^t M T with |det T| = 1 never changes the signature
         rng = random.Random(6344)
         for m in [ONE, H, parse_form_name("1+1+-1"), parse_form_name("H+1"), parse_form_name("H+H+1")]:
-            n = m.dim
             for _ in range(40):
-                t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-                for _ in range(6):
-                    op = rng.randrange(3)
-                    i, j = rng.randrange(n), rng.randrange(n)
-                    if op == 0 and i != j:
-                        f = rng.randint(-2, 2)
-                        for k in range(n):
-                            t[i][k] += f * t[j][k]
-                    elif op == 1:
-                        t[i], t[j] = t[j], t[i]
-                    else:
-                        t[i] = [-x for x in t[i]]
-                conj = [
-                    [
-                        sum(t[k][i] * m.gram[k][l] * t[l][j] for k in range(n) for l in range(n))
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
+                conj = random_congruence(m.gram, rng)
                 assert signature(UnimodularForm.from_rows(conj)) == signature(m)
+
+    def test_matches_characteristic_polynomial(self):
+        # a symmetric matrix has a real-rooted characteristic polynomial, so
+        # Descartes' rule of signs counts its positive and negative eigenvalues exactly
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+
+        def sign_changes(coeffs):
+            signs = [c > 0 for c in coeffs if c != 0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        rng = random.Random(1614)
+        blocks = [ONE, MINUS_ONE, H, E8, UnimodularForm.from_rows([[-v for v in r] for r in E8.gram])]
+        for _ in range(60):
+            target, summands = rng.randint(1, 12), []
+            while sum(b.dim for b in summands) < target:
+                summands.append(rng.choice(blocks))
+            if sum(b.dim for b in summands) > 12:
+                summands.pop()
+            gram = random_congruence(unimodular_direct_sum(*summands).gram, rng, steps=12)
+            coeffs = sympy.Matrix(gram).charpoly(x).all_coeffs()
+            n = len(gram)
+            positive = sign_changes(coeffs)
+            negative = sign_changes([c * (-1) ** (n - i) for i, c in enumerate(coeffs)])
+            assert positive + negative == n
+            assert signature(UnimodularForm.from_rows(gram)) == positive - negative
 
 
 class TestCharacteristic:

@@ -14,12 +14,12 @@ from pinquad.forms import (
 )
 from pinquad.vanishing import (
     has_null_lagrangian,
-    kernel_vanishing_check,
     max_vanishing_dim,
     vanishing_subspaces,
 )
 from oracles import (
     all_enhancement_values,
+    kernel_vanishing_check,
     law_table,
     naive_dot,
     naive_max_null_dim,
