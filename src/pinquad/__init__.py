@@ -9,6 +9,7 @@ from .brown import GaussSumResult, arf_from_brown, brown_invariant, decode_brown
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
+    InternalError,
     LimitError,
     NotCharacteristicError,
     PinquadError,

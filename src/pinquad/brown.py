@@ -1,17 +1,34 @@
-"""The Brown invariant of a quadratic enhancement, by exact Gauss sums.
+"""The Brown invariant of a quadratic enhancement, by orthogonal splitting.
 
-Summing i^q(x) over all 2^n classes gives A + Bi with A = N0 - N2 and
-B = N1 - N3, where Nk counts classes of value k.  For a nondegenerate form
-this lands on one of the eight integer points with A^2 + B^2 = 2^n, and the
-angle, in eighths of a turn, is the Brown invariant beta in Z/8.  Everything
-is integer arithmetic; no roots of unity are ever evaluated in floating point.
+The Gauss sum of q is the sum of i^q(x) over all 2^n classes.  It equals
+A + Bi with A = N0 - N2 and B = N1 - N3, where Nk counts classes of value k.
+For a nondegenerate form it lands on one of the eight integer points with
+A^2 + B^2 = 2^n, and the angle, in eighths of a turn, is the Brown invariant
+beta in Z/8.
+
+The sum is never enumerated.  It is multiplicative over orthogonal sums,
+and every enhancement splits orthogonally into pieces of rank one and
+hyperbolic planes (E. H. Brown, Ann. of Math. 95, 1972; Kirby-Taylor, Pin
+structures on low-dimensional manifolds, 1990).  ``gauss_sum`` splits off
+one piece at a time and multiplies a running Gaussian integer:
+
+- a class u with u.u = 1 contributes 1 + i^q(u);
+- once no odd class is left, a pair u, w with u.w = 1 spans a plane that
+  contributes -2 when q(u) = q(w) = 2 and 2 otherwise;
+- a class with no partner lies in the radical, where q is 0 or 2, and
+  contributes 2 or 0.
+
+Each remaining basis vector is moved into the orthogonal complement of the
+piece, with its value corrected by the enhancement law.  The counts Nk then
+follow from A, B and the number of classes of even value.  Everything is
+integer arithmetic; no roots of unity are ever evaluated in floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateFormError, LimitError, UnsupportedInputError
-from .forms import Enhancement, value_table
+from .errors import DegenerateFormError, InternalError, LimitError, UnsupportedInputError
+from .forms import Enhancement
 
 MAX_GAUSS_DIM = 20
 
@@ -33,14 +50,60 @@ class GaussSumResult:
 
 
 def gauss_sum(q: Enhancement) -> GaussSumResult:
-    """Count enhancement values over all 2^n classes."""
+    """Gauss sum and value counts of an enhancement, by orthogonal splitting.
+
+    Each basis vector is kept as (class bitmask, functional mask, q value);
+    u.v is the parity of v's functional mask on u's bitmask.
+    """
     n = q.form.dim
     if n > MAX_GAUSS_DIM:
         raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
-    counts = [0, 0, 0, 0]
-    for v in value_table(q):
-        counts[v] += 1
-    return GaussSumResult(n, tuple(counts))
+    rest = [(1 << i, row, v) for i, (row, v) in enumerate(zip(q.form.row_masks, q.values))]
+    a, b = 1, 0
+    while True:
+        # u.u = q(u) mod 2: split off an odd class, 1 + i^q(u) = 1 + i or 1 - i
+        for k, (bu, fu, qu) in enumerate(rest):
+            if qu & 1:
+                break
+        else:
+            break
+        del rest[k]
+        a, b = (a - b, a + b) if qu == 1 else (a + b, b - a)
+        shift = qu + 2  # q(v + u) = q(v) + q(u) + 2 when v.u = 1
+        for j, (bv, fv, qv) in enumerate(rest):
+            if (fv & bu).bit_count() & 1:
+                rest[j] = (bv ^ bu, fv ^ fu, (qv + shift) & 3)
+    while rest:
+        bu, fu, qu = rest.pop()
+        for k, (bw, fw, qw) in enumerate(rest):
+            if (fw & bu).bit_count() & 1:
+                break
+        else:
+            # a radical class: 1 + i^q(u) is 2 for q(u) = 0 and 0 for q(u) = 2
+            if qu:
+                a = b = 0
+                break
+            a, b = 2 * a, 2 * b
+            continue
+        del rest[k]
+        # a hyperbolic plane: 1 + i^q(u) + i^q(w) - i^(q(u) + q(w))
+        a, b = (-2 * a, -2 * b) if qu == qw == 2 else (2 * a, 2 * b)
+        fuw, buw, quw = fu ^ fw, bu ^ bw, (qu + qw + 2) & 3
+        for j, (bv, fv, qv) in enumerate(rest):
+            # v + (v.w)u + (v.u)w is orthogonal to u and w and pairs to 0 with what it gains
+            if (fv & bu).bit_count() & 1:
+                if (fv & bw).bit_count() & 1:
+                    rest[j] = (bv ^ buw, fv ^ fuw, (qv + quw) & 3)
+                else:
+                    rest[j] = (bv ^ bw, fv ^ fw, (qv + qw) & 3)
+            elif (fv & bw).bit_count() & 1:
+                rest[j] = (bv ^ bu, fv ^ fu, (qv + qu) & 3)
+    # x -> x.x is linear: every class is even when every basis value is, else half are
+    even = 1 << n if 1 not in q.values and 3 not in q.values else 1 << (n - 1)
+    odd_count = (1 << n) - even
+    return GaussSumResult(
+        n, ((even + a) // 2, (odd_count + b) // 2, (even - a) // 2, (odd_count - b) // 2)
+    )
 
 
 def decode_brown(gs: GaussSumResult) -> int:
@@ -90,5 +153,5 @@ def arf_from_brown(q: Enhancement) -> int:
         )
     beta = brown_invariant(q)
     if beta not in (0, 4):
-        raise RuntimeError(f"even enhancement produced beta = {beta}, expected 0 or 4")
+        raise InternalError(f"even enhancement produced beta = {beta}, expected 0 or 4")
     return beta // 4

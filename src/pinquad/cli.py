@@ -10,6 +10,7 @@ JSON files in, fixed-width text on stdout (or machine-readable JSON with
     4  resource guard exceeded
     5  vector is not characteristic
     6  surgery obstructed
+    7  internal error: a consistency check failed, which is a bug
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .brown import _require_nondegenerate, brown_invariant, decode_brown, gauss_
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
+    InternalError,
     LimitError,
     NotCharacteristicError,
     PinquadError,
@@ -58,6 +60,7 @@ EXIT_DEGENERATE = 3
 EXIT_GUARD = 4
 EXIT_NOT_CHARACTERISTIC = 5
 EXIT_OBSTRUCTED = 6
+EXIT_INTERNAL = 7
 
 
 class UsageError(PinquadError):
@@ -73,6 +76,7 @@ EXIT_CODES: tuple[tuple[type[PinquadError], int], ...] = (
     (DimensionMismatchError, EXIT_USAGE),
     (UnsupportedInputError, EXIT_USAGE),
     (UsageError, EXIT_USAGE),
+    (InternalError, EXIT_INTERNAL),
 )
 
 
@@ -252,9 +256,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
     reduced = isotropic_reduction(q, c)
     beta_after = brown_invariant(reduced)
     if beta_before != beta_after:
-        raise RuntimeError(
-            f"surgery changed beta: {beta_before} -> {beta_after}; this is a bug"
-        )
+        raise InternalError(f"surgery changed beta: {beta_before} -> {beta_after}; this is a bug")
     if args.json:
         payload = reduced.to_json()
         payload["beta_before"] = beta_before

@@ -22,6 +22,10 @@ class UnsupportedInputError(PinquadError, ValueError):
     """Input is well-formed but outside the operation's domain."""
 
 
+class InternalError(PinquadError):
+    """A consistency check failed: a bug in this package, not bad input."""
+
+
 class SurgeryObstructionError(PinquadError, ValueError):
     """A class fails one of the surgery preconditions.
 

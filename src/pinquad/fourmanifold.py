@@ -14,7 +14,7 @@ from math import prod
 from typing import Sequence
 
 from .brown import brown_invariant
-from .errors import DimensionMismatchError, LimitError, NotCharacteristicError
+from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError
 from .f2 import F2Matrix, F2Vector, solve
 from .forms import BilinearForm, Enhancement, _json_int
 
@@ -171,7 +171,7 @@ def gm_required_beta(m: UnimodularForm, c: "CharacteristicVector | Sequence[int]
     cc = m.pair(coords, coords)
     sig = signature(m)
     if (cc - sig) % 2:
-        raise RuntimeError(
+        raise InternalError(
             f"van der Blij violated: c.c = {cc}, sign = {sig}; difference is odd"
         )
     return ((cc - sig) // 2) % 8

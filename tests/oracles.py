@@ -4,7 +4,8 @@ Everything here works on plain lists and dicts with naive loops, no shared
 code with the package (only its error class for a dimension mismatch):
 values are built from the enhancement law one basis vector at a time,
 subspaces are enumerated as raw span sets, and Gauss sums are counted per
-class.
+class.  The random forms at the end are orthogonal sums of pieces of known
+type, moved by random changes of basis.
 """
 from itertools import combinations
 
@@ -48,10 +49,16 @@ def kernel_vanishing_check(q, k):
     return all(naive_q(q.form.gram, q.values, x) == 0 for x in span_of(v.bits for v in k.basis))
 
 
-def naive_gauss(gram, values):
+def naive_counts(gram, values):
+    """Number of classes with q = 0, 1, 2, 3, counted over all 2^n classes."""
     counts = [0, 0, 0, 0]
     for v in law_table(gram, values):
         counts[v] += 1
+    return tuple(counts)
+
+
+def naive_gauss(gram, values):
+    counts = naive_counts(gram, values)
     return counts[0] - counts[2], counts[1] - counts[3]
 
 
@@ -167,3 +174,55 @@ def naive_max_null_dim(gram, values):
 
     grow(frozenset({0}), 0, [x for x in range(1, 1 << n) if table[x] == 0])
     return best
+
+
+PIECES = ([[1]], [[0, 1], [1, 0]])
+
+
+def block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[at + i][at : at + len(b)] = row
+        at += len(b)
+    return gram
+
+
+def random_basis(rng, n):
+    """Rows of a random invertible matrix over F2, as class bitmasks."""
+    rows = [1 << i for i in range(n)]
+    for _ in range(n * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    return rows
+
+
+def rebase(gram, values, rows):
+    """The same enhancement written in the basis ``rows``."""
+    new_gram = [[naive_dot(gram, a, b) for b in rows] for a in rows]
+    return new_gram, tuple(naive_q(gram, values, a) for a in rows)
+
+
+def random_nondegenerate(rng, max_dim):
+    blocks = []
+    while True:
+        piece = rng.choice(PIECES)
+        if sum(map(len, blocks)) + len(piece) > max_dim:
+            break
+        blocks.append(piece)
+    gram = block_sum(blocks)
+    return gram, tuple((gram[i][i] + 2 * rng.randrange(2)) % 4 for i in range(len(gram)))
+
+
+def random_degenerate(rng, max_dim, radical_q):
+    """A nondegenerate part plus a radical on which q is 0, or takes the value 2."""
+    gram, values = random_nondegenerate(rng, max_dim - 1)
+    r = rng.randint(1, max_dim - len(gram))
+    radical_values = [0] * r
+    if radical_q == 2:
+        radical_values = [2 * rng.randrange(2) for _ in range(r)]
+        radical_values[rng.randrange(r)] = 2
+    return block_sum([gram, [[0] * r for _ in range(r)]]), values + tuple(radical_values)

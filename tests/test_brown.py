@@ -1,7 +1,9 @@
+import random
 from collections import Counter
 
 import pytest
 
+import pinquad.brown
 from pinquad.brown import (
     GaussSumResult,
     arf_from_brown,
@@ -9,7 +11,12 @@ from pinquad.brown import (
     decode_brown,
     gauss_sum,
 )
-from pinquad.errors import DegenerateFormError, LimitError, UnsupportedInputError
+from pinquad.errors import (
+    DegenerateFormError,
+    InternalError,
+    LimitError,
+    UnsupportedInputError,
+)
 from pinquad.f2 import F2Vector
 from pinquad.forms import (
     BilinearForm,
@@ -24,7 +31,17 @@ from pinquad.forms import (
     torsor_act,
     Covector,
 )
-from oracles import all_enhancement_values, naive_beta, naive_gauss, standard_grams
+from oracles import (
+    all_enhancement_values,
+    naive_beta,
+    naive_counts,
+    naive_gauss,
+    random_basis,
+    random_degenerate,
+    random_nondegenerate,
+    rebase,
+    standard_grams,
+)
 
 TORUS = hyperbolic_form(1)
 RP2 = crosscap_form(1)
@@ -64,6 +81,31 @@ class TestGaussSum:
         big = Enhancement(hyperbolic_form(11), (0,) * 22)
         with pytest.raises(LimitError):
             gauss_sum(big)
+
+
+def count_cases(kind):
+    rng = random.Random(f"gauss-counts-{kind}")
+    if kind == "standard":  # the rank-0 form included
+        return [(g, v) for g in standard_grams(8) for v in all_enhancement_values(g)]
+    if kind == "rebased":
+        cases = [random_nondegenerate(rng, rng.randint(1, 12)) for _ in range(200)]
+    else:
+        cases = [random_degenerate(rng, rng.randint(1, 9), k) for k in (0, 2) for _ in range(60)]
+        cases += [([[0] * n for _ in range(n)], (0,) * n) for n in range(1, 9)]
+        cases += [([[0] * n for _ in range(n)], (2,) + (0,) * (n - 1)) for n in (1, 4, 8)]
+    return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
+
+
+class TestGaussSumCounts:
+    """All four value counts of the splitting against counting every class."""
+
+    @pytest.mark.parametrize("kind", ["standard", "rebased", "degenerate"])
+    def test_matches_oracle(self, kind):
+        for gram, values in count_cases(kind):
+            q = Enhancement(BilinearForm.from_rows(gram), values)
+            if kind == "degenerate":
+                assert not q.form.nondegenerate
+            assert gauss_sum(q).counts == naive_counts(gram, values), (gram, values)
 
 
 class TestBrownInvariant:
@@ -179,6 +221,11 @@ class TestArf:
     def test_odd_values_rejected(self):
         with pytest.raises(UnsupportedInputError):
             arf_from_brown(Enhancement(RP2, (1,)))
+
+    def test_beta_off_zero_and_four_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(pinquad.brown, "brown_invariant", lambda q: 2)
+        with pytest.raises(InternalError):
+            arf_from_brown(Enhancement(TORUS, (0, 0)))
 
     def test_matches_quarter_of_beta(self):
         form = hyperbolic_form(2)

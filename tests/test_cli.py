@@ -5,9 +5,14 @@ import pytest
 
 import pinquad.brown
 import pinquad.cli as cli
+import pinquad.forms
+import pinquad.fourmanifold
+import pinquad.vanishing
+from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.cli import EXIT_CODES, main
 from pinquad.errors import PinquadError
 from pinquad.forms import Enhancement
+from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -157,14 +162,54 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: dim ") and "enumeration guard 12" in err
 
-    def test_brown_tabulates_once(self, capsys, monkeypatch):
-        calls = []
-        table = pinquad.brown.value_table
-        monkeypatch.setattr(pinquad.brown, "value_table", lambda q: calls.append(q) or table(q))
+    def test_brown_builds_no_value_table(self, capsys, monkeypatch):
+        def refuse(_q):
+            raise AssertionError("value table built")
+
+        monkeypatch.setattr(pinquad.forms, "value_table", refuse)
+        monkeypatch.setattr(pinquad.vanishing, "value_table", refuse)
+        monkeypatch.setattr(pinquad.brown, "value_table", refuse, raising=False)
         code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
         assert code == 0
         assert out == "beta=0 A=4 B=0 n=4\n"
+        q = cli._load_enhancement(str(DATA / "genus2_v0000.json"))
+        assert brown_invariant(q) == 0
+        assert gauss_sum(q).counts == (10, 0, 6, 0)
+        assert arf_from_brown(q) == 0
+        assert max_vanishing_dim(q) == 2
+        assert has_null_lagrangian(q)
+        assert max_vanishing_dim(cli._load_enhancement(str(DATA / "degenerate.json"))) == 1
+
+    def test_lagrangian_tabulates_once(self, capsys, monkeypatch):
+        calls = []
+        table = pinquad.forms.value_table
+
+        def counting(q):
+            calls.append(q)
+            return table(q)
+
+        monkeypatch.setattr(pinquad.forms, "value_table", counting)
+        monkeypatch.setattr(pinquad.vanishing, "value_table", counting)
+        monkeypatch.setattr(pinquad.brown, "value_table", counting, raising=False)
+        code, out, _err = run(capsys, "vanishing", str(DATA / "genus2_v0000.json"), "--lagrangian")
+        assert code == 0
+        assert out == "yes: [1000, 0010]\n"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["surgery", "gm"])
+    def test_internal_error(self, capsys, monkeypatch, command):
+        # a consistency check that fails is a bug: exit 7 and one line on stderr
+        if command == "surgery":
+            monkeypatch.setattr(cli, "brown_invariant", lambda q: q.form.dim)
+            argv = ["surgery", str(DATA / "genus2_v0000.json"), "--class", "1000"]
+            message = "error: surgery changed beta: 4 -> 2; this is a bug\n"
+        else:
+            real = pinquad.fourmanifold.signature
+            monkeypatch.setattr(pinquad.fourmanifold, "signature", lambda m: real(m) + 1)
+            argv = ["gm", "--form", "1", "--char", "1"]
+            message = "error: van der Blij violated: c.c = 1, sign = 2; difference is odd\n"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (7, "", message)
 
     def test_degenerate_brown_over_the_gauss_guard(self, capsys, tmp_path):
         n = 21

@@ -1,0 +1,90 @@
+"""Property tests: beta and the q-null answers do not depend on the basis.
+
+Enhancements are drawn as orthogonal sums of <1>, <-1> and hyperbolic planes
+(with any values), whose Brown invariant is known piece by piece, and then
+written in a random basis of F2^n: the Gram matrix and the basis values are
+moved together, so the enhancement is the same and only its presentation
+changes.  Runs are derandomized and bounded, so the suite is deterministic.
+"""
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pinquad.brown import brown_invariant
+from pinquad.forms import BilinearForm, Enhancement, direct_sum
+from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
+from oracles import block_sum, rebase
+
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+
+# beta of each piece: <1>, <-1>, and a plane by its values on the basis
+PIECE_BETA = {(1,): 1, (3,): 7, (0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 4}
+
+
+@st.composite
+def split_enhancements(draw, max_dim):
+    """(gram, values, beta) of an orthogonal sum of pieces, rank at most max_dim."""
+    n = draw(st.integers(0, max_dim))
+    blocks, values, beta = [], (), 0
+    while len(values) < n:
+        if n - len(values) >= 2 and draw(st.booleans()):
+            blocks.append([[0, 1], [1, 0]])
+            piece = (2 * draw(st.integers(0, 1)), 2 * draw(st.integers(0, 1)))
+        else:
+            blocks.append([[1]])
+            piece = (draw(st.sampled_from((1, 3))),)
+        values += piece
+        beta += PIECE_BETA[piece]
+    return block_sum(blocks), values, beta % 8
+
+
+@st.composite
+def bases(draw, n):
+    """Rows of a random matrix in GL_n(F2), as class bitmasks.
+
+    Every invertible matrix is P L U with P a permutation and L, U lower and
+    upper unitriangular, so drawing the three factors reaches all of GL_n.
+    """
+    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(n)]
+    upper = [(1 << i) | draw(st.integers(0, (1 << n) - 1)) >> (i + 1) << (i + 1) for i in range(n)]
+    rows = []
+    for row in lower:
+        acc = 0
+        for j in range(n):
+            if (row >> j) & 1:
+                acc ^= upper[j]
+        rows.append(acc)
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def rebased(draw, max_dim):
+    """An enhancement of known beta, and the same enhancement in a random basis."""
+    gram, values, beta = draw(split_enhancements(max_dim))
+    moved_gram, moved_values = rebase(gram, values, draw(bases(len(values))))
+    original = Enhancement(BilinearForm.from_rows(gram), values)
+    moved = Enhancement(BilinearForm.from_rows(moved_gram), moved_values)
+    return original, moved, beta
+
+
+@PROPERTY_SETTINGS
+@given(rebased(20))
+def test_beta_is_invariant_under_change_of_basis(case):
+    original, moved, beta = case
+    assert moved.form.nondegenerate
+    assert brown_invariant(original) == brown_invariant(moved) == beta
+
+
+@PROPERTY_SETTINGS
+@given(rebased(10))
+def test_null_answers_are_invariant_under_change_of_basis(case):
+    original, moved, _beta = case
+    assert max_vanishing_dim(moved) == max_vanishing_dim(original)
+    assert has_null_lagrangian(moved) == has_null_lagrangian(original)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 20).flatmap(lambda k: st.tuples(rebased(k), rebased(20 - k))))
+def test_beta_is_additive(cases):
+    (_, q1, beta1), (_, q2, beta2) = cases
+    total = brown_invariant(direct_sum(q1, q2))
+    assert total == (brown_invariant(q1) + brown_invariant(q2)) % 8 == (beta1 + beta2) % 8

@@ -20,9 +20,11 @@ from pinquad.vanishing import (
 from oracles import (
     all_enhancement_values,
     kernel_vanishing_check,
-    law_table,
-    naive_dot,
     naive_max_null_dim,
+    random_basis,
+    random_degenerate,
+    random_nondegenerate,
+    rebase,
     standard_grams,
 )
 
@@ -183,58 +185,6 @@ class TestHasNullLagrangian:
             form = BilinearForm.from_rows(gram)
             for q in enumerate_enhancements(form):
                 assert has_null_lagrangian(q) == (brown_invariant(q) == 0)
-
-
-PIECES = ([[1]], [[0, 1], [1, 0]])
-
-
-def block_sum(blocks):
-    n = sum(len(b) for b in blocks)
-    gram = [[0] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            gram[at + i][at : at + len(b)] = row
-        at += len(b)
-    return gram
-
-
-def random_basis(rng, n):
-    """Rows of a random invertible matrix over F2, as class bitmasks."""
-    rows = [1 << i for i in range(n)]
-    for _ in range(n * n if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        rows[i] ^= rows[j]
-    rng.shuffle(rows)
-    return rows
-
-
-def rebase(gram, values, rows):
-    """The same enhancement written in the basis ``rows``."""
-    table = law_table(gram, values)
-    return [[naive_dot(gram, a, b) for b in rows] for a in rows], tuple(table[a] for a in rows)
-
-
-def random_nondegenerate(rng, max_dim):
-    blocks = []
-    while True:
-        piece = rng.choice(PIECES)
-        if sum(map(len, blocks)) + len(piece) > max_dim:
-            break
-        blocks.append(piece)
-    gram = block_sum(blocks)
-    return gram, tuple((gram[i][i] + 2 * rng.randrange(2)) % 4 for i in range(len(gram)))
-
-
-def random_degenerate(rng, max_dim, radical_q):
-    """A nondegenerate part plus a radical on which q is 0, or takes the value 2."""
-    gram, values = random_nondegenerate(rng, max_dim - 1)
-    r = rng.randint(1, max_dim - len(gram))
-    radical_values = [0] * r
-    if radical_q == 2:
-        radical_values = [2 * rng.randrange(2) for _ in range(r)]
-        radical_values[rng.randrange(r)] = 2
-    return block_sum([gram, [[0] * r for _ in range(r)]]), values + tuple(radical_values)
 
 
 def closed_form_cases(kind):
