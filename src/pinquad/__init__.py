@@ -44,7 +44,6 @@ from .fourmanifold import (
     FORM_LIBRARY,
     CharacteristicVector,
     UnimodularForm,
-    characteristic_classes_mod2,
     gm_check,
     gm_required_beta,
     is_characteristic,

@@ -1,38 +1,46 @@
 """Unimodular intersection forms of closed oriented 4-manifolds.
 
 A 4-manifold enters only through its integer intersection form and a
-characteristic vector (the class dual to w2).  Signatures are computed by
-congruence diagonalization over exact rationals, and the Guillou-Marin
-congruence 2*beta = F.F - sign (mod 16) pins the Brown invariant any
-characteristic surface must carry.
+characteristic vector (the class dual to w2).  Building a ``UnimodularForm``
+runs one symmetric elimination of its Gram matrix in integers, with exact
+divisions (Bareiss 1968).  Its leading minors give the determinant (the last
+one, which must be +-1) and the signature (Jacobi's rule on their signs), and
+the form keeps that signature.  So ``signature`` and the Guillou-Marin
+congruence 2*beta = F.F - sign (mod 16), which pins the Brown invariant any
+characteristic surface must carry, run no elimination at all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError
-from .f2 import F2Matrix, F2Vector, solve
 from .forms import BilinearForm, Enhancement, _json_int
 
 MAX_FORM_DIM = 12
 
 
-def _diagonalize(gram: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Diagonal of an exact congruence diagonalization of a symmetric integer matrix.
+def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
+    """Leading principal minors D_1..D_n of a symmetric integer matrix, up to congruence.
 
-    Symmetric pivoting over rationals, updating only the trailing block; when
-    the active block has an all-zero diagonal, a hyperbolic off-diagonal entry
-    is folded onto the diagonal by a symmetric row-and-column addition, and an
-    all-zero active block contributes zeros.  Every step has determinant +-1,
-    so the product of the diagonal is the determinant of ``gram``.
+    Symmetric elimination in integers (Bareiss 1968): each step picks a
+    nonzero diagonal pivot d, swapping it into place by a symmetric
+    permutation, and updates the trailing block by
+    a[r][t] = (d * a[r][t] - a[r][k] * a[k][t]) // prev, with prev the previous
+    pivot (1 at the start).  The division is exact because every active entry
+    is a bordered minor: the determinant of the leading block bordered by one
+    more row and column.  When the active block has an all-zero diagonal, a
+    hyperbolic off-diagonal entry is folded onto the diagonal by adding row and
+    column j to row and column i; a bordered minor is linear in its border row
+    and column, so the active entries stay bordered minors of the folded basis.
+    An all-zero active block contributes zeros.  Every basis change has
+    determinant +-1, so D_n is the determinant of ``gram``.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    diag: list[Fraction] = []
+    a = [list(row) for row in gram]
+    minors: list[int] = []
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][i] != 0), None)
         if piv is None:
@@ -40,7 +48,7 @@ def _diagonalize(gram: Sequence[Sequence[int]]) -> list[Fraction]:
                 ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
             )
             if pair is None:
-                return diag + [Fraction(0)] * (n - k)
+                return minors + [0] * (n - k)
             i, j = pair
             # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal
             for t in range(k, n):
@@ -53,15 +61,14 @@ def _diagonalize(gram: Sequence[Sequence[int]]) -> list[Fraction]:
             for row in a[k:]:
                 row[k], row[piv] = row[piv], row[k]
         d = a[k][k]
-        diag.append(d)
+        minors.append(d)
         pivot_row = a[k]
         for r in range(k + 1, n):
-            f = a[r][k] / d
-            if f:
-                target = a[r]
-                for t in range(k + 1, n):
-                    target[t] -= f * pivot_row[t]
-    return diag
+            f, target = a[r][k], a[r]
+            for t in range(k + 1, n):
+                target[t] = (d * target[t] - f * pivot_row[t]) // prev
+        prev = d
+    return minors
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,16 @@ class UnimodularForm:
             for j in range(i, self.dim):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-        d = prod(_diagonalize(self.gram))
+        minors = _leading_minors(self.gram)
+        d = minors[-1] if minors else 1
         if d not in (1, -1):
             raise ValueError(f"form is not unimodular: det = {d}")
+        # Jacobi: with D_0 = 1 and every D_k nonzero, the signature counts the
+        # sign agreements minus the sign changes of consecutive minors.
+        # Kept off the dataclass fields, so ==, hash, repr and to_json ignore it.
+        object.__setattr__(
+            self, "_signature", sum(1 if p * m > 0 else -1 for p, m in zip([1] + minors, minors))
+        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "UnimodularForm":
@@ -146,17 +160,8 @@ def is_characteristic(m: UnimodularForm, c: "CharacteristicVector | Sequence[int
 
 
 def signature(m: UnimodularForm) -> int:
-    """Positive minus negative diagonal count after exact congruence diagonalization."""
-    return sum(1 if d > 0 else -1 for d in _diagonalize(m.gram))
-
-
-def characteristic_classes_mod2(m: UnimodularForm) -> list[F2Vector]:
-    """The unique mod-2 solution of the Wu condition gram.c = diag (mod 2)."""
-    mod2 = m.mod2()
-    diag = F2Vector.from_coords([m.gram[i][i] % 2 for i in range(m.dim)])
-    sol = solve(F2Matrix(m.dim, m.dim, mod2.row_masks), diag)
-    assert sol is not None  # unimodular forms are mod-2 nondegenerate
-    return [sol]
+    """Positive minus negative eigenvalue count, computed once when the form was built."""
+    return m._signature
 
 
 def gm_required_beta(m: UnimodularForm, c: "CharacteristicVector | Sequence[int]") -> int:

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used to check the library.
 
 Everything here works on plain lists and dicts with naive loops, no shared
-code with the package (only its error class for a dimension mismatch):
+code with the package (only its error class for a dimension mismatch and
+its vector type for a result):
 values are built from the enhancement law one basis vector at a time,
 subspaces are enumerated as raw span sets, and Gauss sums are counted per
 class.  The random forms at the end are orthogonal sums of pieces of known
@@ -10,6 +11,7 @@ type, moved by random changes of basis.
 from itertools import combinations
 
 from pinquad.errors import DimensionMismatchError
+from pinquad.f2 import F2Vector
 
 
 def naive_dot(gram, x_bits, y_bits):
@@ -72,6 +74,21 @@ def naive_beta(gram, values):
     if a > 0:
         return 1 if b > 0 else 7
     return 3 if b > 0 else 5
+
+
+def characteristic_class_mod2(m):
+    """The mod-2 Wu class of a unimodular form: the one c with c.e_i = e_i.e_i (mod 2) for all i.
+
+    Every class of F2^dim is tried; a unimodular form is nondegenerate mod 2,
+    so exactly one passes.
+    """
+    n = m.dim
+    wu = [
+        c for c in range(1 << n)
+        if all(naive_dot(m.gram, c, 1 << i) == m.gram[i][i] % 2 for i in range(n))
+    ]
+    assert len(wu) == 1
+    return F2Vector.from_coords([(wu[0] >> i) & 1 for i in range(n)])
 
 
 def gaussian_binomial(n, k):

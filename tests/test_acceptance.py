@@ -31,7 +31,6 @@ from pinquad.forms import (
 )
 from pinquad.fourmanifold import (
     FORM_LIBRARY,
-    characteristic_classes_mod2,
     gm_required_beta,
     parse_form_name,
     signature,
@@ -41,7 +40,7 @@ from pinquad.vanishing import (
     max_vanishing_dim,
     vanishing_subspaces,
 )
-from oracles import kernel_vanishing_check
+from oracles import characteristic_class_mod2, kernel_vanishing_check
 from test_cli import GOLDEN_CASES, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,7 +246,7 @@ def test_criterion_8_guillou_marin_instances():
     ]
     for m in library:
         sig = signature(m)
-        base = characteristic_classes_mod2(m)[0].coords
+        base = characteristic_class_mod2(m).coords
         choices = [
             [x for x in range(-3, 4) if x % 2 == p] for p in base
         ]

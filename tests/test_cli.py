@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pinquad
 import pinquad.brown
 import pinquad.cli as cli
 import pinquad.forms
@@ -249,6 +253,27 @@ class TestStrictJson:
         assert out == ""
         assert err == f"error: {path} is not a valid unimodular form: expected an integer, got inf\n"
 
+    @pytest.mark.parametrize(
+        "gram,det",
+        [([[2, 1], [1, 2]], 3), ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], 0)],
+        ids=["det3", "zero_diagonal_singular"],
+    )
+    def test_non_unimodular_form_file(self, capsys, tmp_path, gram, det):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"dim": len(gram), "gram": gram}), encoding="utf-8")
+        code, out, err = run(capsys, "gm", "--form", str(path), "--char", ",".join("1" * len(gram)))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not a valid unimodular form: form is not unimodular: det = {det}\n"
+
+    def test_form_file_over_the_rank_cap(self, capsys, tmp_path):
+        n = 13
+        path = tmp_path / "form.json"
+        gram = [[int(i == j) for j in range(n)] for i in range(n)]
+        path.write_text(json.dumps({"dim": n, "gram": gram}), encoding="utf-8")
+        code, out, err = run(capsys, "gm", "--form", str(path), "--char", ",".join("1" * n))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_invalid_utf8(self, capsys, tmp_path):
         path = tmp_path / "q.json"
         path.write_bytes(b'{"form": {"dim": 1, "gram": [[1]]}, "values": [\xff]}')
@@ -344,3 +369,14 @@ class TestRoundTrips:
         assert code == 0
         v1 = json.loads(first)["values"]
         assert v1 == [3, 3]
+
+
+def test_import_loads_no_decimal_arithmetic():
+    # the package computes in integers; a fresh interpreter without site
+    # packages shows what importing the CLI alone pulls in
+    probe = "import sys, pinquad.cli; print(sorted({'decimal', 'fractions'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

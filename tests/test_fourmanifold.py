@@ -4,13 +4,14 @@ from itertools import product
 
 import pytest
 
+import pinquad.fourmanifold as fourmanifold
 from pinquad.errors import DimensionMismatchError, LimitError, NotCharacteristicError
 from pinquad.forms import Enhancement, crosscap_form, hyperbolic_form
 from pinquad.fourmanifold import (
     FORM_LIBRARY,
+    MAX_FORM_DIM,
     CharacteristicVector,
     UnimodularForm,
-    characteristic_classes_mod2,
     gm_check,
     gm_required_beta,
     is_characteristic,
@@ -19,10 +20,13 @@ from pinquad.fourmanifold import (
     unimodular_direct_sum,
 )
 
+from oracles import characteristic_class_mod2
+
 ONE = FORM_LIBRARY["1"]
 MINUS_ONE = FORM_LIBRARY["-1"]
 H = FORM_LIBRARY["H"]
 E8 = FORM_LIBRARY["E8"]
+BLOCKS = [ONE, MINUS_ONE, H, E8, UnimodularForm.from_rows([[-v for v in r] for r in E8.gram])]
 
 # forms exercised by the library-wide properties (dims 1 through 8)
 TEST_LIBRARY = [
@@ -45,7 +49,7 @@ TEST_LIBRARY = [
 
 def characteristic_candidates(m, bound=3):
     """Integer vectors with entries in [-bound, bound] of the right parity."""
-    base = characteristic_classes_mod2(m)[0].coords
+    base = characteristic_class_mod2(m).coords
     choices = []
     for parity in base:
         choices.append([x for x in range(-bound, bound + 1) if x % 2 == parity])
@@ -71,6 +75,36 @@ def random_congruence(gram, rng, steps=6):
         [sum(t[k][i] * gram[k][l] * t[l][j] for k in range(n) for l in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+def random_library_sum(rng, max_dim=MAX_FORM_DIM):
+    """A direct sum of 1, -1, H, E8 and -E8 of random rank between 1 and max_dim."""
+    target, summands = rng.randint(1, max_dim), []
+    while sum(b.dim for b in summands) < target:
+        summands.append(rng.choice(BLOCKS))
+    if sum(b.dim for b in summands) > max_dim:
+        summands.pop()
+    return unimodular_direct_sum(*summands)
+
+
+def descartes_signature(sympy, gram):
+    """Signature from the characteristic polynomial.
+
+    A symmetric matrix has a real-rooted characteristic polynomial, so
+    Descartes' rule of signs counts its positive and negative eigenvalues
+    exactly; the matrix must be nonsingular.
+    """
+
+    def sign_changes(coeffs):
+        signs = [c > 0 for c in coeffs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    coeffs = sympy.Matrix(gram).charpoly(sympy.symbols("x")).all_coeffs()
+    n = len(gram)
+    positive = sign_changes(coeffs)
+    negative = sign_changes([c * (-1) ** (n - i) for i, c in enumerate(coeffs)])
+    assert positive + negative == n
+    return positive - negative
 
 
 class TestUnimodularForm:
@@ -99,6 +133,43 @@ class TestUnimodularForm:
                 with pytest.raises(ValueError, match=rf"not unimodular: det = {det}$"):
                     UnimodularForm.from_rows(g)
         assert verdicts == {True, False}
+
+    def test_rank_cap_against_sympy(self):
+        # ranks up to the cap, entries in the hundreds, negative pivots, the
+        # hyperbolic fold and all-zero active blocks, against sympy's det and
+        # the characteristic polynomial's signature
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(8128)
+        cases = []
+        for _ in range(30):  # unimodular
+            cases.append(random_congruence(random_library_sum(rng).gram, rng, steps=40))
+        for _ in range(30):  # zero diagonal: the first pivot comes from the fold
+            n = rng.randint(2, MAX_FORM_DIM)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    g[i][j] = g[j][i] = rng.choice((-1, 0, 0, 1))
+            cases.append(g)
+        for _ in range(30):  # singular: A + 0, as it is or moved by a congruence
+            k = rng.randint(1, 4)
+            a = random_library_sum(rng, MAX_FORM_DIM - k)
+            n = a.dim + k
+            g = [[a.gram[i][j] if i < a.dim and j < a.dim else 0 for j in range(n)] for i in range(n)]
+            cases.append(random_congruence(g, rng, steps=rng.choice((0, 40))))
+        largest, negative_pivot, verdicts = 0, False, set()
+        for g in cases:
+            det = sympy.Matrix(g).det()
+            verdicts.add(det in (1, -1))
+            largest = max(largest, *(abs(x) for row in g for x in row))
+            negative_pivot |= any(d < 0 for d in fourmanifold._leading_minors(g))
+            if det in (1, -1):
+                m = UnimodularForm.from_rows(g)
+                assert signature(m) == descartes_signature(sympy, g)
+            else:
+                with pytest.raises(ValueError, match=rf"not unimodular: det = {det}$"):
+                    UnimodularForm.from_rows(g)
+        assert verdicts == {True, False}
+        assert largest >= 100 and negative_pivot
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
@@ -162,30 +233,33 @@ class TestSignature:
                 assert signature(UnimodularForm.from_rows(conj)) == signature(m)
 
     def test_matches_characteristic_polynomial(self):
-        # a symmetric matrix has a real-rooted characteristic polynomial, so
-        # Descartes' rule of signs counts its positive and negative eigenvalues exactly
         sympy = pytest.importorskip("sympy")
-        x = sympy.symbols("x")
-
-        def sign_changes(coeffs):
-            signs = [c > 0 for c in coeffs if c != 0]
-            return sum(a != b for a, b in zip(signs, signs[1:]))
-
         rng = random.Random(1614)
-        blocks = [ONE, MINUS_ONE, H, E8, UnimodularForm.from_rows([[-v for v in r] for r in E8.gram])]
         for _ in range(60):
-            target, summands = rng.randint(1, 12), []
-            while sum(b.dim for b in summands) < target:
-                summands.append(rng.choice(blocks))
-            if sum(b.dim for b in summands) > 12:
-                summands.pop()
-            gram = random_congruence(unimodular_direct_sum(*summands).gram, rng, steps=12)
-            coeffs = sympy.Matrix(gram).charpoly(x).all_coeffs()
-            n = len(gram)
-            positive = sign_changes(coeffs)
-            negative = sign_changes([c * (-1) ** (n - i) for i, c in enumerate(coeffs)])
-            assert positive + negative == n
-            assert signature(UnimodularForm.from_rows(gram)) == positive - negative
+            gram = random_congruence(random_library_sum(rng).gram, rng, steps=12)
+            assert signature(UnimodularForm.from_rows(gram)) == descartes_signature(sympy, gram)
+
+    def test_stored_at_construction(self, monkeypatch):
+        # the form's one elimination is the only one: signature and the
+        # Guillou-Marin checks answer with the elimination helper broken
+        big = parse_form_name("E8+H+1+-1")
+        rng = random.Random(5)
+        moved = UnimodularForm.from_rows(random_congruence(big.gram, rng, steps=30))
+        empty = UnimodularForm(0, ())
+
+        def broken(gram):
+            raise AssertionError("eliminated again")
+
+        monkeypatch.setattr(fourmanifold, "_leading_minors", broken)
+        torus_odd = Enhancement(hyperbolic_form(1), (2, 2))  # beta 4
+        for m in (big, moved):
+            c = characteristic_class_mod2(m).coords
+            assert signature(m) == 8
+            assert gm_required_beta(m, c) == ((m.pair(c, c) - 8) // 2) % 8
+            assert gm_check(m, c, torus_odd) == (gm_required_beta(m, c) == 4)
+        assert signature(empty) == 0
+        assert gm_required_beta(empty, ()) == 0
+        assert gm_check(empty, (), Enhancement(hyperbolic_form(0), ()))
 
 
 class TestCharacteristic:
@@ -196,14 +270,14 @@ class TestCharacteristic:
         assert not is_characteristic(ONE, (2,))
 
     def test_mod2_solutions(self):
-        assert [v.coords for v in characteristic_classes_mod2(ONE)] == [(1,)]
-        assert [v.coords for v in characteristic_classes_mod2(H)] == [(0, 0)]
-        assert [v.coords for v in characteristic_classes_mod2(parse_form_name("1+-1"))] == [(1, 1)]
-        assert [v.coords for v in characteristic_classes_mod2(E8)] == [(0,) * 8]
+        assert characteristic_class_mod2(ONE).coords == (1,)
+        assert characteristic_class_mod2(H).coords == (0, 0)
+        assert characteristic_class_mod2(parse_form_name("1+-1")).coords == (1, 1)
+        assert characteristic_class_mod2(E8).coords == (0,) * 8
 
     def test_mod2_solution_is_characteristic(self):
         for m in TEST_LIBRARY:
-            (cls,) = characteristic_classes_mod2(m)
+            cls = characteristic_class_mod2(m)
             assert is_characteristic(m, cls.coords)
 
     def test_validated_dataclass(self):
@@ -267,7 +341,7 @@ class TestGuillouMarin:
         # required beta moves by 2*(c.v + v.v) when c moves by 2v
         rng = random.Random(97)
         for m in TEST_LIBRARY:
-            base = characteristic_classes_mod2(m)[0].coords
+            base = characteristic_class_mod2(m).coords
             for _ in range(25):
                 v = tuple(rng.randint(-2, 2) for _ in range(m.dim))
                 shifted = tuple(b + 2 * x for b, x in zip(base, v))
