@@ -6,22 +6,17 @@ For a nondegenerate form it lands on one of the eight integer points with
 A^2 + B^2 = 2^n, and the angle, in eighths of a turn, is the Brown invariant
 beta in Z/8.
 
-The sum is never enumerated.  It is multiplicative over orthogonal sums,
-and every enhancement splits orthogonally into pieces of rank one and
-hyperbolic planes (E. H. Brown, Ann. of Math. 95, 1972; Kirby-Taylor, Pin
-structures on low-dimensional manifolds, 1990).  ``gauss_sum`` splits off
-one piece at a time and multiplies a running Gaussian integer:
-
-- a class u with u.u = 1 contributes 1 + i^q(u);
-- once no odd class is left, a pair u, w with u.w = 1 spans a plane that
-  contributes -2 when q(u) = q(w) = 2 and 2 otherwise;
-- a class with no partner lies in the radical, where q is 0 or 2, and
-  contributes 2 or 0.
-
-Each remaining basis vector is moved into the orthogonal complement of the
-piece, with its value corrected by the enhancement law.  The counts Nk then
-follow from A, B and the number of classes of even value.  Everything is
-integer arithmetic; no roots of unity are ever evaluated in floating point.
+The sum is never enumerated.  It is multiplicative over orthogonal sums, and
+every enhancement splits orthogonally into pieces of rank one, hyperbolic
+planes and its radical (E. H. Brown, Ann. of Math. 95, 1972; Kirby-Taylor,
+Pin structures on low-dimensional manifolds, 1990).  ``_split`` takes off one
+piece at a time and moves the other basis vectors into its orthogonal
+complement: a class u with u.u = 1 contributes 1 + i^q(u); once no odd class
+is left, a pair u, w with u.w = 1 spans a plane that contributes -2 when
+q(u) = q(w) = 2 and 2 otherwise; a class with no partner is radical.  That
+one pass gives beta, the radical (so no rank is computed), the values of q
+on it, the four counts and, in ``vanishing``, the largest q-null dimension.
+Everything is integer arithmetic.
 """
 from __future__ import annotations
 
@@ -49,15 +44,11 @@ class GaussSumResult:
         return self.counts[1] - self.counts[3]
 
 
-def gauss_sum(q: Enhancement) -> GaussSumResult:
-    """Gauss sum and value counts of an enhancement, by orthogonal splitting.
-
-    Each basis vector is kept as (class bitmask, functional mask, q value);
-    u.v is the parity of v's functional mask on u's bitmask.
+def _split(q: Enhancement) -> tuple[int, int, int, bool]:
+    """(a, b, r, null_radical): a + bi is the Gauss sum of the pieces off the radical,
+    r its dimension and null_radical whether q is 0 on it.  A basis vector is kept as
+    (class bitmask b, functional mask f, q value); u.v is the parity of f_v & b_u.
     """
-    n = q.form.dim
-    if n > MAX_GAUSS_DIM:
-        raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
     rest = [(1 << i, row, v) for i, (row, v) in enumerate(zip(q.form.row_masks, q.values))]
     a, b = 1, 0
     while True:
@@ -73,17 +64,16 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
         for j, (bv, fv, qv) in enumerate(rest):
             if (fv & bu).bit_count() & 1:
                 rest[j] = (bv ^ bu, fv ^ fu, (qv + shift) & 3)
+    r, null_radical = 0, True
     while rest:
         bu, fu, qu = rest.pop()
         for k, (bw, fw, qw) in enumerate(rest):
             if (fw & bu).bit_count() & 1:
                 break
         else:
-            # a radical class: 1 + i^q(u) is 2 for q(u) = 0 and 0 for q(u) = 2
-            if qu:
-                a = b = 0
-                break
-            a, b = 2 * a, 2 * b
+            # a radical class: q(u) is 0 or 2
+            r += 1
+            null_radical = null_radical and not qu
             continue
         del rest[k]
         # a hyperbolic plane: 1 + i^q(u) + i^q(w) - i^(q(u) + q(w))
@@ -98,12 +88,39 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
                     rest[j] = (bv ^ bw, fv ^ fw, (qv + qw) & 3)
             elif (fv & bw).bit_count() & 1:
                 rest[j] = (bv ^ bu, fv ^ fu, (qv + qu) & 3)
+    return a, b, r, null_radical
+
+
+def _check_gauss_guard(n: int) -> None:
+    if n > MAX_GAUSS_DIM:
+        raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
+
+
+def _gauss_sum(q: Enhancement, split: tuple[int, int, int, bool]) -> GaussSumResult:
+    n = q.form.dim
+    a, b, r, null_radical = split
+    # a radical class contributes 1 + i^q(u): 2 for q(u) = 0, and 0 for q(u) = 2
+    a, b = (a << r, b << r) if null_radical else (0, 0)
     # x -> x.x is linear: every class is even when every basis value is, else half are
     even = 1 << n if 1 not in q.values and 3 not in q.values else 1 << (n - 1)
     odd_count = (1 << n) - even
     return GaussSumResult(
         n, ((even + a) // 2, (odd_count + b) // 2, (even - a) // 2, (odd_count - b) // 2)
     )
+
+
+def gauss_sum(q: Enhancement) -> GaussSumResult:
+    """Gauss sum and value counts of an enhancement, by orthogonal splitting."""
+    _check_gauss_guard(q.form.dim)
+    return _gauss_sum(q, _split(q))
+
+
+# beta by the signs of (A, B) on the eight legal rays
+_RAYS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3, (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
+
+
+def _angle(a: int, b: int) -> int:
+    return _RAYS[(a > 0) - (a < 0), (b > 0) - (b < 0)]
 
 
 def decode_brown(gs: GaussSumResult) -> int:
@@ -117,18 +134,15 @@ def decode_brown(gs: GaussSumResult) -> int:
         raise DegenerateFormError(
             f"Gauss sum ({a}, {b}) has |.|^2 = {a * a + b * b} != 2^{gs.n}: degenerate form"
         )
-    if b == 0:
-        return 0 if a > 0 else 4
-    if a == 0:
-        return 2 if b > 0 else 6
-    if a > 0:
-        return 1 if b > 0 else 7
-    return 3 if b > 0 else 5
+    return _angle(a, b)
 
 
-def _require_nondegenerate(q: Enhancement) -> None:
-    if not q.form.nondegenerate:
+def _beta(q: Enhancement, split: tuple[int, int, int, bool]) -> int:
+    """beta from a split; a radical is reported before the Gauss-sum guard."""
+    if split[2]:
         raise DegenerateFormError("Brown invariant undefined: degenerate form")
+    _check_gauss_guard(q.form.dim)
+    return _angle(split[0], split[1])
 
 
 def brown_invariant(q: Enhancement) -> int:
@@ -137,8 +151,7 @@ def brown_invariant(q: Enhancement) -> int:
     Raises DegenerateFormError when the form is degenerate (no convention is
     chosen for that case).
     """
-    _require_nondegenerate(q)
-    return decode_brown(gauss_sum(q))
+    return _beta(q, _split(q))
 
 
 def arf_from_brown(q: Enhancement) -> int:

@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Sequence
 
-from .brown import _require_nondegenerate, brown_invariant, decode_brown, gauss_sum
+from .brown import _beta, _gauss_sum, _split, brown_invariant
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -183,9 +183,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_brown(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
-    _require_nondegenerate(q)  # before the Gauss-sum guard: degenerate input exits 3
-    gs = gauss_sum(q)
-    beta = decode_brown(gs)
+    split = _split(q)
+    beta = _beta(q, split)  # a radical exits 3 before the Gauss-sum guard exits 4
+    gs = _gauss_sum(q, split)
     if args.json:
         print(json.dumps({"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}))
     else:
@@ -251,8 +251,10 @@ def cmd_gm(args: argparse.Namespace) -> int:
 def cmd_surgery(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
     bits = _parse_bits(args.surgery_class, "--class")
-    c = F2Vector.from_coords(bits)
     beta_before = brown_invariant(q)
+    if len(bits) != q.form.dim:  # checked before the vector is built, whose size is capped
+        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {len(bits)}")
+    c = F2Vector.from_coords(bits)
     reduced = isotropic_reduction(q, c)
     beta_after = brown_invariant(reduced)
     if beta_before != beta_after:
@@ -271,8 +273,10 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 def cmd_torsor(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
     bits = _parse_bits(args.covector, "--covector")
-    y = Covector.from_coords(bits)
     beta_before = brown_invariant(q)
+    if len(bits) != q.form.dim:  # checked before the vector is built, whose size is capped
+        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, covector dim {len(bits)}")
+    y = Covector.from_coords(bits)
     acted = torsor_act(q, y)
     beta_after = brown_invariant(acted)
     measured = (beta_after - beta_before) % 8

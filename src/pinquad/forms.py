@@ -25,6 +25,9 @@ from .f2 import F2Matrix, F2Vector, Subspace, kernel_basis, parity, rank, solve
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 
+# byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
+_BIT_DIGITS = b"01" + b"x" * 254
+
 
 def _json_int(x: object) -> int:
     """A JSON integer; floats, booleans and strings are refused, not coerced."""
@@ -48,24 +51,27 @@ class BilinearForm:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
-            raise ValueError(f"Gram matrix is not {self.dim}x{self.dim}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.gram[i][j] not in (0, 1):
-                    raise ValueError(f"Gram entry ({i},{j}) is {self.gram[i][j]}, expected a bit")
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        n, gram = self.dim, self.gram
+        if len(gram) != n or any(len(r) != n for r in gram):
+            raise ValueError(f"Gram matrix is not {n}x{n}")
+        try:  # whole rows at a time: int() refuses any byte that is not a bit
+            masks = tuple(int(bytes(r)[::-1].translate(_BIT_DIGITS), 2) for r in gram)
+            valid = tuple(zip(*gram)) == gram
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:  # find the first fault in row-major order, or accept rows of other types
+            for i in range(n):
+                for j in range(n):
+                    if gram[i][j] not in (0, 1):
+                        raise ValueError(f"Gram entry ({i},{j}) is {gram[i][j]}, expected a bit")
+                    if gram[i][j] != gram[j][i]:
+                        raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+            masks = tuple(sum(int(bit) << j for j, bit in enumerate(row)) for row in gram)
+        object.__setattr__(self, "row_masks", masks)  # row i as a bitmask: bit j is gram[i][j]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BilinearForm":
         return cls(len(rows), tuple(tuple(r) for r in rows))
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        return tuple(
-            sum(bit << j for j, bit in enumerate(row)) for row in self.gram
-        )
 
     @cached_property
     def nondegenerate(self) -> bool:
@@ -75,22 +81,12 @@ class BilinearForm:
     def matrix(self) -> F2Matrix:
         return F2Matrix(self.dim, self.dim, self.row_masks)
 
-    def product_bits(self, x_bits: int, y_bits: int) -> int:
-        """x.y for raw bitmasks."""
-        acc = 0
-        m = x_bits
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc ^= self.row_masks[i] & y_bits
-        return acc.bit_count() & 1
-
     def product(self, x: F2Vector, y: F2Vector) -> int:
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatchError(
                 f"form has dim {self.dim}, vectors have dims {x.dim}, {y.dim}"
             )
-        return self.product_bits(x.bits, y.bits)
+        return parity(self.functional_mask(x.bits) & y.bits)
 
     def functional_mask(self, x_bits: int) -> int:
         """Bitmask of the linear functional y -> x.y (the row gram.x)."""
@@ -255,14 +251,11 @@ def restrict(q: Enhancement, s: Subspace) -> Enhancement:
         raise DimensionMismatchError(
             f"enhancement dim {q.form.dim}, subspace ambient dim {s.ambient_dim}"
         )
-    basis = s.basis
-    k = len(basis)
-    gram = tuple(
-        tuple(q.form.product_bits(basis[i].bits, basis[j].bits) for j in range(k))
-        for i in range(k)
-    )
-    values = tuple(_eval_bits(q, b.bits) for b in basis)
-    return Enhancement(BilinearForm(k, gram), values)
+    basis = [b.bits for b in s.basis]
+    funcs = [q.form.functional_mask(b) for b in basis]
+    gram = tuple(tuple((f & b).bit_count() & 1 for b in basis) for f in funcs)
+    values = tuple(_eval_bits(q, b) for b in basis)
+    return Enhancement(BilinearForm(len(basis), gram), values)
 
 
 def direct_sum(q1: Enhancement, q2: Enhancement) -> Enhancement:
@@ -289,16 +282,17 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {c.dim}")
     if not q.form.nondegenerate:
         raise DegenerateFormError("surgery reduction needs a nondegenerate form")
+    perp = q.form.functional_mask(c.bits)  # c-perp is the kernel of this functional
     if c.bits == 0:
         raise SurgeryObstructionError("zero class")
-    if q.form.product_bits(c.bits, c.bits):
+    if parity(perp & c.bits):
         raise SurgeryObstructionError("c.c != 0")
     if _eval_bits(q, c.bits):
         raise SurgeryObstructionError("q(c) != 0")
     n = q.form.dim
     pivot = (c.bits & -c.bits).bit_length() - 1
     # c-perp cut by {x : x_pivot = 0} picks one representative per coset of c
-    conditions = F2Matrix(2, n, (q.form.functional_mask(c.bits), 1 << pivot))
+    conditions = F2Matrix(2, n, (perp, 1 << pivot))
     reps = kernel_basis(conditions)
     assert reps.dim == n - 2
     return restrict(q, reps)

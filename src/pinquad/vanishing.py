@@ -11,7 +11,8 @@ q is linear on the radical R, with values in {0, 2}: if it is zero there,
 R adds to every q-null subspace of the nondegenerate quotient; otherwise a
 q-null subspace meets R in at most the hyperplane ker(q|R), and every
 isotropic subspace of the quotient lifts to a q-null one (its values are
-corrected by a radical class with q = 2).
+corrected by a radical class with q = 2).  Beta, R and q on R all come from
+the one orthogonal split in ``brown``; no rank is computed.
 
 Listing the subspaces is exponential by nature, so ``vanishing_subspaces``
 walks reduced-echelon bases directly, pruning any branch whose partial span
@@ -20,10 +21,10 @@ bit per class, so each step of the walk is a handful of word operations.
 """
 from __future__ import annotations
 
-from .brown import brown_invariant
+from .brown import _angle, _split
 from .errors import DegenerateFormError, LimitError
-from .f2 import F2Vector, Subspace, kernel_basis
-from .forms import Enhancement, _eval_bits, restrict, value_table
+from .f2 import F2Vector, Subspace
+from .forms import Enhancement, value_table
 
 MAX_SEARCH_DIM = 10
 
@@ -146,36 +147,24 @@ def max_vanishing_dim(q: Enhancement) -> int:
     Nondegenerate rank n: (n - d(beta)) // 2, where d(beta) is the rank of
     the anisotropic part (Brown; Kirby-Taylor).  Degenerate, with radical R
     of dimension r and m = n - r: r + (m - d(beta')) // 2 when q vanishes on
-    R, where beta' is the Brown invariant of q on a complement of R (the
-    span of the coordinate vectors off R's pivots); r - 1 + m // 2 when it
-    does not.  So a degenerate form can exceed n / 2.
+    R, where beta' is the Brown invariant of the pieces split off R (q
+    descends to V/R); r - 1 + m // 2 when it does not.  So a degenerate
+    form can exceed n / 2.
     """
     _check_search_guard(q)
-    n = q.form.dim
-    if q.form.nondegenerate:
-        return (n - _ANISOTROPIC_RANK[brown_invariant(q)]) // 2
-    radical = kernel_basis(q.form.matrix)
-    r = radical.dim
-    if any(_eval_bits(q, v.bits) for v in radical.basis):
-        return r - 1 + (n - r) // 2
-    pivots = 0
-    for v in radical.basis:
-        pivots |= v.bits & -v.bits
-    complement = Subspace(
-        n, tuple(F2Vector.basis(n, i) for i in range(n) if not (pivots >> i) & 1)
-    )
-    beta = brown_invariant(restrict(q, complement))
-    return r + (n - r - _ANISOTROPIC_RANK[beta]) // 2
+    a, b, r, null_radical = _split(q)
+    m = q.form.dim - r
+    return r + (m - _ANISOTROPIC_RANK[_angle(a, b)]) // 2 if null_radical else r - 1 + m // 2
 
 
 def has_null_lagrangian(q: Enhancement) -> bool:
     """Whether a q-null subspace of half the dimension exists.
 
     On a nondegenerate form this holds exactly when the rank is even and
-    beta = 0 (the anisotropic part must vanish; Brown, Kirby-Taylor).  Odd
-    ranks answer False without computing beta.
+    beta = 0 (the anisotropic part must vanish; Brown, Kirby-Taylor).
     """
     _check_search_guard(q)
-    if not q.form.nondegenerate:
+    a, b, r, _ = _split(q)
+    if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
-    return q.form.dim % 2 == 0 and brown_invariant(q) == 0
+    return q.form.dim % 2 == 0 and _angle(a, b) == 0

@@ -116,6 +116,17 @@ def naive_rank(row_masks):
     return len(basis)
 
 
+def naive_radical(gram):
+    """Every class x with x.e_i = 0 for each basis vector e_i, found by trying all 2^n."""
+    n = len(gram)
+    out = []
+    for x in range(1 << n):
+        support = [j for j in range(n) if (x >> j) & 1]
+        if all(sum(gram[j][i] for j in support) % 2 == 0 for i in range(n)):
+            out.append(x)
+    return out
+
+
 def span_of(bit_vectors):
     span = {0}
     for v in bit_vectors:

@@ -18,6 +18,7 @@ from pinquad.errors import (
     UnsupportedInputError,
 )
 from pinquad.f2 import F2Vector
+from pinquad.vanishing import MAX_SEARCH_DIM, has_null_lagrangian
 from pinquad.forms import (
     BilinearForm,
     Enhancement,
@@ -36,6 +37,9 @@ from oracles import (
     naive_beta,
     naive_counts,
     naive_gauss,
+    naive_q,
+    naive_radical,
+    naive_rank,
     random_basis,
     random_degenerate,
     random_nondegenerate,
@@ -106,6 +110,39 @@ class TestGaussSumCounts:
             if kind == "degenerate":
                 assert not q.form.nondegenerate
             assert gauss_sum(q).counts == naive_counts(gram, values), (gram, values)
+
+
+def split_cases(kind):
+    rng = random.Random(f"split-{kind}")
+    if kind == "rebased":
+        cases = [random_nondegenerate(rng, rng.randint(1, 12)) for _ in range(60)]
+    else:
+        radical_q = 0 if kind == "radical_q0" else 2
+        cases = [random_degenerate(rng, rng.randint(1, 12), radical_q) for _ in range(60)]
+    return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
+
+
+class TestSplit:
+    """The radical found by the splitting, against rank and an exhaustive radical."""
+
+    @pytest.mark.parametrize("kind", ["rebased", "radical_q0", "radical_q2"])
+    def test_radical_matches_oracle(self, kind):
+        for gram, values in split_cases(kind):
+            q = Enhancement(BilinearForm.from_rows(gram), values)
+            n = q.form.dim
+            degenerate = naive_rank([sum(b << j for j, b in enumerate(r)) for r in gram]) < n
+            radical = naive_radical(gram)
+            _a, _b, r, null_radical = pinquad.brown._split(q)
+            assert len(radical) == 1 << r, (gram, values)
+            assert (r > 0) == degenerate == (kind != "rebased")
+            assert null_radical == all(naive_q(gram, values, x) == 0 for x in radical)
+            assert null_radical == (kind != "radical_q2")
+            for answer in (brown_invariant, has_null_lagrangian)[: 1 + (n <= MAX_SEARCH_DIM)]:
+                if degenerate:
+                    with pytest.raises(DegenerateFormError):
+                        answer(q)
+                else:
+                    answer(q)
 
 
 class TestBrownInvariant:

@@ -9,13 +9,14 @@ import pytest
 import pinquad
 import pinquad.brown
 import pinquad.cli as cli
+import pinquad.f2
 import pinquad.forms
 import pinquad.fourmanifold
 import pinquad.vanishing
 from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.cli import EXIT_CODES, main
-from pinquad.errors import PinquadError
-from pinquad.forms import Enhancement
+from pinquad.errors import DegenerateFormError, PinquadError
+from pinquad.forms import BilinearForm, Enhancement
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 
 DATA = Path(__file__).parent / "data"
@@ -145,6 +146,31 @@ class TestExitCodes:
         code, _out, _err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "10")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command,flag,what", [("surgery", "--class", "class"), ("torsor", "--covector", "covector")]
+    )
+    def test_over_long_vector_is_a_mismatch(self, capsys, command, flag, what):
+        # past the 32-coordinate vector cap it is still a dimension mismatch, not a guard
+        path = DATA / "torus_v00.json"
+        code, out, err = run(capsys, command, str(path), flag, "1" * 40)
+        assert (code, out, err) == (2, "", f"error: enhancement dim 2, {what} dim 40\n")
+
+    @pytest.mark.parametrize(
+        "gram,message",
+        [
+            ([[0, 1], [0, 0]], "Gram matrix not symmetric at (0,1)"),
+            ([[0, 2], [2, 0]], "Gram entry (0,1) is 2, expected a bit"),
+            ([[0, 1], [1]], "Gram matrix is not 2x2"),
+        ],
+        ids=["asymmetric", "non_bit", "ragged"],
+    )
+    def test_invalid_gram_matrix(self, capsys, tmp_path, gram, message):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"form": {"dim": 2, "gram": gram}, "values": [0, 0]}))
+        code, out, err = run(capsys, "brown", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not a valid enhancement: {message}\n"
+
     def test_every_package_error_has_an_exit_code(self):
         pending, seen = [PinquadError], []
         while pending:
@@ -183,6 +209,31 @@ class TestExitCodes:
         assert max_vanishing_dim(q) == 2
         assert has_null_lagrangian(q)
         assert max_vanishing_dim(cli._load_enhancement(str(DATA / "degenerate.json"))) == 1
+
+    def test_enhancement_answers_run_no_elimination(self, capsys, monkeypatch):
+        # nondegeneracy, beta and the null dimension all come from the splitting
+        def refuse(*_args):
+            raise AssertionError("F2 elimination run")
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "pinquad"]:
+            for name in ("_rref", "rank"):
+                if getattr(module, name, None) in (pinquad.f2._rref, pinquad.f2.rank):
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError):
+            BilinearForm.from_rows([[0]]).nondegenerate
+        code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
+        assert (code, out) == (0, "beta=0 A=4 B=0 n=4\n")
+        code, _out, err = run(capsys, "brown", str(DATA / "degenerate.json"))
+        assert code == 3 and "degenerate" in err
+        q = cli._load_enhancement(str(DATA / "genus2_v0000.json"))
+        assert (brown_invariant(q), max_vanishing_dim(q), has_null_lagrangian(q)) == (0, 2, True)
+        degenerate = cli._load_enhancement(str(DATA / "degenerate.json"))
+        assert max_vanishing_dim(degenerate) == 1
+        for answer in (brown_invariant, has_null_lagrangian):
+            with pytest.raises(DegenerateFormError):
+                answer(degenerate)
+        radical_q2 = Enhancement(BilinearForm.from_rows([[1, 0], [0, 0]]), (1, 2))
+        assert max_vanishing_dim(radical_q2) == 0
 
     def test_lagrangian_tabulates_once(self, capsys, monkeypatch):
         calls = []

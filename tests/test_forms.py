@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -63,6 +64,44 @@ class TestBilinearForm:
     def test_json_roundtrip(self):
         data = json.loads(json.dumps(TORUS.to_json()))
         assert BilinearForm.from_json(data) == TORUS
+
+    @pytest.mark.parametrize(
+        "dim,gram,message",
+        [
+            (2, ((0, 1), (1,)), "Gram matrix is not 2x2"),
+            (3, ((0, 0, 0), (0, 0, 0)), "Gram matrix is not 3x3"),
+            (2, ((0, 2), (2, 0)), "Gram entry (0,1) is 2, expected a bit"),
+            (2, ((0, 1), (0, 0)), "Gram matrix not symmetric at (0,1)"),
+            # the first fault in row-major order wins; at one entry the bit check comes first
+            (3, ((0, 1, 0), (0, 0, 0), (0, 0, 5)), "Gram matrix not symmetric at (0,1)"),
+            (3, ((0, 0, 0), (0, 3, 1), (0, 0, 0)), "Gram entry (1,1) is 3, expected a bit"),
+            (2, ((0, 0), (5, 0)), "Gram matrix not symmetric at (0,1)"),
+            (2, ((0, -1), (0, 0)), "Gram entry (0,1) is -1, expected a bit"),
+            (2, ((0, 0), (0, 256)), "Gram entry (1,1) is 256, expected a bit"),
+        ],
+    )
+    def test_construction_messages(self, dim, gram, message):
+        with pytest.raises(ValueError) as info:
+            BilinearForm(dim, gram)
+        assert str(info.value) == message
+
+    def test_booleans_are_bits(self):
+        form = BilinearForm(2, ((False, True), (True, False)))
+        assert form == TORUS and hash(form) == hash(TORUS)
+        assert form.row_masks == (2, 1)
+
+    def test_row_masks(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(0, 32)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    gram[i][j] = gram[j][i] = rng.randrange(2)
+            form = BilinearForm.from_rows(gram)
+            assert form.row_masks == tuple(
+                sum(bit << j for j, bit in enumerate(row)) for row in gram
+            )
 
 
 class TestEnhancementConstruction:
