@@ -20,7 +20,6 @@ from .f2 import (
     F2Matrix,
     F2Vector,
     Subspace,
-    enumerate_subspaces,
     kernel_basis,
     rank,
     solve,

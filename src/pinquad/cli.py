@@ -48,6 +48,7 @@ from .forms import (
 from .fourmanifold import UnimodularForm, gm_required_beta, parse_form_name
 from .vanishing import (
     MAX_SEARCH_DIM,
+    _null_bases,
     has_null_lagrangian,
     max_vanishing_dim,
     vanishing_subspaces,
@@ -194,6 +195,8 @@ def cmd_brown(args: argparse.Namespace) -> int:
 
 
 def cmd_vanishing(args: argparse.Namespace) -> int:
+    if args.dim is not None and args.dim < 0:
+        raise UsageError("--dim must be >= 0")
     q = _load_enhancement(args.enhancement)
     if args.dim is not None:
         spaces = vanishing_subspaces(q, args.dim)
@@ -213,7 +216,8 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
     lag = has_null_lagrangian(q)
     witness = None
     if lag:
-        witness = vanishing_subspaces(q, q.form.dim // 2)[0].basis
+        n = q.form.dim
+        witness = [F2Vector(n, r) for r in next(_null_bases(q, n // 2))]
     if args.json:
         coords = None if witness is None else [list(v.coords) for v in witness]
         print(json.dumps({"lagrangian": lag, "witness": coords}))

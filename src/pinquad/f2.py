@@ -7,14 +7,12 @@ of subspaces.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, LimitError
 
 MAX_VECTOR_DIM = 32
-MAX_ENUMERATION_DIM = 12
 
 
 def parity(mask: int) -> int:
@@ -235,18 +233,6 @@ class Subspace:
                 r ^= v.bits
         return r == 0
 
-    def elements(self) -> Iterator[F2Vector]:
-        """All 2^dim vectors of the subspace, in subset order of the basis."""
-        masks = [v.bits for v in self.basis]
-        for sel in range(1 << len(masks)):
-            bits = 0
-            s = sel
-            while s:
-                i = (s & -s).bit_length() - 1
-                s &= s - 1
-                bits ^= masks[i]
-            yield F2Vector(self.ambient_dim, bits)
-
     def sort_key(self) -> tuple[int, ...]:
         return tuple(v.bits for v in self.basis)
 
@@ -266,32 +252,3 @@ def kernel_basis(m: F2Matrix) -> Subspace:
                 bits |= 1 << p
         gens.append(F2Vector(m.cols, bits))
     return Subspace.span(gens, m.cols)
-
-
-def enumerate_subspaces(ambient_dim: int, dim: int) -> Iterator[Subspace]:
-    """All dim-dimensional subspaces of F2^ambient_dim, each exactly once.
-
-    Subspaces are produced as reduced-echelon bases: pivot column sets in
-    lexicographic order, free entries counted in binary within each set.
-    """
-    if ambient_dim > MAX_ENUMERATION_DIM:
-        raise LimitError(
-            f"ambient dimension {ambient_dim} exceeds enumeration guard {MAX_ENUMERATION_DIM}"
-        )
-    if dim < 0 or dim > ambient_dim:
-        raise ValueError(f"subspace dim {dim} outside [0, {ambient_dim}]")
-    for pivots in itertools.combinations(range(ambient_dim), dim):
-        pivot_set = set(pivots)
-        # free slots, row-major: column j of row i may be nonzero for j > pivots[i], j not a pivot
-        slots = [
-            (i, j)
-            for i in range(dim)
-            for j in range(pivots[i] + 1, ambient_dim)
-            if j not in pivot_set
-        ]
-        for pattern in range(1 << len(slots)):
-            rows = [1 << p for p in pivots]
-            for s, (i, j) in enumerate(slots):
-                if (pattern >> s) & 1:
-                    rows[i] |= 1 << j
-            yield Subspace(ambient_dim, tuple(F2Vector(ambient_dim, r) for r in rows))

@@ -14,12 +14,18 @@ isotropic subspace of the quotient lifts to a q-null one (its values are
 corrected by a radical class with q = 2).  Beta, R and q on R all come from
 the one orthogonal split in ``brown``; no rank is computed.
 
-Listing the subspaces is exponential by nature, so ``vanishing_subspaces``
-walks reduced-echelon bases directly, pruning any branch whose partial span
-is not q-null.  Candidate sets are kept as bitsets over all 2^n classes, one
-bit per class, so each step of the walk is a handful of word operations.
+Listing the subspaces is exponential by nature.  One walk over
+reduced-echelon bases serves it: rows are picked lowest pivot first, each
+level in increasing class order, so the bases come out in canonical
+(``Subspace.sort_key``) order by construction and are never sorted.  Only
+pairwise orthogonal classes with q = 0 are joined, so every partial span is
+q-null.  The q-null Lagrangian witness is the walk's first basis, so finding
+it stops at the first leaf.  Candidate sets are bitsets over all 2^n
+classes, one bit per class, so each step is a handful of word operations.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 from .brown import _angle, _split
 from .errors import DegenerateFormError, LimitError
@@ -55,74 +61,48 @@ def _class_set_with_zero_pairing(func_mask: int, n: int) -> int:
     return acc
 
 
-class _NullSearch:
-    """Shared state for one enhancement's q-null subspace walks."""
+def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
+    """Reduced-echelon bases of the d-dimensional q-null subspaces, in sort_key order.
 
-    def __init__(self, q: Enhancement):
-        self.q = q
-        self.n = q.form.dim
-        table = value_table(q)
-        zero = 0
-        for x, v in enumerate(table):
-            if v == 0:
-                zero |= 1 << x
-        self.zero_set = zero & ~1  # nonzero classes with q = 0
-        self._orth_cache: dict[int, int] = {}
-        # has_low_bit[p]: classes with some set coordinate below p
-        self.has_low_bit = [0] * (self.n + 1)
-        acc = 0
-        for p in range(self.n):
-            self.has_low_bit[p] = acc
-            acc |= self._col_set(p)
-        self.has_low_bit[self.n] = acc
+    A row y may follow x when q(y) = 0, y is orthogonal to x, and y's pivot
+    lies above x's pivot and outside x's support (so the basis stays
+    reduced).  Each level is its parent level cut down by the successors of
+    the row picked there.
+    """
+    n = q.form.dim
+    zero_at_pivot = [0] * n  # nonzero classes with q = 0, by pivot, as bitsets
+    for x, v in enumerate(value_table(q)):
+        if v == 0 and x:
+            zero_at_pivot[(x & -x).bit_length() - 1] |= 1 << x
+    functional = q.form.functional_mask
+    successors: dict[int, int] = {}
 
-    def _orth(self, func_mask: int) -> int:
-        m = self._orth_cache.get(func_mask)
-        if m is None:
-            m = _class_set_with_zero_pairing(func_mask, self.n)
-            self._orth_cache[func_mask] = m
-        return m
+    def after(x: int) -> int:
+        s = successors.get(x)
+        if s is None:
+            above = range((x & -x).bit_length(), n)
+            s = sum(zero_at_pivot[k] for k in above if not (x >> k) & 1)  # disjoint sets
+            s = successors[x] = s & _class_set_with_zero_pairing(functional(x), n)
+        return s
 
-    def _col_set(self, p: int) -> int:
-        """Bitset of classes with coordinate p set."""
-        full = (1 << (1 << self.n)) - 1
-        return full ^ self._orth(1 << p)
+    def walk(rows: tuple[int, ...], level: int) -> Iterator[tuple[int, ...]]:
+        want = d - len(rows) - 1  # rows still needed after this one
+        pool = level
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            grown = rows + (low.bit_length() - 1,)
+            if not want:
+                yield grown
+                continue
+            nxt = level & after(grown[-1])
+            if nxt.bit_count() >= want:
+                yield from walk(grown, nxt)
 
-    def collect(self, d: int) -> list[tuple[int, ...]]:
-        """All echelon bases (increasing pivot) of d-dimensional q-null subspaces."""
-        if d == 0:
-            return [()]
-        if d > self.n:
-            return []
-        functional = self.q.form.functional_mask
-        orth = self._orth
-        has_low_bit = self.has_low_bit
-        out: list[tuple[int, ...]] = []
-
-        def walk(rows: list[int], cand: int, min_pivot: int) -> None:
-            want = d - len(rows)
-            pool = cand & has_low_bit[min_pivot]
-            if pool.bit_count() < want:
-                return
-            last = want == 1
-            while pool:
-                low = pool & -pool
-                pool &= pool - 1
-                x = low.bit_length() - 1  # class bitmask, as an integer
-                rows.append(x)
-                if last:
-                    out.append(tuple(rows[::-1]))
-                else:
-                    p = (x & -x).bit_length() - 1
-                    walk(rows, cand & orth(functional(x)) & orth(1 << p), p)
-                rows.pop()
-
-        walk([], self.zero_set, self.n)
-        return out
-
-
-def _null_bases(q: Enhancement, d: int) -> list[tuple[int, ...]]:
-    return sorted(_NullSearch(q).collect(d))
+    if d == 0:
+        yield ()
+    else:
+        yield from walk((), sum(zero_at_pivot))
 
 
 def vanishing_subspaces(q: Enhancement, dim: int) -> list[Subspace]:
@@ -135,10 +115,7 @@ def vanishing_subspaces(q: Enhancement, dim: int) -> list[Subspace]:
     n = q.form.dim
     if dim < 0 or dim > n:
         return []
-    out = []
-    for rows in _null_bases(q, dim):
-        out.append(Subspace(n, tuple(F2Vector(n, r) for r in rows)))
-    return out
+    return [Subspace(n, tuple(F2Vector(n, r) for r in rows)) for rows in _null_bases(q, dim)]
 
 
 def max_vanishing_dim(q: Enhancement) -> int:

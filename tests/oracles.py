@@ -2,16 +2,16 @@
 
 Everything here works on plain lists and dicts with naive loops, no shared
 code with the package (only its error class for a dimension mismatch and
-its vector type for a result):
+its vector and subspace types for results):
 values are built from the enhancement law one basis vector at a time,
-subspaces are enumerated as raw span sets, and Gauss sums are counted per
-class.  The random forms at the end are orthogonal sums of pieces of known
+subspaces are enumerated as raw span sets or as every reduced-echelon
+basis, and Gauss sums are counted per class.  The random forms at the end are orthogonal sums of pieces of known
 type, moved by random changes of basis.
 """
 from itertools import combinations
 
 from pinquad.errors import DimensionMismatchError
-from pinquad.f2 import F2Vector
+from pinquad.f2 import F2Vector, Subspace
 
 
 def naive_dot(gram, x_bits, y_bits):
@@ -144,6 +144,31 @@ def all_subspace_spans(n, k):
         if len(span) == 1 << k:
             found.add(span)
     return found
+
+
+def enumerate_subspaces(ambient_dim, dim):
+    """All dim-dimensional subspaces of F2^ambient_dim, each exactly once.
+
+    Subspaces are produced as reduced-echelon bases: pivot column sets in
+    lexicographic order, free entries counted in binary within each set.
+    """
+    if dim < 0 or dim > ambient_dim:
+        raise ValueError(f"subspace dim {dim} outside [0, {ambient_dim}]")
+    for pivots in combinations(range(ambient_dim), dim):
+        pivot_set = set(pivots)
+        # free slots, row-major: column j of row i may be nonzero for j > pivots[i], j not a pivot
+        slots = [
+            (i, j)
+            for i in range(dim)
+            for j in range(pivots[i] + 1, ambient_dim)
+            if j not in pivot_set
+        ]
+        for pattern in range(1 << len(slots)):
+            rows = [1 << p for p in pivots]
+            for s, (i, j) in enumerate(slots):
+                if (pattern >> s) & 1:
+                    rows[i] |= 1 << j
+            yield Subspace(ambient_dim, tuple(F2Vector(ambient_dim, r) for r in rows))
 
 
 def all_enhancement_values(gram):

@@ -14,7 +14,7 @@ import pytest
 
 from pinquad.brown import brown_invariant, gauss_sum
 from pinquad.errors import SurgeryObstructionError
-from pinquad.f2 import F2Vector, Subspace, enumerate_subspaces
+from pinquad.f2 import F2Vector, Subspace
 from pinquad.forms import (
     BilinearForm,
     Covector,
@@ -40,7 +40,7 @@ from pinquad.vanishing import (
     max_vanishing_dim,
     vanishing_subspaces,
 )
-from oracles import characteristic_class_mod2, kernel_vanishing_check
+from oracles import characteristic_class_mod2, enumerate_subspaces, kernel_vanishing_check
 from test_cli import GOLDEN_CASES, run
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -42,6 +42,11 @@ GOLDEN_CASES = [
         "vanishing_torus_v00_lagrangian.txt",
         0,
     ),
+    (
+        ["vanishing", str(DATA / "genus5_v0.json"), "--lagrangian"],
+        "vanishing_genus5_v0_lagrangian.txt",
+        0,
+    ),
     (["vanishing", str(DATA / "rp2_v1.json"), "--dim", "1"], "vanishing_rp2_v1_dim1.txt", 0),
     (["vanishing", str(DATA / "torus_v00.json"), "--dim", "1"], "vanishing_torus_v00_dim1.txt", 0),
     (["gm", "--form", "1", "--char", "1"], "gm_one_char1.txt", 0),
@@ -120,6 +125,13 @@ class TestExitCodes:
         code, _out, err = run(capsys, "vanishing", str(DATA / "crosscaps11.json"), "--max")
         assert code == 4
         assert "guard" in err
+
+    @pytest.mark.parametrize("path", ["torus_v00.json", "missing.json"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_negative_dim(self, capsys, path, flags):
+        # checked before the file is read, like a negative --genus
+        code, out, err = run(capsys, "vanishing", str(DATA / path), "--dim", "-1", *flags)
+        assert (code, out, err) == (2, "", "error: --dim must be >= 0\n")
 
     def test_not_characteristic(self, capsys):
         code, _out, err = run(capsys, "gm", "--form", "1", "--char", "2")
@@ -246,6 +258,12 @@ class TestExitCodes:
         monkeypatch.setattr(pinquad.forms, "value_table", counting)
         monkeypatch.setattr(pinquad.vanishing, "value_table", counting)
         monkeypatch.setattr(pinquad.brown, "value_table", counting, raising=False)
+
+        def no_listing(q, dim):
+            raise AssertionError("--lagrangian must not list subspaces")
+
+        for module in (pinquad, pinquad.vanishing, cli):
+            monkeypatch.setattr(module, "vanishing_subspaces", no_listing)
         code, out, _err = run(capsys, "vanishing", str(DATA / "genus2_v0000.json"), "--lagrangian")
         assert code == 0
         assert out == "yes: [1000, 0010]\n"

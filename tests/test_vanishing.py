@@ -4,7 +4,7 @@ import pytest
 
 from pinquad.brown import brown_invariant
 from pinquad.errors import DegenerateFormError, DimensionMismatchError, LimitError
-from pinquad.f2 import F2Vector, Subspace, enumerate_subspaces
+from pinquad.f2 import F2Vector, Subspace
 from pinquad.forms import (
     BilinearForm,
     Enhancement,
@@ -19,12 +19,14 @@ from pinquad.vanishing import (
 )
 from oracles import (
     all_enhancement_values,
+    enumerate_subspaces,
     kernel_vanishing_check,
     naive_max_null_dim,
     random_basis,
     random_degenerate,
     random_nondegenerate,
     rebase,
+    span_of,
     standard_grams,
 )
 
@@ -61,6 +63,26 @@ class TestKernelVanishingCheck:
             kernel_vanishing_check(Enhancement(RP2, (1,)), Subspace.zero(2))
 
 
+def listing_cases():
+    """(id, cases): every enhancement of the standard forms to rank 5, then seeded
+    forms to rank 6 in random bases, nondegenerate or with q = 0 or q = 2 on the
+    radical, so that canonical order is checked away from the standard basis."""
+    out = [(f"dim{len(g)}", [(g, v) for v in all_enhancement_values(g)]) for g in standard_grams(5)]
+    rng = random.Random("listing-order")
+    kinds = {
+        "rebased": lambda: random_nondegenerate(rng, rng.randint(1, 6)),
+        "degenerate_q0": lambda: random_degenerate(rng, rng.randint(2, 6), 0),
+        "degenerate_q2": lambda: random_degenerate(rng, rng.randint(2, 6), 2),
+    }
+    for kind, draw in kinds.items():
+        cases = [draw() for _ in range(25)]
+        out.append((kind, [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]))
+    return out
+
+
+LISTING = listing_cases()
+
+
 class TestVanishingSubspaces:
     def test_torus_trivial_enhancement(self):
         q = Enhancement(TORUS, (0, 0))
@@ -81,18 +103,18 @@ class TestVanishingSubspaces:
         with pytest.raises(LimitError):
             vanishing_subspaces(q, 1)
 
-    @pytest.mark.parametrize("gram", standard_grams(5), ids=lambda g: f"dim{len(g)}")
-    def test_matches_filtered_enumeration(self, gram):
+    @pytest.mark.parametrize("cases", [c for _, c in LISTING], ids=[i for i, _ in LISTING])
+    def test_matches_filtered_enumeration(self, cases):
         # oracle route: filter the full subspace stream through the element check
-        form = BilinearForm.from_rows(gram)
-        n = form.dim
-        for q in enumerate_enhancements(form):
+        for gram, values in cases:
+            q = Enhancement(BilinearForm.from_rows(gram), values)
+            n = q.form.dim
             for d in range(n + 1):
                 expected = sorted(
                     (s for s in enumerate_subspaces(n, d) if kernel_vanishing_check(q, s)),
                     key=Subspace.sort_key,
                 )
-                assert vanishing_subspaces(q, d) == expected
+                assert vanishing_subspaces(q, d) == expected, (gram, values, d)
 
     def test_results_are_isotropic(self):
         for gram in standard_grams(5):
@@ -100,8 +122,9 @@ class TestVanishingSubspaces:
             for q in enumerate_enhancements(form):
                 for d in range(form.dim + 1):
                     for s in vanishing_subspaces(q, d):
-                        for x in s.elements():
-                            for y in s.elements():
+                        members = [F2Vector(form.dim, x) for x in span_of(v.bits for v in s.basis)]
+                        for x in members:
+                            for y in members:
                                 assert form.product(x, y) == 0
 
     def test_monotone_in_dimension(self):
