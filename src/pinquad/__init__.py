@@ -5,7 +5,7 @@ form of a closed surface (equivalently, Pin^- structures), their Brown
 invariants in Z/8, q-null subspace searches, and the Guillou-Marin
 congruence for characteristic surfaces in closed oriented 4-manifolds.
 """
-from .brown import GaussSumResult, arf_from_brown, brown_invariant, decode_brown, gauss_sum
+from .brown import GaussSumResult, arf_from_brown, brown_invariant, gauss_sum
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -41,7 +41,6 @@ from .forms import (
 )
 from .fourmanifold import (
     FORM_LIBRARY,
-    CharacteristicVector,
     UnimodularForm,
     gm_check,
     gm_required_beta,

@@ -96,9 +96,11 @@ def _check_gauss_guard(n: int) -> None:
         raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
 
 
-def _gauss_sum(q: Enhancement, split: tuple[int, int, int, bool]) -> GaussSumResult:
+def gauss_sum(q: Enhancement) -> GaussSumResult:
+    """Gauss sum and value counts of an enhancement, by orthogonal splitting."""
     n = q.form.dim
-    a, b, r, null_radical = split
+    _check_gauss_guard(n)
+    a, b, r, null_radical = _split(q)
     # a radical class contributes 1 + i^q(u): 2 for q(u) = 0, and 0 for q(u) = 2
     a, b = (a << r, b << r) if null_radical else (0, 0)
     # x -> x.x is linear: every class is even when every basis value is, else half are
@@ -109,12 +111,6 @@ def _gauss_sum(q: Enhancement, split: tuple[int, int, int, bool]) -> GaussSumRes
     )
 
 
-def gauss_sum(q: Enhancement) -> GaussSumResult:
-    """Gauss sum and value counts of an enhancement, by orthogonal splitting."""
-    _check_gauss_guard(q.form.dim)
-    return _gauss_sum(q, _split(q))
-
-
 # beta by the signs of (A, B) on the eight legal rays
 _RAYS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3, (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
 
@@ -123,35 +119,17 @@ def _angle(a: int, b: int) -> int:
     return _RAYS[(a > 0) - (a < 0), (b > 0) - (b < 0)]
 
 
-def decode_brown(gs: GaussSumResult) -> int:
-    """Map a Gauss-sum pair to beta in Z/8.
-
-    The eight legal patterns are (A, B) = 2^(n/2) * (cos, sin)(pi*beta/4)
-    exactly; anything else means the form was degenerate.
-    """
-    a, b = gs.a, gs.b
-    if a * a + b * b != 1 << gs.n:
-        raise DegenerateFormError(
-            f"Gauss sum ({a}, {b}) has |.|^2 = {a * a + b * b} != 2^{gs.n}: degenerate form"
-        )
-    return _angle(a, b)
-
-
-def _beta(q: Enhancement, split: tuple[int, int, int, bool]) -> int:
-    """beta from a split; a radical is reported before the Gauss-sum guard."""
-    if split[2]:
-        raise DegenerateFormError("Brown invariant undefined: degenerate form")
-    _check_gauss_guard(q.form.dim)
-    return _angle(split[0], split[1])
-
-
 def brown_invariant(q: Enhancement) -> int:
     """The Brown invariant beta(q) in Z/8 of a nondegenerate enhancement.
 
     Raises DegenerateFormError when the form is degenerate (no convention is
-    chosen for that case).
+    chosen for that case); a radical is reported before the Gauss-sum guard.
     """
-    return _beta(q, _split(q))
+    a, b, r, _ = _split(q)
+    if r:
+        raise DegenerateFormError("Brown invariant undefined: degenerate form")
+    _check_gauss_guard(q.form.dim)
+    return _angle(a, b)
 
 
 def arf_from_brown(q: Enhancement) -> int:

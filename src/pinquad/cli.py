@@ -11,6 +11,8 @@ JSON files in, fixed-width text on stdout (or machine-readable JSON with
     5  vector is not characteristic
     6  surgery obstructed
     7  internal error: a consistency check failed, which is a bug
+
+A closed output pipe ends the command quietly by SIGPIPE (status 141 in a shell).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import os
 import sys
 from typing import Sequence
 
-from .brown import _beta, _gauss_sum, _split, brown_invariant
+from .brown import brown_invariant, gauss_sum
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -184,9 +186,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_brown(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
-    split = _split(q)
-    beta = _beta(q, split)  # a radical exits 3 before the Gauss-sum guard exits 4
-    gs = _gauss_sum(q, split)
+    beta = brown_invariant(q)
+    gs = gauss_sum(q)
     if args.json:
         print(json.dumps({"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}))
     else:
@@ -381,6 +382,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    import signal  # only a command run needs it; importing it builds three enums, about 1.5 ms
+
+    # Python ignores SIGPIPE, which turns a closed pipe into a traceback and exit 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -42,35 +42,9 @@ class F2Vector:
             bits |= c << i
         return cls(len(coords), bits)
 
-    @classmethod
-    def zero(cls, dim: int) -> "F2Vector":
-        return cls(dim, 0)
-
-    @classmethod
-    def basis(cls, dim: int, i: int) -> "F2Vector":
-        if not 0 <= i < dim:
-            raise ValueError(f"basis index {i} outside [0, {dim})")
-        return cls(dim, 1 << i)
-
     @property
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.dim))
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.dim) if (self.bits >> i) & 1)
-
-    def __add__(self, other: "F2Vector") -> "F2Vector":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"cannot add vectors of dims {self.dim} and {other.dim}")
-        return F2Vector(self.dim, self.bits ^ other.bits)
-
-    __xor__ = __add__
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.coords)
@@ -91,32 +65,6 @@ class F2Matrix:
         for i, r in enumerate(self.row_masks):
             if not 0 <= r < top:
                 raise ValueError(f"row {i} mask {r:#x} does not fit in {self.cols} columns")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "F2Matrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        masks = tuple(F2Vector.from_coords(r).bits for r in rows)
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), cols, masks)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    def apply(self, x: F2Vector) -> F2Vector:
-        """Matrix-vector product m.x (x has dim = cols, result dim = rows)."""
-        if x.dim != self.cols:
-            raise DimensionMismatchError(f"matrix has {self.cols} columns, vector has dim {x.dim}")
-        bits = 0
-        for i, r in enumerate(self.row_masks):
-            bits |= parity(r & x.bits) << i
-        return F2Vector(self.rows, bits)
 
 
 def _rref(masks: Iterable[int], cols: int) -> list[int]:
@@ -211,27 +159,9 @@ class Subspace:
         masks = _rref((v.bits for v in vecs), ambient_dim)
         return cls(ambient_dim, tuple(F2Vector(ambient_dim, m) for m in masks))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(F2Vector.basis(ambient_dim, i) for i in range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def __contains__(self, x: F2Vector) -> bool:
-        if x.dim != self.ambient_dim:
-            return False
-        r = x.bits
-        for v in self.basis:
-            p = v.bits & -v.bits
-            if r & p:
-                r ^= v.bits
-        return r == 0
 
     def sort_key(self) -> tuple[int, ...]:
         return tuple(v.bits for v in self.basis)

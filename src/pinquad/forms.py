@@ -81,13 +81,6 @@ class BilinearForm:
     def matrix(self) -> F2Matrix:
         return F2Matrix(self.dim, self.dim, self.row_masks)
 
-    def product(self, x: F2Vector, y: F2Vector) -> int:
-        if x.dim != self.dim or y.dim != self.dim:
-            raise DimensionMismatchError(
-                f"form has dim {self.dim}, vectors have dims {x.dim}, {y.dim}"
-            )
-        return parity(self.functional_mask(x.bits) & y.bits)
-
     def functional_mask(self, x_bits: int) -> int:
         """Bitmask of the linear functional y -> x.y (the row gram.x)."""
         acc = 0
@@ -127,12 +120,7 @@ def crosscap_form(crosscaps: int) -> BilinearForm:
 
 
 class Covector(F2Vector):
-    """A linear functional on F2^dim; pairs with vectors by dot product."""
-
-    def pair(self, x: F2Vector) -> int:
-        if x.dim != self.dim:
-            raise DimensionMismatchError(f"covector dim {self.dim}, vector dim {x.dim}")
-        return parity(self.bits & x.bits)
+    """A linear functional on F2^dim; <y, x> is the parity of y.bits & x.bits."""
 
 
 @dataclass(frozen=True)

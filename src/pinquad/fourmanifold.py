@@ -12,6 +12,7 @@ characteristic surface must carry, run no elimination at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .brown import brown_invariant
@@ -100,7 +101,7 @@ class UnimodularForm:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "UnimodularForm":
-        return cls(len(rows), tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(len(rows), tuple(tuple(map(index, r)) for r in rows))
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != self.dim or len(v) != self.dim:
@@ -121,39 +122,22 @@ class UnimodularForm:
         return cls(_json_int(data["dim"]), tuple(tuple(map(_json_int, row)) for row in data["gram"]))
 
 
-@dataclass(frozen=True)
-class CharacteristicVector:
-    """An integer class c with c.x = x.x (mod 2) for all x, validated on basis vectors."""
-
-    form: UnimodularForm
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        _require_characteristic(self.form, self.coords)
-
-    def self_intersection(self) -> int:
-        return self.form.pair(self.coords, self.coords)
-
-
-def _coords(c: "CharacteristicVector | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(c, CharacteristicVector):
-        return c.coords
-    return tuple(int(x) for x in c)
-
-
-def _require_characteristic(m: UnimodularForm, coords: Sequence[int]) -> None:
+def _characteristic_coords(m: UnimodularForm, c: Sequence[int]) -> tuple[int, ...]:
+    """c as integers, checked against c.e_i = e_i.e_i (mod 2) for every basis vector."""
+    coords = tuple(map(index, c))  # floats and strings are refused, not truncated
     if len(coords) != m.dim:
         raise DimensionMismatchError(f"form has dim {m.dim}, vector has length {len(coords)}")
     for i in range(m.dim):
         pairing = sum(coords[j] * m.gram[j][i] for j in range(m.dim))
         if (pairing - m.gram[i][i]) % 2:
             raise NotCharacteristicError(i, pairing % 2, m.gram[i][i] % 2)
+    return coords
 
 
-def is_characteristic(m: UnimodularForm, c: "CharacteristicVector | Sequence[int]") -> bool:
+def is_characteristic(m: UnimodularForm, c: Sequence[int]) -> bool:
     """Whether c.e_i = e_i.e_i (mod 2) for every basis vector."""
     try:
-        _require_characteristic(m, _coords(c))
+        _characteristic_coords(m, c)
     except NotCharacteristicError:
         return False
     return True
@@ -164,15 +148,14 @@ def signature(m: UnimodularForm) -> int:
     return m._signature
 
 
-def gm_required_beta(m: UnimodularForm, c: "CharacteristicVector | Sequence[int]") -> int:
+def gm_required_beta(m: UnimodularForm, c: Sequence[int]) -> int:
     """The Brown invariant forced on a characteristic surface: (c.c - sign)/2 mod 8.
 
     The difference c.c - sign(m) is a multiple of 8 for characteristic c
     (van der Blij), so in particular it is even; an odd difference signals a
     bug, not bad input.
     """
-    coords = _coords(c)
-    _require_characteristic(m, coords)
+    coords = _characteristic_coords(m, c)
     cc = m.pair(coords, coords)
     sig = signature(m)
     if (cc - sig) % 2:
@@ -182,11 +165,7 @@ def gm_required_beta(m: UnimodularForm, c: "CharacteristicVector | Sequence[int]
     return ((cc - sig) // 2) % 8
 
 
-def gm_check(
-    m: UnimodularForm,
-    c: "CharacteristicVector | Sequence[int]",
-    q: Enhancement,
-) -> bool:
+def gm_check(m: UnimodularForm, c: Sequence[int], q: Enhancement) -> bool:
     """Whether the enhancement's Brown invariant matches the required value."""
     return brown_invariant(q) == gm_required_beta(m, c)
 

@@ -25,6 +25,14 @@ def naive_dot(gram, x_bits, y_bits):
     return total % 2
 
 
+def naive_mat_vec(rows, x_bits):
+    """The product m.x as a bitmask, for m given by its row bitmasks, one coordinate at a time."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= (sum((row >> j) & (x_bits >> j) & 1 for j in range(row.bit_length())) % 2) << i
+    return out
+
+
 def law_table(gram, values):
     """All 2^n enhancement values, grown from the law q(x + e_i) = q(x) + v_i + 2*(x.e_i)."""
     n = len(values)

@@ -4,13 +4,7 @@ from collections import Counter
 import pytest
 
 import pinquad.brown
-from pinquad.brown import (
-    GaussSumResult,
-    arf_from_brown,
-    brown_invariant,
-    decode_brown,
-    gauss_sum,
-)
+from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.errors import (
     DegenerateFormError,
     InternalError,
@@ -36,6 +30,7 @@ from oracles import (
     all_enhancement_values,
     naive_beta,
     naive_counts,
+    naive_dot,
     naive_gauss,
     naive_q,
     naive_radical,
@@ -190,10 +185,6 @@ class TestBrownInvariant:
         with pytest.raises(DegenerateFormError):
             brown_invariant(degenerate)
 
-    def test_decode_rejects_bad_magnitude(self):
-        with pytest.raises(DegenerateFormError):
-            decode_brown(GaussSumResult(2, (3, 1, 0, 0)))
-
     def test_magnitude(self):
         # |gauss sum|^2 = 2^n exactly, for every nondegenerate enhancement
         for gram in standard_grams(6):
@@ -241,7 +232,7 @@ class TestSurgeryInvariance:
                 base = brown_invariant(q)
                 for c_bits in range(1, 1 << n):
                     c = F2Vector(n, c_bits)
-                    if form.product(c, c) or eval_q(q, c):
+                    if naive_dot(gram, c_bits, c_bits) or eval_q(q, c):
                         continue
                     assert brown_invariant(isotropic_reduction(q, c)) == base
 

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -438,6 +439,21 @@ class TestRoundTrips:
         assert code == 0
         v1 = json.loads(first)["values"]
         assert v1 == [3, 3]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_output_pipe_ends_quietly():
+    # a reader that stops early (pinquad ... | head -1) ends the command by
+    # SIGPIPE, with no traceback and not with exit 1, which means FAIL
+    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
+    # 188 kB of output, more than a pipe holds, so the child is still writing at the close
+    argv = [sys.executable, "-m", "pinquad.cli", "enumerate", "--genus", "6"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"values")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (-signal.SIGPIPE, b"")
 
 
 def test_import_loads_no_decimal_arithmetic():

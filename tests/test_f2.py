@@ -12,7 +12,14 @@ from pinquad.f2 import (
     rank,
     solve,
 )
-from oracles import all_subspace_spans, enumerate_subspaces, gaussian_binomial, naive_rank, span_of
+from oracles import (
+    all_subspace_spans,
+    enumerate_subspaces,
+    gaussian_binomial,
+    naive_mat_vec,
+    naive_rank,
+    span_of,
+)
 
 
 def vec(*coords):
@@ -20,7 +27,15 @@ def vec(*coords):
 
 
 def mat(*rows):
-    return F2Matrix.from_rows(rows)
+    return F2Matrix(len(rows), len(rows[0]), tuple(vec(*r).bits for r in rows))
+
+
+def identity(n):
+    return F2Matrix(n, n, tuple(1 << i for i in range(n)))
+
+
+def zero(rows, cols):
+    return F2Matrix(rows, cols, (0,) * rows)
 
 
 class TestF2Vector:
@@ -31,35 +46,21 @@ class TestF2Vector:
         assert v.bits == 0b1101
         assert str(v) == "1011"
 
-    def test_addition_is_xor_and_self_inverse(self):
-        a, b = vec(1, 1, 0), vec(0, 1, 1)
-        assert (a + b).coords == (1, 0, 1)
-        assert (a + a).is_zero()
-
     def test_zero_is_unique(self):
-        assert F2Vector.zero(3) == vec(0, 0, 0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            vec(1) + vec(1, 0)
+        assert F2Vector(3, 0) == vec(0, 0, 0)
 
     def test_dimension_cap(self):
-        F2Vector.zero(32)
+        F2Vector(32, 0)
         with pytest.raises(LimitError):
-            F2Vector.zero(33)
-
-    def test_support_and_weight(self):
-        v = vec(1, 0, 1)
-        assert v.support() == (0, 2)
-        assert v.weight() == 2
+            F2Vector(33, 0)
 
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(F2Matrix.zero(3, 3)) == 0
+        assert rank(zero(3, 3)) == 0
 
     def test_identity(self):
-        assert rank(F2Matrix.identity(4)) == 4
+        assert rank(identity(4)) == 4
 
     def test_repeated_row(self):
         # row span of {(1,1), (1,1)} is {00, 11}, one dimension
@@ -83,10 +84,10 @@ class TestRank:
 
 class TestSolve:
     def test_identity(self):
-        assert solve(F2Matrix.identity(2), vec(1, 0)) == vec(1, 0)
+        assert solve(identity(2), vec(1, 0)) == vec(1, 0)
 
     def test_inconsistent(self):
-        assert solve(F2Matrix.zero(1, 1), vec(1)) is None
+        assert solve(zero(1, 1), vec(1)) is None
 
     def test_free_variables_zero(self):
         # candidates for x0 + x1 = 0 are 00 and 11; the free-variable rule picks 00
@@ -94,7 +95,7 @@ class TestSolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            solve(F2Matrix.identity(2), vec(1))
+            solve(identity(2), vec(1))
 
     def test_solutions_verify_and_none_means_none_exhaustive(self):
         for rows, cols in [(2, 2), (3, 2), (2, 3)]:
@@ -104,13 +105,11 @@ class TestSolve:
                 for b_bits in range(1 << rows):
                     b = F2Vector(rows, b_bits)
                     x = solve(m, b)
-                    solvable = any(
-                        m.apply(F2Vector(cols, t)) == b for t in range(1 << cols)
-                    )
+                    solvable = any(naive_mat_vec(masks, t) == b_bits for t in range(1 << cols))
                     if x is None:
                         assert not solvable
                     else:
-                        assert m.apply(x) == b
+                        assert x.dim == cols and naive_mat_vec(masks, x.bits) == b_bits
 
     def test_rank_deficient_32_against_rank_oracle(self):
         # m = L.R with L 32 x r and R r x 32, so rank(m) <= r; half the right-hand
@@ -129,7 +128,7 @@ class TestSolve:
                         row ^= right[k]
                 rows.append(row)
             m = F2Matrix(n, n, tuple(rows))
-            b = m.apply(F2Vector(n, rng.getrandbits(n))).bits if trial % 2 else rng.getrandbits(n)
+            b = naive_mat_vec(rows, rng.getrandbits(n)) if trial % 2 else rng.getrandbits(n)
             x = solve(m, F2Vector(n, b))
             augmented = [row | (((b >> i) & 1) << n) for i, row in enumerate(rows)]
             consistent = naive_rank(augmented) == naive_rank(rows)
@@ -137,7 +136,7 @@ class TestSolve:
             assert (x is not None) == consistent
             if x is None:
                 continue
-            assert m.apply(x).bits == b
+            assert naive_mat_vec(rows, x.bits) == b
             # column j is a pivot column iff it is independent of columns 0..j-1
             ranks = [naive_rank(row & ((1 << j) - 1) for row in rows) for j in range(n + 1)]
             for j in range(n):
@@ -148,10 +147,10 @@ class TestSolve:
 
 class TestKernelBasis:
     def test_identity_has_zero_kernel(self):
-        assert kernel_basis(F2Matrix.identity(3)) == Subspace.zero(3)
+        assert kernel_basis(identity(3)) == Subspace(3, ())
 
     def test_zero_matrix_has_full_kernel(self):
-        assert kernel_basis(F2Matrix.zero(3, 3)) == Subspace.full(3)
+        assert kernel_basis(zero(3, 3)) == Subspace(3, tuple(F2Vector(3, 1 << i) for i in range(3)))
 
     def test_sum_row(self):
         assert kernel_basis(mat([1, 1])) == Subspace.span([vec(1, 1)])
@@ -162,9 +161,7 @@ class TestKernelBasis:
             m = F2Matrix(3, 3, masks)
             k = kernel_basis(m)
             members = span_of(v.bits for v in k.basis)
-            expected = {
-                t for t in range(8) if m.apply(F2Vector(3, t)).is_zero()
-            }
+            expected = {t for t in range(8) if naive_mat_vec(masks, t) == 0}
             assert members == expected
 
 
@@ -179,12 +176,6 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(2, (vec(1, 1), vec(1, 0)))
 
-    def test_contains(self):
-        s = Subspace.span([vec(1, 1, 0)])
-        assert vec(1, 1, 0) in s
-        assert vec(0, 0, 0) in s
-        assert vec(1, 0, 0) not in s
-
     def test_elements_count(self):
         s = Subspace.span([vec(1, 0, 0), vec(0, 1, 0)])
         assert len(span_of(v.bits for v in s.basis)) == 4
@@ -196,7 +187,7 @@ class TestEnumerateSubspaces:
 
     def test_zero_dim_is_just_zero_subspace(self):
         for n in range(5):
-            assert list(enumerate_subspaces(n, 0)) == [Subspace.zero(n)]
+            assert list(enumerate_subspaces(n, 0)) == [Subspace(n, ())]
 
     def test_planes_in_four_space(self):
         spaces = list(enumerate_subspaces(4, 2))

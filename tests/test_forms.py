@@ -9,7 +9,7 @@ from pinquad.errors import (
     LimitError,
     SurgeryObstructionError,
 )
-from pinquad.f2 import F2Vector, Subspace
+from pinquad.f2 import F2Vector, Subspace, parity
 from pinquad.forms import (
     BilinearForm,
     Covector,
@@ -48,14 +48,12 @@ class TestBilinearForm:
     def test_hyperbolic_basis_vectors_are_isotropic(self):
         form = hyperbolic_form(3)
         for i in range(6):
-            e = F2Vector.basis(6, i)
-            assert form.product(e, e) == 0
+            assert naive_dot(form.gram, 1 << i, 1 << i) == 0
 
     def test_crosscap_basis_vectors_self_intersect(self):
         form = crosscap_form(3)
         for i in range(3):
-            e = F2Vector.basis(3, i)
-            assert form.product(e, e) == 1
+            assert naive_dot(form.gram, 1 << i, 1 << i) == 1
 
     def test_nondegeneracy_flag(self):
         assert TORUS.nondegenerate
@@ -225,7 +223,7 @@ class TestTorsorAction:
                     acted = torsor_act(q, y)
                     for x in range(1 << n):
                         xv = F2Vector(n, x)
-                        assert eval_q(acted, xv) == (eval_q(q, xv) + 2 * y.pair(xv)) % 4
+                        assert eval_q(acted, xv) == (eval_q(q, xv) + 2 * parity(y.bits & x)) % 4
 
     def test_free_and_transitive(self):
         for gram in standard_grams(4):
@@ -263,15 +261,14 @@ class TestPoincareDual:
             yhat = poincare_dual(form, y)
             duals.add(yhat.bits)
             for x in range(1 << n):
-                xv = F2Vector(n, x)
-                assert y.pair(xv) == form.product(yhat, xv)
+                assert parity(y_bits & x) == naive_dot(gram, yhat.bits, x)
         assert len(duals) == 1 << n
 
 
 class TestRestrict:
     def test_zero_subspace(self):
         q = Enhancement(TORUS, (0, 0))
-        r = restrict(q, Subspace.zero(2))
+        r = restrict(q, Subspace(2, ()))
         assert r.form.dim == 0 and r.values == ()
 
     def test_torus_line(self):
@@ -295,15 +292,15 @@ class TestRestrict:
         basis = s.basis
         for sel in range(4):
             inner = F2Vector(2, sel)
-            outer = F2Vector(4, 0)
+            outer = 0
             for i in range(2):
                 if (sel >> i) & 1:
-                    outer += basis[i]
-            assert eval_q(r, inner) == eval_q(q, outer)
+                    outer ^= basis[i].bits
+            assert eval_q(r, inner) == eval_q(q, F2Vector(4, outer))
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            restrict(Enhancement(RP2, (1,)), Subspace.zero(2))
+            restrict(Enhancement(RP2, (1,)), Subspace(2, ()))
 
 
 class TestDirectSum:
@@ -384,7 +381,7 @@ class TestIsotropicReduction:
             for q in enumerate_enhancements(form):
                 for c_bits in range(1, 1 << n):
                     c = F2Vector(n, c_bits)
-                    if form.product(c, c) or eval_q(q, c):
+                    if naive_dot(gram, c_bits, c_bits) or eval_q(q, c):
                         continue
                     assert isotropic_reduction(q, c).form.dim == n - 2
 
@@ -413,7 +410,7 @@ class TestIsotropicReduction:
         for q in enumerate_enhancements(form):
             for c_bits in range(1, 16):
                 c = F2Vector(4, c_bits)
-                if form.product(c, c) or eval_q(q, c):
+                if naive_dot(form.gram, c_bits, c_bits) or eval_q(q, c):
                     continue
                 r = isotropic_reduction(q, c)
                 cond = [form.functional_mask(c.bits), 1 << ((c.bits & -c.bits).bit_length() - 1)]
@@ -421,9 +418,9 @@ class TestIsotropicReduction:
 
                 reps = kernel_basis(F2Matrix(2, 4, tuple(cond)))
                 for sel in range(4):
-                    lift = F2Vector(4, 0)
+                    lift = 0
                     for i in range(2):
                         if (sel >> i) & 1:
-                            lift += reps.basis[i]
-                    assert eval_q(r, F2Vector(2, sel)) == eval_q(q, lift)
-                    assert eval_q(r, F2Vector(2, sel)) == eval_q(q, lift + c)
+                            lift ^= reps.basis[i].bits
+                    assert eval_q(r, F2Vector(2, sel)) == eval_q(q, F2Vector(4, lift))
+                    assert eval_q(r, F2Vector(2, sel)) == eval_q(q, F2Vector(4, lift ^ c_bits))

@@ -10,7 +10,6 @@ from pinquad.forms import Enhancement, crosscap_form, hyperbolic_form
 from pinquad.fourmanifold import (
     FORM_LIBRARY,
     MAX_FORM_DIM,
-    CharacteristicVector,
     UnimodularForm,
     gm_check,
     gm_required_beta,
@@ -181,6 +180,18 @@ class TestUnimodularForm:
         with pytest.raises(ValueError, match="symmetric"):
             UnimodularForm.from_rows([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("rows", [[[1.9]], [[1.0]], [["1"]]], ids=["1.9", "1.0", "str"])
+    def test_from_rows_refuses_non_integers(self, rows):
+        # int() would build [[1]] from each of these
+        with pytest.raises(TypeError):
+            UnimodularForm.from_rows(rows)
+
+    def test_from_rows_accepts_integer_types(self):
+        np = pytest.importorskip("numpy")
+        assert UnimodularForm.from_rows([[True]]) == ONE
+        m = UnimodularForm.from_rows(np.array([[0, 1], [1, 0]]))
+        assert m == H and {type(x) for row in m.gram for x in row} == {int}
+
     def test_dimension_cap(self):
         with pytest.raises(LimitError):
             unimodular_direct_sum(E8, E8)
@@ -280,16 +291,24 @@ class TestCharacteristic:
             cls = characteristic_class_mod2(m)
             assert is_characteristic(m, cls.coords)
 
-    def test_validated_dataclass(self):
-        c = CharacteristicVector(ONE, (3,))
-        assert c.self_intersection() == 9
-        with pytest.raises(NotCharacteristicError):
-            CharacteristicVector(ONE, (2,))
-
     def test_error_names_basis_vector(self):
         with pytest.raises(NotCharacteristicError) as err:
-            CharacteristicVector(parse_form_name("H+1"), (0, 0, 0))
+            gm_required_beta(parse_form_name("H+1"), (0, 0, 0))
         assert err.value.index == 2
+
+    @pytest.mark.parametrize("c", [(1.9,), (3.7,), ("1",)], ids=["1.9", "3.7", "str"])
+    def test_refuses_non_integer_coordinates(self, c):
+        # int() would truncate 1.9 to a characteristic 1 and 3.7 to 3 (beta 4)
+        with pytest.raises(TypeError):
+            is_characteristic(ONE, c)
+        with pytest.raises(TypeError):
+            gm_required_beta(ONE, c)
+
+    def test_accepts_integer_types(self):
+        np = pytest.importorskip("numpy")
+        assert is_characteristic(ONE, (True,))
+        assert gm_required_beta(ONE, (np.int64(3),)) == 4
+        assert gm_required_beta(ONE, np.array([3])) == 4
 
 
 class TestGuillouMarin:
@@ -309,9 +328,6 @@ class TestGuillouMarin:
     def test_rejects_non_characteristic(self):
         with pytest.raises(NotCharacteristicError):
             gm_required_beta(ONE, (2,))
-
-    def test_accepts_validated_vector(self):
-        assert gm_required_beta(ONE, CharacteristicVector(ONE, (3,))) == 4
 
     def test_check_against_enhancements(self):
         torus_even = Enhancement(hyperbolic_form(1), (0, 0))  # beta 0
