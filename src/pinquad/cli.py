@@ -5,7 +5,8 @@ JSON files in, fixed-width text on stdout (or machine-readable JSON with
 
     0  success / PASS
     1  FAIL (Guillou-Marin mismatch, torsor MISMATCH)
-    2  usage error (bad flags, malformed files, dimension mismatches)
+    2  usage error (bad flags, malformed files, dimension mismatches,
+       or output that cannot be written)
     3  degenerate form where a nondegenerate one is required
     4  resource guard exceeded
     5  vector is not characteristic
@@ -387,7 +388,17 @@ def entry() -> None:
     # Python ignores SIGPIPE, which turns a closed pipe into a traceback and exit 1
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    try:  # any other write error (a full disk, /dev/full) is a usage error, not a traceback
+        code = main()
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"error: cannot write output: {e.strerror}", file=sys.stderr)
+        # the unwritten buffer is flushed again at exit; let that flush go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

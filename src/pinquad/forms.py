@@ -21,7 +21,7 @@ from .errors import (
     LimitError,
     SurgeryObstructionError,
 )
-from .f2 import F2Matrix, F2Vector, Subspace, kernel_basis, parity, rank, solve
+from .f2 import F2Matrix, F2Vector, Subspace, parity, rank, solve
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 
@@ -264,7 +264,7 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     Preconditions, checked in order: c nonzero, c.c = 0, q(c) = 0.  Each
     failure raises SurgeryObstructionError naming the obstruction.  Because
     q(x + c) = q(x) for x in c-perp, the enhancement descends to cosets; the
-    coset representatives are fixed by zeroing the pivot coordinate of c.
+    coset representatives are fixed by zeroing the pivot coordinate p of c.
     """
     if c.dim != q.form.dim:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {c.dim}")
@@ -277,10 +277,9 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
         raise SurgeryObstructionError("c.c != 0")
     if _eval_bits(q, c.bits):
         raise SurgeryObstructionError("q(c) != 0")
-    n = q.form.dim
-    pivot = (c.bits & -c.bits).bit_length() - 1
-    # c-perp cut by {x : x_pivot = 0} picks one representative per coset of c
-    conditions = F2Matrix(2, n, (perp, 1 << pivot))
-    reps = kernel_basis(conditions)
-    assert reps.dim == n - 2
-    return restrict(q, reps)
+    n, p = q.form.dim, (c.bits & -c.bits).bit_length() - 1
+    # On the representatives x_p = 0, and x.c = 0 fixes x_h, h the top bit of perp: perp is
+    # nonzero (nondegenerate form), and h > p if perp has bit p (c.c = 0 needs a second bit).
+    h = perp.bit_length() - 1
+    rows = (1 << j | (perp >> j & 1) << h for j in range(n) if j not in (p, h))
+    return restrict(q, Subspace(n, tuple(F2Vector(n, b) for b in rows)))

@@ -84,6 +84,8 @@ class UnimodularForm:
             raise LimitError(f"form dimension {self.dim} exceeds cap {MAX_FORM_DIM}")
         if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
             raise ValueError(f"Gram matrix is not {self.dim}x{self.dim}")
+        # floats and strings are refused, not truncated; numpy ints and bools become ints
+        object.__setattr__(self, "gram", tuple(tuple(map(index, r)) for r in self.gram))
         for i in range(self.dim):
             for j in range(i, self.dim):
                 if self.gram[i][j] != self.gram[j][i]:
@@ -101,7 +103,7 @@ class UnimodularForm:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "UnimodularForm":
-        return cls(len(rows), tuple(tuple(map(index, r)) for r in rows))
+        return cls(len(rows), tuple(tuple(r) for r in rows))
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != self.dim or len(v) != self.dim:

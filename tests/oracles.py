@@ -6,12 +6,17 @@ its vector and subspace types for results):
 values are built from the enhancement law one basis vector at a time,
 subspaces are enumerated as raw span sets or as every reduced-echelon
 basis, and Gauss sums are counted per class.  The random forms at the end are orthogonal sums of pieces of known
-type, moved by random changes of basis.
+type, moved by random changes of basis.  The one exception is the surgery
+reference: it finds the coset representatives by the package's kernel
+elimination (itself checked against naive matrix-vector products), where
+the package writes them down by formula, and restricts q with the package's
+``restrict``.
 """
 from itertools import combinations
 
 from pinquad.errors import DimensionMismatchError
-from pinquad.f2 import F2Vector, Subspace
+from pinquad.f2 import F2Matrix, F2Vector, Subspace, kernel_basis
+from pinquad.forms import restrict
 
 
 def naive_dot(gram, x_bits, y_bits):
@@ -82,6 +87,17 @@ def naive_beta(gram, values):
     if a > 0:
         return 1 if b > 0 else 7
     return 3 if b > 0 else 5
+
+
+def surgery_representatives(form, c_bits):
+    """c-perp cut by {x_p = 0}, p the pivot of c: one class per coset of c, by kernel elimination."""
+    p = (c_bits & -c_bits).bit_length() - 1
+    return kernel_basis(F2Matrix(2, form.dim, (form.functional_mask(c_bits), 1 << p)))
+
+
+def reference_reduction(q, c):
+    """Surgery on an admissible class c: q restricted to the eliminated coset representatives."""
+    return restrict(q, surgery_representatives(q.form, c.bits))
 
 
 def characteristic_class_mod2(m):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -58,6 +59,11 @@ GOLDEN_CASES = [
     ),
     (["gm", "--form", "1", "--char", "3", "--beta", "0"], "gm_one_char3_beta0.txt", 1),
     (["surgery", str(DATA / "torus_v00.json"), "--class", "10"], "surgery_torus_v00_a.txt", 0),
+    (
+        ["surgery", str(DATA / "genus5_v0.json"), "--class", "1010000000"],
+        "surgery_genus5_v0_1010000000.txt",
+        0,
+    ),
     (["torsor", str(DATA / "torus_v00.json"), "--covector", "10"], "torsor_torus_v00_y10.txt", 0),
     (["torsor", str(DATA / "rp2_v1.json"), "--covector", "1"], "torsor_rp2_v1_y1.txt", 0),
 ]
@@ -454,6 +460,33 @@ def test_closed_output_pipe_ends_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (-signal.SIGPIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--genus", "1"], ["brown", str(DATA / "torus_v22.json")]],
+    ids=["enumerate", "brown"],
+)
+def test_unwritable_output_is_a_usage_error(argv, buffered):
+    # a write that fails (here: no space left) is not a FAIL and not a traceback,
+    # whether print raises at once or the flush at exit meets the error
+    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "pinquad.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_import_loads_no_decimal_arithmetic():

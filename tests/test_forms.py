@@ -25,7 +25,18 @@ from pinquad.forms import (
     torsor_act,
     value_table,
 )
-from oracles import all_enhancement_values, law_table, naive_dot, standard_grams
+from oracles import (
+    all_enhancement_values,
+    law_table,
+    naive_dot,
+    naive_q,
+    random_basis,
+    random_nondegenerate,
+    rebase,
+    reference_reduction,
+    standard_grams,
+    surgery_representatives,
+)
 
 TORUS = hyperbolic_form(1)
 RP2 = crosscap_form(1)
@@ -368,22 +379,47 @@ class TestIsotropicReduction:
         assert err.value.reason == "q(c) != 0"
 
     def test_degenerate_rejected(self):
+        # before any obstruction, the zero class included
         q = Enhancement(BilinearForm.from_rows([[0, 0], [0, 0]]), (0, 0))
-        with pytest.raises(DegenerateFormError):
-            isotropic_reduction(q, vec(1, 0))
+        for c in (vec(1, 0), vec(0, 0)):
+            with pytest.raises(DegenerateFormError):
+                isotropic_reduction(q, c)
 
-    def test_dimension_drops_by_two(self):
+    def test_matches_kernel_elimination(self):
+        # every admissible class of every enhancement of the standard forms to rank 6
         for gram in standard_grams(6):
             form = BilinearForm.from_rows(gram)
-            if not form.nondegenerate:
-                continue
             n = form.dim
             for q in enumerate_enhancements(form):
                 for c_bits in range(1, 1 << n):
                     c = F2Vector(n, c_bits)
                     if naive_dot(gram, c_bits, c_bits) or eval_q(q, c):
                         continue
-                    assert isotropic_reduction(q, c).form.dim == n - 2
+                    r = isotropic_reduction(q, c)
+                    assert r == reference_reduction(q, c) and r.form.dim == n - 2
+
+    def test_matches_kernel_elimination_on_rebased_forms(self):
+        # random classes, obstructed ones included, on nondegenerate forms to rank 32
+        # written in random bases, where c's functional has no block structure
+        rng = random.Random(9)
+        for _ in range(200):
+            gram, values = random_nondegenerate(rng, rng.randint(2, 32))
+            gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+            n = len(gram)
+            q = Enhancement(BilinearForm.from_rows(gram), values)
+            for _ in range(40):
+                c_bits = rng.randrange(1, 1 << n)
+                c = F2Vector(n, c_bits)
+                if naive_dot(gram, c_bits, c_bits):
+                    reason = "c.c != 0"
+                elif naive_q(gram, values, c_bits):
+                    reason = "q(c) != 0"
+                else:
+                    assert isotropic_reduction(q, c) == reference_reduction(q, c)
+                    continue
+                with pytest.raises(SurgeryObstructionError) as err:
+                    isotropic_reduction(q, c)
+                assert err.value.reason == reason
 
     def test_descends_to_cosets(self):
         # q agrees on both representatives of each coset of c inside c-perp,
@@ -413,10 +449,7 @@ class TestIsotropicReduction:
                 if naive_dot(form.gram, c_bits, c_bits) or eval_q(q, c):
                     continue
                 r = isotropic_reduction(q, c)
-                cond = [form.functional_mask(c.bits), 1 << ((c.bits & -c.bits).bit_length() - 1)]
-                from pinquad.f2 import F2Matrix, kernel_basis
-
-                reps = kernel_basis(F2Matrix(2, 4, tuple(cond)))
+                reps = surgery_representatives(form, c_bits)
                 for sel in range(4):
                     lift = 0
                     for i in range(2):

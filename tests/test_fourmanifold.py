@@ -186,6 +186,12 @@ class TestUnimodularForm:
         with pytest.raises(TypeError):
             UnimodularForm.from_rows(rows)
 
+    @pytest.mark.parametrize("gram", [((0.5, 1), (1, 0)), ((1.0,),)], ids=["0.5", "1.0"])
+    def test_constructor_refuses_non_integers(self, gram):
+        # neither may pass as unimodular: 0.5 would get signature 0, 1.0 a float beta
+        with pytest.raises(TypeError):
+            UnimodularForm(len(gram), gram)
+
     def test_from_rows_accepts_integer_types(self):
         np = pytest.importorskip("numpy")
         assert UnimodularForm.from_rows([[True]]) == ONE
