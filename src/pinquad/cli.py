@@ -110,10 +110,21 @@ def _load_enhancement(path: str) -> Enhancement:
     return _parse(Enhancement.from_json, _load_json(path), f"{path} is not a valid enhancement: ")
 
 
-def _parse_bits(text: str, what: str) -> tuple[int, ...]:
+def _parse_bits(text: str, what: str) -> int:
+    """A bit string, coordinate 0 first, as a class bitmask."""
     if not text or any(ch not in "01" for ch in text):
         raise UsageError(f"{what} must be a nonempty string of 0s and 1s, got {text!r}")
-    return tuple(int(ch) for ch in text)
+    return int(text[::-1], 2)
+
+
+def _basis_text(rows: Sequence[int], n: int) -> str:
+    """Basis rows as ``[b, ...]``, each a bit string of length n, coordinate 0 first."""
+    return f"[{', '.join(f'{r:0{n}b}'[::-1] for r in rows)}]"
+
+
+def _basis_json(rows: Sequence[int], n: int) -> list[list[int]]:
+    """Basis rows as lists of n coordinates."""
+    return [[r >> i & 1 for i in range(n)] for r in rows]
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -200,31 +211,29 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim < 0:
         raise UsageError("--dim must be >= 0")
     q = _load_enhancement(args.enhancement)
+    n = q.form.dim
     if args.dim is not None:
         spaces = vanishing_subspaces(q, args.dim)
         if args.json:
-            bases = [[list(v.coords) for v in s.basis] for s in spaces]
+            bases = [_basis_json(s.row_masks, n) for s in spaces]
             print(json.dumps({"dim": args.dim, "subspaces": bases}))
         elif not spaces:
             print("none")
         else:
             for s in spaces:
-                print(f"[{', '.join(str(v) for v in s.basis)}]")
+                print(_basis_text(s.row_masks, n))
         return EXIT_OK
     if args.max:
         d = max_vanishing_dim(q)
         print(json.dumps({"max_null_dim": d}) if args.json else d)
         return EXIT_OK
     lag = has_null_lagrangian(q)
-    witness = None
-    if lag:
-        n = q.form.dim
-        witness = [F2Vector(n, r) for r in next(_null_bases(q, n // 2))]
+    witness = next(_null_bases(q, n // 2)) if lag else None
     if args.json:
-        coords = None if witness is None else [list(v.coords) for v in witness]
-        print(json.dumps({"lagrangian": lag, "witness": coords}))
+        rows = None if witness is None else _basis_json(witness, n)
+        print(json.dumps({"lagrangian": lag, "witness": rows}))
     elif lag:
-        print(f"yes: [{', '.join(str(v) for v in witness)}]")
+        print(f"yes: {_basis_text(witness, n)}")
     else:
         print("no")
     return EXIT_OK
@@ -257,10 +266,11 @@ def cmd_gm(args: argparse.Namespace) -> int:
 def cmd_surgery(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
     bits = _parse_bits(args.surgery_class, "--class")
+    n = len(args.surgery_class)
     beta_before = brown_invariant(q)
-    if len(bits) != q.form.dim:  # checked before the vector is built, whose size is capped
-        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {len(bits)}")
-    c = F2Vector.from_coords(bits)
+    if n != q.form.dim:  # checked before the vector is built, whose size is capped
+        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {n}")
+    c = F2Vector(n, bits)
     reduced = isotropic_reduction(q, c)
     beta_after = brown_invariant(reduced)
     if beta_before != beta_after:
@@ -279,10 +289,11 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 def cmd_torsor(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
     bits = _parse_bits(args.covector, "--covector")
+    n = len(args.covector)
     beta_before = brown_invariant(q)
-    if len(bits) != q.form.dim:  # checked before the vector is built, whose size is capped
-        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, covector dim {len(bits)}")
-    y = Covector.from_coords(bits)
+    if n != q.form.dim:  # checked before the vector is built, whose size is capped
+        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, covector dim {n}")
+    y = Covector(n, bits)
     acted = torsor_act(q, y)
     beta_after = brown_invariant(acted)
     measured = (beta_after - beta_before) % 8

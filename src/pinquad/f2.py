@@ -1,14 +1,14 @@
 """Exact linear algebra over the two-element field.
 
 Vectors are immutable bit vectors (stored as integer bitmasks, coordinate i
-is bit i), matrices are tuples of row bitmasks, and subspaces are kept in
-reduced row-echelon form so that structural equality coincides with equality
-of subspaces.
+is bit i), matrices are tuples of row bitmasks, and subspaces are tuples of
+row bitmasks kept in reduced row-echelon form so that structural equality
+coincides with equality of subspaces.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionMismatchError, LimitError
 
@@ -32,22 +32,6 @@ class F2Vector:
             raise LimitError(f"vector dimension {self.dim} outside [0, {MAX_VECTOR_DIM}]")
         if not 0 <= self.bits < (1 << self.dim):
             raise ValueError(f"bit mask {self.bits:#x} does not fit in dimension {self.dim}")
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "F2Vector":
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError(f"coordinate {i} is {c}, expected 0 or 1")
-            bits |= c << i
-        return cls(len(coords), bits)
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.dim))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.coords)
 
 
 @dataclass(frozen=True)
@@ -119,52 +103,39 @@ def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F2^ambient_dim, basis held in reduced row-echelon form."""
+    """A subspace of F2^ambient_dim, its basis held as reduced row-echelon row bitmasks.
+
+    Rows are nonzero with strictly increasing pivots (lowest set bits), and no
+    row has a bit at another row's pivot, so equal subspaces are equal objects.
+    """
 
     ambient_dim: int
-    basis: tuple[F2Vector, ...]
+    row_masks: tuple[int, ...]
 
     def __post_init__(self):
-        seen_pivot = -1
-        pivot_bits = 0
-        for v in self.basis:
-            if v.dim != self.ambient_dim:
-                raise DimensionMismatchError(
-                    f"basis vector of dim {v.dim} in ambient dim {self.ambient_dim}"
-                )
-            if v.bits == 0:
-                raise ValueError("zero vector in basis")
-            p = (v.bits & -v.bits).bit_length() - 1
-            if p <= seen_pivot:
+        n = self.ambient_dim
+        if not 0 <= n <= MAX_VECTOR_DIM:
+            raise LimitError(f"ambient dimension {n} outside [0, {MAX_VECTOR_DIM}]")
+        top = 1 << n
+        last = 0  # pivot bit of the previous row
+        seen = 0  # union of the previous rows
+        for r in self.row_masks:
+            if not 0 < r < top:
+                raise ValueError(f"basis row {r:#x} is zero or does not fit in dimension {n}")
+            p = r & -r
+            if p <= last:
                 raise ValueError("basis not in echelon order")
-            seen_pivot = p
-            pivot_bits |= 1 << p
-        for v in self.basis:
-            p = (v.bits & -v.bits).bit_length() - 1
-            if v.bits & pivot_bits & ~(1 << p):
+            if p & seen:
                 raise ValueError("basis not fully reduced")
+            last, seen = p, seen | r
 
-    @classmethod
-    def span(cls, vectors: Iterable[F2Vector], ambient_dim: int | None = None) -> "Subspace":
-        vecs = list(vectors)
-        if ambient_dim is None:
-            if not vecs:
-                raise ValueError("ambient_dim required for an empty spanning set")
-            ambient_dim = vecs[0].dim
-        for v in vecs:
-            if v.dim != ambient_dim:
-                raise DimensionMismatchError(
-                    f"vector of dim {v.dim} in ambient dim {ambient_dim}"
-                )
-        masks = _rref((v.bits for v in vecs), ambient_dim)
-        return cls(ambient_dim, tuple(F2Vector(ambient_dim, m) for m in masks))
+    @property
+    def basis(self) -> tuple[F2Vector, ...]:
+        return tuple(F2Vector(self.ambient_dim, r) for r in self.row_masks)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(v.bits for v in self.basis)
+        return len(self.row_masks)
 
 
 def kernel_basis(m: F2Matrix) -> Subspace:
@@ -180,5 +151,6 @@ def kernel_basis(m: F2Matrix) -> Subspace:
         for r, p in zip(rref_rows, pivot_cols):
             if (r >> free) & 1:
                 bits |= 1 << p
-        gens.append(F2Vector(m.cols, bits))
-    return Subspace.span(gens, m.cols)
+        gens.append(bits)
+    # a generator's lowest bit may be a pivot column below its free column: reduce again
+    return Subspace(m.cols, tuple(_rref(gens, m.cols)))

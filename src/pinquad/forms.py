@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -62,7 +63,7 @@ class BilinearForm:
         if not valid:  # find the first fault in row-major order, or accept rows of other types
             for i in range(n):
                 for j in range(n):
-                    if gram[i][j] not in (0, 1):
+                    if index(gram[i][j]) not in (0, 1):  # floats and strings raise TypeError
                         raise ValueError(f"Gram entry ({i},{j}) is {gram[i][j]}, expected a bit")
                     if gram[i][j] != gram[j][i]:
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
@@ -239,7 +240,7 @@ def restrict(q: Enhancement, s: Subspace) -> Enhancement:
         raise DimensionMismatchError(
             f"enhancement dim {q.form.dim}, subspace ambient dim {s.ambient_dim}"
         )
-    basis = [b.bits for b in s.basis]
+    basis = s.row_masks
     funcs = [q.form.functional_mask(b) for b in basis]
     gram = tuple(tuple((f & b).bit_count() & 1 for b in basis) for f in funcs)
     values = tuple(_eval_bits(q, b) for b in basis)
@@ -282,4 +283,4 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     # nonzero (nondegenerate form), and h > p if perp has bit p (c.c = 0 needs a second bit).
     h = perp.bit_length() - 1
     rows = (1 << j | (perp >> j & 1) << h for j in range(n) if j not in (p, h))
-    return restrict(q, Subspace(n, tuple(F2Vector(n, b) for b in rows)))
+    return restrict(q, Subspace(n, tuple(rows)))

@@ -16,8 +16,8 @@ the one orthogonal split in ``brown``; no rank is computed.
 
 Listing the subspaces is exponential by nature.  One walk over
 reduced-echelon bases serves it: rows are picked lowest pivot first, each
-level in increasing class order, so the bases come out in canonical
-(``Subspace.sort_key``) order by construction and are never sorted.  Only
+level in increasing class order, so the bases come out in canonical order
+(by ``Subspace.row_masks``) by construction and are never sorted.  Only
 pairwise orthogonal classes with q = 0 are joined, so every partial span is
 q-null.  The q-null Lagrangian witness is the walk's first basis, so finding
 it stops at the first leaf.  Candidate sets are bitsets over all 2^n
@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .brown import _angle, _split
 from .errors import DegenerateFormError, LimitError
-from .f2 import F2Vector, Subspace
+from .f2 import Subspace
 from .forms import Enhancement, value_table
 
 MAX_SEARCH_DIM = 10
@@ -62,7 +62,7 @@ def _class_set_with_zero_pairing(func_mask: int, n: int) -> int:
 
 
 def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
-    """Reduced-echelon bases of the d-dimensional q-null subspaces, in sort_key order.
+    """Reduced-echelon bases of the d-dimensional q-null subspaces, in row-tuple order.
 
     A row y may follow x when q(y) = 0, y is orthogonal to x, and y's pivot
     lies above x's pivot and outside x's support (so the basis stays
@@ -115,7 +115,7 @@ def vanishing_subspaces(q: Enhancement, dim: int) -> list[Subspace]:
     n = q.form.dim
     if dim < 0 or dim > n:
         return []
-    return [Subspace(n, tuple(F2Vector(n, r) for r in rows)) for rows in _null_bases(q, dim)]
+    return [Subspace(n, rows) for rows in _null_bases(q, dim)]
 
 
 def max_vanishing_dim(q: Enhancement) -> int:

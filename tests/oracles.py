@@ -2,7 +2,7 @@
 
 Everything here works on plain lists and dicts with naive loops, no shared
 code with the package (only its error class for a dimension mismatch and
-its vector and subspace types for results):
+its subspace type for results):
 values are built from the enhancement law one basis vector at a time,
 subspaces are enumerated as raw span sets or as every reduced-echelon
 basis, and Gauss sums are counted per class.  The random forms at the end are orthogonal sums of pieces of known
@@ -15,7 +15,7 @@ the package writes them down by formula, and restricts q with the package's
 from itertools import combinations
 
 from pinquad.errors import DimensionMismatchError
-from pinquad.f2 import F2Matrix, F2Vector, Subspace, kernel_basis
+from pinquad.f2 import F2Matrix, Subspace, kernel_basis
 from pinquad.forms import restrict
 
 
@@ -61,7 +61,7 @@ def kernel_vanishing_check(q, k):
         raise DimensionMismatchError(
             f"enhancement dim {q.form.dim}, subspace ambient dim {k.ambient_dim}"
         )
-    return all(naive_q(q.form.gram, q.values, x) == 0 for x in span_of(v.bits for v in k.basis))
+    return all(naive_q(q.form.gram, q.values, x) == 0 for x in span_of(k.row_masks))
 
 
 def naive_counts(gram, values):
@@ -101,7 +101,8 @@ def reference_reduction(q, c):
 
 
 def characteristic_class_mod2(m):
-    """The mod-2 Wu class of a unimodular form: the one c with c.e_i = e_i.e_i (mod 2) for all i.
+    """The mod-2 Wu class of a unimodular form, as 0/1 coordinates: the one c with
+    c.e_i = e_i.e_i (mod 2) for all i.
 
     Every class of F2^dim is tried; a unimodular form is nondegenerate mod 2,
     so exactly one passes.
@@ -112,7 +113,7 @@ def characteristic_class_mod2(m):
         if all(naive_dot(m.gram, c, 1 << i) == m.gram[i][i] % 2 for i in range(n))
     ]
     assert len(wu) == 1
-    return F2Vector.from_coords([(wu[0] >> i) & 1 for i in range(n)])
+    return tuple((wu[0] >> i) & 1 for i in range(n))
 
 
 def gaussian_binomial(n, k):
@@ -158,6 +159,27 @@ def span_of(bit_vectors):
     return frozenset(span)
 
 
+def spanned(vectors):
+    """The Subspace spanned by a nonempty list of vectors, by naive elimination.
+
+    Each vector is cleared at the pivots (lowest bits) of the rows kept so
+    far; a nonzero remainder is cleared from those rows at its own pivot and
+    kept.  Sorting by pivot then gives the reduced-echelon basis.
+    """
+    n = vectors[0].dim
+    rows = []
+    for v in vectors:
+        assert v.dim == n
+        x = v.bits
+        for r in rows:
+            if x & r & -r:
+                x ^= r
+        if x:
+            rows = [r ^ x if r & x & -x else r for r in rows]
+            rows.append(x)
+    return Subspace(n, tuple(sorted(rows, key=lambda r: r & -r)))
+
+
 def all_subspace_spans(n, k):
     """Every k-dimensional subspace of F2^n as a frozenset of class bitmasks."""
     if k == 0:
@@ -192,7 +214,7 @@ def enumerate_subspaces(ambient_dim, dim):
             for s, (i, j) in enumerate(slots):
                 if (pattern >> s) & 1:
                     rows[i] |= 1 << j
-            yield Subspace(ambient_dim, tuple(F2Vector(ambient_dim, r) for r in rows))
+            yield Subspace(ambient_dim, tuple(rows))
 
 
 def all_enhancement_values(gram):
@@ -278,8 +300,14 @@ def random_basis(rng, n):
 
 
 def rebase(gram, values, rows):
-    """The same enhancement written in the basis ``rows``."""
-    new_gram = [[naive_dot(gram, a, b) for b in rows] for a in rows]
+    """The same enhancement written in the basis ``rows``.
+
+    Each new basis class a is paired with the old basis once (the mask of
+    gram.a); a.b is then the parity of that mask on b.
+    """
+    gram_masks = [sum(bit << j for j, bit in enumerate(r)) for r in gram]
+    pairings = [naive_mat_vec(gram_masks, a) for a in rows]
+    new_gram = [[(p & b).bit_count() & 1 for b in rows] for p in pairings]
     return new_gram, tuple(naive_q(gram, values, a) for a in rows)
 
 

@@ -205,9 +205,8 @@ def test_criterion_6_half_dimension_bound():
             # pairing is bilinear (checked exhaustively in test_forms)
             for d in range(n // 2 + 1):
                 for s in vanishing_subspaces(q, d):
-                    masks = [v.bits for v in s.basis]
-                    for a in masks:
-                        for b in masks:
+                    for a in s.row_masks:
+                        for b in s.row_masks:
                             if (gx[a] & b).bit_count() & 1:
                                 violations += 1
     report(6, "half-dimension bound and isotropy", violations)
@@ -251,7 +250,7 @@ def test_criterion_8_guillou_marin_instances():
     ]
     for m in library:
         sig = signature(m)
-        base = characteristic_class_mod2(m).coords
+        base = characteristic_class_mod2(m)
         choices = [
             [x for x in range(-3, 4) if x % 2 == p] for p in base
         ]

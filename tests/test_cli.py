@@ -51,6 +51,21 @@ GOLDEN_CASES = [
     ),
     (["vanishing", str(DATA / "rp2_v1.json"), "--dim", "1"], "vanishing_rp2_v1_dim1.txt", 0),
     (["vanishing", str(DATA / "torus_v00.json"), "--dim", "1"], "vanishing_torus_v00_dim1.txt", 0),
+    (
+        ["vanishing", str(DATA / "genus2_v0000.json"), "--dim", "2"],
+        "vanishing_genus2_v0000_dim2.txt",
+        0,
+    ),
+    (
+        ["vanishing", str(DATA / "genus2_v0000.json"), "--dim", "2", "--json"],
+        "vanishing_genus2_v0000_dim2.json",
+        0,
+    ),
+    (
+        ["vanishing", str(DATA / "genus5_v0.json"), "--lagrangian", "--json"],
+        "vanishing_genus5_v0_lagrangian.json",
+        0,
+    ),
     (["gm", "--form", "1", "--char", "1"], "gm_one_char1.txt", 0),
     (
         ["gm", "--form", "E8", "--char", "0,0,0,0,0,0,0,0", "--beta", "4"],
@@ -83,6 +98,18 @@ def test_byte_determinism(capsys, argv, golden, code):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_bit_strings_round_trip():
+    # the CLI's bit strings put coordinate 0 first, read and written alike
+    assert cli._parse_bits("1101", "--class") == 0b1011
+    for n in range(1, 8):
+        for x in range(1 << n):
+            text = "".join(str(x >> i & 1) for i in range(n))
+            assert cli._parse_bits(text, "--class") == x
+            assert cli._basis_text([x, x], n) == f"[{text}, {text}]"
+            assert cli._basis_json([x], n) == [[int(ch) for ch in text]]
+    assert cli._basis_text([], 0) == "[]" and cli._basis_json([], 0) == []
 
 
 class TestExitCodes:
@@ -164,6 +191,13 @@ class TestExitCodes:
     def test_torsor_dimension_mismatch(self, capsys):
         code, _out, _err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("command,flag", [("surgery", "--class"), ("torsor", "--covector")])
+    @pytest.mark.parametrize("text", ["", "012", "1 0", "1_0", "0b1"])
+    def test_malformed_bit_string(self, capsys, command, flag, text):
+        code, out, err = run(capsys, command, str(DATA / "torus_v00.json"), flag, text)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be a nonempty string of 0s and 1s, got {text!r}\n"
 
     @pytest.mark.parametrize(
         "command,flag,what", [("surgery", "--class", "class"), ("torsor", "--covector", "covector")]

@@ -19,11 +19,12 @@ from oracles import (
     naive_mat_vec,
     naive_rank,
     span_of,
+    spanned,
 )
 
 
 def vec(*coords):
-    return F2Vector.from_coords(coords)
+    return F2Vector(len(coords), sum(c << i for i, c in enumerate(coords)))
 
 
 def mat(*rows):
@@ -39,13 +40,6 @@ def zero(rows, cols):
 
 
 class TestF2Vector:
-    def test_from_coords_roundtrip(self):
-        v = vec(1, 0, 1, 1)
-        assert v.dim == 4
-        assert v.coords == (1, 0, 1, 1)
-        assert v.bits == 0b1101
-        assert str(v) == "1011"
-
     def test_zero_is_unique(self):
         assert F2Vector(3, 0) == vec(0, 0, 0)
 
@@ -150,35 +144,85 @@ class TestKernelBasis:
         assert kernel_basis(identity(3)) == Subspace(3, ())
 
     def test_zero_matrix_has_full_kernel(self):
-        assert kernel_basis(zero(3, 3)) == Subspace(3, tuple(F2Vector(3, 1 << i) for i in range(3)))
+        assert kernel_basis(zero(3, 3)) == Subspace(3, (0b001, 0b010, 0b100))
 
     def test_sum_row(self):
-        assert kernel_basis(mat([1, 1])) == Subspace.span([vec(1, 1)])
+        assert kernel_basis(mat([1, 1])) == spanned([vec(1, 1)])
 
     def test_kernel_members_exhaustive(self):
         for bits in range(1 << 9):
             masks = tuple((bits >> (3 * i)) & 7 for i in range(3))
             m = F2Matrix(3, 3, masks)
             k = kernel_basis(m)
-            members = span_of(v.bits for v in k.basis)
+            members = span_of(k.row_masks)
             expected = {t for t in range(8) if naive_mat_vec(masks, t) == 0}
             assert members == expected
+
+    def test_random_kernels_to_32_columns(self):
+        # a subspace of the kernel with dimension cols - rank is the whole kernel
+        rng = random.Random(3100)
+        for _ in range(200):
+            cols = rng.randint(1, 32)
+            masks = tuple(rng.getrandbits(cols) for _ in range(rng.randint(1, 8)))
+            k = kernel_basis(F2Matrix(len(masks), cols, masks))
+            assert k.ambient_dim == cols and k.dim == cols - naive_rank(masks)
+            assert all(naive_mat_vec(masks, r) == 0 for r in k.row_masks)
 
 
 class TestSubspace:
     def test_span_canonicalizes(self):
-        s1 = Subspace.span([vec(1, 1, 0), vec(0, 1, 1)])
-        s2 = Subspace.span([vec(1, 0, 1), vec(0, 1, 1), vec(1, 1, 0)])
-        assert s1 == s2
+        s1 = spanned([vec(1, 1, 0), vec(0, 1, 1)])
+        s2 = spanned([vec(1, 0, 1), vec(0, 1, 1), vec(1, 1, 0)])
+        assert s1 == s2 == Subspace(3, (0b101, 0b110))
         assert hash(s1) == hash(s2)
 
     def test_rejects_non_echelon_basis(self):
-        with pytest.raises(ValueError):
-            Subspace(2, (vec(1, 1), vec(1, 0)))
+        with pytest.raises(ValueError, match="echelon order"):
+            Subspace(2, (0b11, 0b01))
+
+    def test_rejects_equal_pivots(self):
+        with pytest.raises(ValueError, match="echelon order"):
+            Subspace(3, (0b011, 0b101))
+
+    def test_rejects_zero_row(self):
+        with pytest.raises(ValueError, match="zero"):
+            Subspace(3, (0b001, 0))
+
+    def test_rejects_row_wider_than_ambient(self):
+        Subspace(3, (0b100,))
+        with pytest.raises(ValueError, match="does not fit"):
+            Subspace(3, (0b1000,))
+
+    def test_rejects_unreduced_basis(self):
+        # row 0 has a bit at row 1's pivot
+        with pytest.raises(ValueError, match="reduced"):
+            Subspace(3, (0b011, 0b010))
+        Subspace(3, (0b101, 0b010))
+
+    def test_ambient_dimension_cap(self):
+        Subspace(32, (1 << 31,))
+        with pytest.raises(LimitError):
+            Subspace(33, ())
+        with pytest.raises(LimitError):
+            Subspace(-1, ())
+
+    def test_basis_is_vectors_with_the_same_bits(self):
+        s = Subspace(4, (0b0101, 0b1010))
+        assert s.basis == (F2Vector(4, 0b0101), F2Vector(4, 0b1010))
+        assert s.dim == 2 and Subspace(4, ()).basis == ()
 
     def test_elements_count(self):
-        s = Subspace.span([vec(1, 0, 0), vec(0, 1, 0)])
-        assert len(span_of(v.bits for v in s.basis)) == 4
+        s = spanned([vec(1, 0, 0), vec(0, 1, 0)])
+        assert len(span_of(s.row_masks)) == 4
+
+    def test_spanned_oracle_matches_enumeration(self):
+        # every subspace of F2^4 is recovered from its member list, in any order
+        rng = random.Random(44)
+        for d in range(5):
+            for s in enumerate_subspaces(4, d):
+                members = [F2Vector(4, x) for x in span_of(s.row_masks)]
+                rng.shuffle(members)
+                assert spanned(members) == s
 
 
 class TestEnumerateSubspaces:
@@ -194,7 +238,7 @@ class TestEnumerateSubspaces:
         assert len(spaces) == 35
 
     def test_matches_bruteforce_spans(self):
-        got = {span_of(v.bits for v in s.basis) for s in enumerate_subspaces(4, 2)}
+        got = {span_of(s.row_masks) for s in enumerate_subspaces(4, 2)}
         assert got == all_subspace_spans(4, 2)
 
     @pytest.mark.parametrize("n", range(7))

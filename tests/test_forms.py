@@ -34,6 +34,7 @@ from oracles import (
     random_nondegenerate,
     rebase,
     reference_reduction,
+    spanned,
     standard_grams,
     surgery_representatives,
 )
@@ -43,12 +44,16 @@ RP2 = crosscap_form(1)
 KLEIN = crosscap_form(2)
 
 
+def bits(coords):
+    return sum(c << i for i, c in enumerate(coords))
+
+
 def vec(*coords):
-    return F2Vector.from_coords(coords)
+    return F2Vector(len(coords), bits(coords))
 
 
 def cov(*coords):
-    return Covector.from_coords(coords)
+    return Covector(len(coords), bits(coords))
 
 
 class TestBilinearForm:
@@ -93,6 +98,21 @@ class TestBilinearForm:
         with pytest.raises(ValueError) as info:
             BilinearForm(dim, gram)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "dim,gram",
+        [
+            (2, ((0, 1.0), (1.0, 0))),
+            (1, ((0.0,),)),
+            (2, ((0, 1), (1.0, 0))),
+            (1, (("1",),)),
+            (2, ([0, 1], [1, 0.5])),
+        ],
+        ids=["floats", "float_zero", "one_float", "string", "list_rows"],
+    )
+    def test_refuses_non_integer_entries(self, dim, gram):
+        with pytest.raises(TypeError):
+            BilinearForm(dim, gram)
 
     def test_booleans_are_bits(self):
         form = BilinearForm(2, ((False, True), (True, False)))
@@ -284,29 +304,28 @@ class TestRestrict:
 
     def test_torus_line(self):
         q = Enhancement(TORUS, (0, 2))
-        r = restrict(q, Subspace.span([vec(1, 0)]))
+        r = restrict(q, spanned([vec(1, 0)]))
         assert r.form.gram == ((0,),)
         assert r.values == (0,)
 
     def test_klein_diagonal_line(self):
         q = Enhancement(KLEIN, (1, 1))
-        r = restrict(q, Subspace.span([vec(1, 1)]))
+        r = restrict(q, spanned([vec(1, 1)]))
         assert r.form.gram == ((0,),)
         assert r.values == (2,)
 
     def test_restriction_agrees_on_elements(self):
         form = hyperbolic_form(2)
         q = Enhancement(form, (0, 2, 2, 0))
-        s = Subspace.span([vec(1, 0, 0, 0), vec(0, 0, 1, 1)])
+        s = spanned([vec(1, 0, 0, 0), vec(0, 0, 1, 1)])
         r = restrict(q, s)
         # evaluating the restriction on coordinates matches evaluating q on the classes
-        basis = s.basis
         for sel in range(4):
             inner = F2Vector(2, sel)
             outer = 0
             for i in range(2):
                 if (sel >> i) & 1:
-                    outer ^= basis[i].bits
+                    outer ^= s.row_masks[i]
             assert eval_q(r, inner) == eval_q(q, F2Vector(4, outer))
 
     def test_ambient_mismatch(self):
@@ -454,6 +473,6 @@ class TestIsotropicReduction:
                     lift = 0
                     for i in range(2):
                         if (sel >> i) & 1:
-                            lift ^= reps.basis[i].bits
+                            lift ^= reps.row_masks[i]
                     assert eval_q(r, F2Vector(2, sel)) == eval_q(q, F2Vector(4, lift))
                     assert eval_q(r, F2Vector(2, sel)) == eval_q(q, F2Vector(4, lift ^ c_bits))
