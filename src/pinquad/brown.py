@@ -20,20 +20,21 @@ Everything is integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateFormError, InternalError, LimitError, UnsupportedInputError
+from .f2 import Value
 from .forms import Enhancement
 
 MAX_GAUSS_DIM = 20
 
 
-@dataclass(frozen=True)
-class GaussSumResult:
+class GaussSumResult(Value):
     """Exact Gauss-sum pair of an enhancement, with the four value counts."""
 
-    n: int
-    counts: tuple[int, int, int, int]  # classes with q = 0, 1, 2, 3
+    __slots__ = _fields = ("n", "counts")
+
+    def __init__(self, n: int, counts: tuple[int, int, int, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)  # classes with q = 0, 1, 2, 3
 
     @property
     def a(self) -> int:

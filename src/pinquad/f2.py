@@ -7,7 +7,6 @@ coincides with equality of subspaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DimensionMismatchError, LimitError
@@ -20,35 +19,66 @@ def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
-@dataclass(frozen=True)
-class F2Vector:
+class Value:
+    """An immutable value, equal only to an object of exactly its class with equal fields.
+
+    A subclass names its fields in ``_fields``, in constructor order, and sets its slots in a
+    validating ``__init__``, which copies and pickles run again; other slots do not compare.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class F2Vector(Value):
     """A vector in F2^dim, coordinates indexed 0..dim-1 (bit i of ``bits``)."""
 
-    dim: int
-    bits: int
+    __slots__ = _fields = ("dim", "bits")
 
-    def __post_init__(self):
-        if not 0 <= self.dim <= MAX_VECTOR_DIM:
-            raise LimitError(f"vector dimension {self.dim} outside [0, {MAX_VECTOR_DIM}]")
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bit mask {self.bits:#x} does not fit in dimension {self.dim}")
+    def __init__(self, dim: int, bits: int):
+        if not 0 <= dim <= MAX_VECTOR_DIM:
+            raise LimitError(f"vector dimension {dim} outside [0, {MAX_VECTOR_DIM}]")
+        if not 0 <= bits < (1 << dim):
+            raise ValueError(f"bit mask {bits:#x} does not fit in dimension {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bits", bits)
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(Value):
     """A rows x cols matrix over F2; row i is the bitmask ``row_masks[i]``."""
 
-    rows: int
-    cols: int
-    row_masks: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "row_masks")
 
-    def __post_init__(self):
-        if len(self.row_masks) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.row_masks)}")
-        top = 1 << self.cols
-        for i, r in enumerate(self.row_masks):
+    def __init__(self, rows: int, cols: int, row_masks: tuple[int, ...]):
+        if len(row_masks) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(row_masks)}")
+        top = 1 << cols
+        for i, r in enumerate(row_masks):
             if not 0 <= r < top:
-                raise ValueError(f"row {i} mask {r:#x} does not fit in {self.cols} columns")
+                raise ValueError(f"row {i} mask {r:#x} does not fit in {cols} columns")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "row_masks", row_masks)
 
 
 def _rref(masks: Iterable[int], cols: int) -> list[int]:
@@ -101,25 +131,23 @@ def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
     return F2Vector(m.cols, x)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A subspace of F2^ambient_dim, its basis held as reduced row-echelon row bitmasks.
 
     Rows are nonzero with strictly increasing pivots (lowest set bits), and no
     row has a bit at another row's pivot, so equal subspaces are equal objects.
     """
 
-    ambient_dim: int
-    row_masks: tuple[int, ...]
+    __slots__ = _fields = ("ambient_dim", "row_masks")
 
-    def __post_init__(self):
-        n = self.ambient_dim
+    def __init__(self, ambient_dim: int, row_masks: tuple[int, ...]):
+        n = ambient_dim
         if not 0 <= n <= MAX_VECTOR_DIM:
             raise LimitError(f"ambient dimension {n} outside [0, {MAX_VECTOR_DIM}]")
         top = 1 << n
         last = 0  # pivot bit of the previous row
         seen = 0  # union of the previous rows
-        for r in self.row_masks:
+        for r in row_masks:
             if not 0 < r < top:
                 raise ValueError(f"basis row {r:#x} is zero or does not fit in dimension {n}")
             p = r & -r
@@ -128,6 +156,8 @@ class Subspace:
             if p & seen:
                 raise ValueError("basis not fully reduced")
             last, seen = p, seen | r
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "row_masks", row_masks)
 
     @property
     def basis(self) -> tuple[F2Vector, ...]:

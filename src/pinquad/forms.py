@@ -11,7 +11,6 @@ Pin^- structure as nothing but its enhancement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 from typing import Iterator, Sequence
@@ -22,7 +21,7 @@ from .errors import (
     LimitError,
     SurgeryObstructionError,
 )
-from .f2 import F2Matrix, F2Vector, Subspace, parity, rank, solve
+from .f2 import F2Matrix, F2Vector, Subspace, Value, parity, rank, solve
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 
@@ -44,30 +43,30 @@ def _check_enumeration_guard(dim: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Value):
     """Symmetric bilinear form on F2^dim given by its Gram matrix."""
 
-    dim: int
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "gram", "row_masks", "__dict__")  # __dict__: the cached nondegenerate
+    _fields = ("dim", "gram")
 
-    def __post_init__(self):
-        n, gram = self.dim, self.gram
-        if len(gram) != n or any(len(r) != n for r in gram):
-            raise ValueError(f"Gram matrix is not {n}x{n}")
+    def __init__(self, dim: int, gram: tuple[tuple[int, ...], ...]):
+        if len(gram) != dim or any(len(r) != dim for r in gram):
+            raise ValueError(f"Gram matrix is not {dim}x{dim}")
         try:  # whole rows at a time: int() refuses any byte that is not a bit
             masks = tuple(int(bytes(r)[::-1].translate(_BIT_DIGITS), 2) for r in gram)
             valid = tuple(zip(*gram)) == gram
         except (TypeError, ValueError):
             valid = False
         if not valid:  # find the first fault in row-major order, or accept rows of other types
-            for i in range(n):
-                for j in range(n):
+            for i in range(dim):
+                for j in range(dim):
                     if index(gram[i][j]) not in (0, 1):  # floats and strings raise TypeError
                         raise ValueError(f"Gram entry ({i},{j}) is {gram[i][j]}, expected a bit")
                     if gram[i][j] != gram[j][i]:
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
             masks = tuple(sum(int(bit) << j for j, bit in enumerate(row)) for row in gram)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "row_masks", masks)  # row i as a bitmask: bit j is gram[i][j]
 
     @classmethod
@@ -123,27 +122,27 @@ def crosscap_form(crosscaps: int) -> BilinearForm:
 class Covector(F2Vector):
     """A linear functional on F2^dim; <y, x> is the parity of y.bits & x.bits."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Enhancement:
+
+class Enhancement(Value):
     """A quadratic enhancement, stored by its Z/4 values on the basis."""
 
-    form: BilinearForm
-    values: tuple[int, ...]
+    __slots__ = _fields = ("form", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.form.dim:
-            raise DimensionMismatchError(
-                f"form has dim {self.form.dim}, got {len(self.values)} basis values"
-            )
-        for i, v in enumerate(self.values):
+    def __init__(self, form: BilinearForm, values: tuple[int, ...]):
+        if len(values) != form.dim:
+            raise DimensionMismatchError(f"form has dim {form.dim}, got {len(values)} basis values")
+        for i, v in enumerate(values):
             if not 0 <= v <= 3:
                 raise ValueError(f"basis value {v} at index {i} is not in Z/4")
-            if (v & 1) != self.form.gram[i][i]:
+            if (v & 1) != form.gram[i][i]:
                 raise ValueError(
                     f"parity constraint violated at index {i}: "
-                    f"q(e{i}) = {v} but e{i}.e{i} = {self.form.gram[i][i]}"
+                    f"q(e{i}) = {v} but e{i}.e{i} = {form.gram[i][i]}"
                 )
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:

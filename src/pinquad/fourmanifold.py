@@ -11,15 +11,20 @@ characteristic surface must carry, run no elimination at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError
+from .f2 import Value
 from .forms import BilinearForm, Enhancement, _json_int
 
 MAX_FORM_DIM = 12
+
+
+def _check_form_cap(dim: int) -> None:
+    if dim > MAX_FORM_DIM:
+        raise LimitError(f"form dimension {dim} exceeds cap {MAX_FORM_DIM}")
 
 
 def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
@@ -72,31 +77,30 @@ def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-@dataclass(frozen=True)
-class UnimodularForm:
+class UnimodularForm(Value):
     """Symmetric integer Gram matrix with determinant +-1."""
 
-    dim: int
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "gram", "_signature")
+    _fields = ("dim", "gram")
 
-    def __post_init__(self):
-        if self.dim > MAX_FORM_DIM:
-            raise LimitError(f"form dimension {self.dim} exceeds cap {MAX_FORM_DIM}")
-        if len(self.gram) != self.dim or any(len(r) != self.dim for r in self.gram):
-            raise ValueError(f"Gram matrix is not {self.dim}x{self.dim}")
+    def __init__(self, dim: int, gram: tuple[tuple[int, ...], ...]):
+        _check_form_cap(dim)
+        if len(gram) != dim or any(len(r) != dim for r in gram):
+            raise ValueError(f"Gram matrix is not {dim}x{dim}")
         # floats and strings are refused, not truncated; numpy ints and bools become ints
-        object.__setattr__(self, "gram", tuple(tuple(map(index, r)) for r in self.gram))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.gram[i][j] != self.gram[j][i]:
+        gram = tuple(tuple(map(index, r)) for r in gram)
+        for i in range(dim):
+            for j in range(i, dim):
+                if gram[i][j] != gram[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-        minors = _leading_minors(self.gram)
+        minors = _leading_minors(gram)
         d = minors[-1] if minors else 1
         if d not in (1, -1):
             raise ValueError(f"form is not unimodular: det = {d}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gram", gram)
         # Jacobi: with D_0 = 1 and every D_k nonzero, the signature counts the
         # sign agreements minus the sign changes of consecutive minors.
-        # Kept off the dataclass fields, so ==, hash, repr and to_json ignore it.
         object.__setattr__(
             self, "_signature", sum(1 if p * m > 0 else -1 for p, m in zip([1] + minors, minors))
         )
@@ -195,6 +199,7 @@ FORM_LIBRARY: dict[str, UnimodularForm] = {
 def unimodular_direct_sum(*forms: UnimodularForm) -> UnimodularForm:
     """Block-diagonal sum of unimodular forms."""
     n = sum(f.dim for f in forms)
+    _check_form_cap(n)  # before the n x n Gram matrix is built
     gram = [[0] * n for _ in range(n)]
     off = 0
     for f in forms:

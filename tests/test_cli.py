@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,24 @@ class TestExitCodes:
         code, _out, err = run(capsys, "vanishing", str(DATA / "crosscaps11.json"), "--max")
         assert code == 4
         assert "guard" in err
+
+    @pytest.mark.parametrize("summands", [2_000, 20_000])
+    @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
+    def test_form_expression_over_the_cap_builds_nothing(self, capsys, command, summands):
+        # the summands' ranks are added up before any Gram matrix is built: a
+        # 2,000 x 2,000 one would take about 60 MB, a 20,000 x 20,000 one GBs
+        expr = "+".join(["1"] * summands)
+        tracemalloc.start()
+        try:
+            code = main([command[0], "--form", expr, *command[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cap = pinquad.fourmanifold.MAX_FORM_DIM
+        assert (code, *capsys.readouterr()) == (
+            4, "", f"error: form dimension {summands} exceeds cap {cap}\n"
+        )
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("path", ["torus_v00.json", "missing.json"])
     @pytest.mark.parametrize("flags", [[], ["--json"]])
@@ -531,4 +550,18 @@ def test_import_loads_no_decimal_arithmetic():
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_import_loads_no_dataclass_machinery():
+    # the value classes are plain slotted classes: importing the CLI builds no
+    # dataclass, so it pulls in neither dataclasses nor inspect (with ast, dis
+    # and tokenize); modules loaded before the import, by site or .pth files,
+    # do not count
+    probe = (
+        "import sys; before = set(sys.modules); import pinquad.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
