@@ -174,11 +174,9 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     form = _surface_form(args)
     records = []
+    nondegenerate = form.nondegenerate
     for q in enumerate_enhancements(form):
-        if form.nondegenerate:
-            beta = brown_invariant(q)
-        else:
-            beta = None
+        beta = brown_invariant(q) if nondegenerate else None
         null_dim = max_vanishing_dim(q) if form.dim <= MAX_SEARCH_DIM else None
         records.append({"values": list(q.values), "beta": beta, "max_null_dim": null_dim})
     if args.json:

@@ -11,7 +11,6 @@ Pin^- structure as nothing but its enhancement.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from operator import index
 from typing import Iterator, Sequence
 
@@ -21,7 +20,7 @@ from .errors import (
     LimitError,
     SurgeryObstructionError,
 )
-from .f2 import F2Matrix, F2Vector, Subspace, Value, parity, rank, solve
+from .f2 import F2Vector, Subspace, Value, parity
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 
@@ -46,7 +45,7 @@ def _check_enumeration_guard(dim: int) -> None:
 class BilinearForm(Value):
     """Symmetric bilinear form on F2^dim given by its Gram matrix."""
 
-    __slots__ = ("dim", "gram", "row_masks", "__dict__")  # __dict__: the cached nondegenerate
+    __slots__ = ("dim", "gram", "row_masks")
     _fields = ("dim", "gram")
 
     def __init__(self, dim: int, gram: tuple[tuple[int, ...], ...]):
@@ -73,13 +72,12 @@ class BilinearForm(Value):
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BilinearForm":
         return cls(len(rows), tuple(tuple(r) for r in rows))
 
-    @cached_property
-    def nondegenerate(self) -> bool:
-        return rank(self.matrix) == self.dim
-
     @property
-    def matrix(self) -> F2Matrix:
-        return F2Matrix(self.dim, self.dim, self.row_masks)
+    def nondegenerate(self) -> bool:
+        return not _split(self, self._diagonal())[2]
+
+    def _diagonal(self) -> tuple[int, ...]:  # e_i.e_i: values of the right parity for _split
+        return tuple(row >> i & 1 for i, row in enumerate(self.row_masks))
 
     def functional_mask(self, x_bits: int) -> int:
         """Bitmask of the linear functional y -> x.y (the row gram.x)."""
@@ -183,6 +181,61 @@ def _eval_bits(q: Enhancement, bits: int) -> int:
     return (total + 2 * pairs) & 3
 
 
+def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
+    """(a, b, r, null_radical, odd, planes): the form's one orthogonal split, q on its pieces.
+
+    A symmetric form over F2 is an orthogonal sum of classes u with u.u = 1, planes (u, w)
+    with u.w = 1 and u.u = w.w = 0, and its radical (Milnor-Husemoller 1973; Kirby-Taylor
+    1990).  Pieces come off one at a time, odd classes first, the rest of the basis moving
+    into their complement.  ``odd`` and ``planes`` are class bitmasks; a + bi is the Gauss
+    sum of q on them, r the radical's dimension, null_radical whether q is 0 there.  q is
+    ``values`` on the basis, but only its parities steer, so the Gram diagonal gives the same
+    pieces.  A basis vector is kept as (class b, functional f, q value); u.v = f_v & b_u mod 2.
+    """
+    rest = [(1 << i, row, v) for i, (row, v) in enumerate(zip(form.row_masks, values))]
+    a, b, odd, planes = 1, 0, [], []
+    while True:
+        # u.u = q(u) mod 2: split off an odd class, 1 + i^q(u) = 1 + i or 1 - i
+        for k, (bu, fu, qu) in enumerate(rest):
+            if qu & 1:
+                break
+        else:
+            break
+        del rest[k]
+        odd.append(bu)
+        a, b = (a - b, a + b) if qu == 1 else (a + b, b - a)
+        shift = qu + 2  # q(v + u) = q(v) + q(u) + 2 when v.u = 1
+        for j, (bv, fv, qv) in enumerate(rest):
+            if (fv & bu).bit_count() & 1:
+                rest[j] = (bv ^ bu, fv ^ fu, (qv + shift) & 3)
+    r, null_radical = 0, True
+    while rest:
+        bu, fu, qu = rest.pop()
+        for k, (bw, fw, qw) in enumerate(rest):
+            if (fw & bu).bit_count() & 1:
+                break
+        else:
+            # a radical class: q(u) is 0 or 2
+            r += 1
+            null_radical = null_radical and not qu
+            continue
+        del rest[k]
+        planes.append((bu, bw))
+        # a hyperbolic plane: 1 + i^q(u) + i^q(w) - i^(q(u) + q(w))
+        a, b = (-2 * a, -2 * b) if qu == qw == 2 else (2 * a, 2 * b)
+        fuw, buw, quw = fu ^ fw, bu ^ bw, (qu + qw + 2) & 3
+        for j, (bv, fv, qv) in enumerate(rest):
+            # v + (v.w)u + (v.u)w is orthogonal to u and w and pairs to 0 with what it gains
+            if (fv & bu).bit_count() & 1:
+                if (fv & bw).bit_count() & 1:
+                    rest[j] = (bv ^ buw, fv ^ fuw, (qv + quw) & 3)
+                else:
+                    rest[j] = (bv ^ bw, fv ^ fw, (qv + qw) & 3)
+            elif (fv & bw).bit_count() & 1:
+                rest[j] = (bv ^ bu, fv ^ fu, (qv + qu) & 3)
+    return a, b, r, null_radical, odd, planes
+
+
 def value_table(q: Enhancement) -> list[int]:
     """All 2^dim values of the enhancement, indexed by class bitmask.
 
@@ -219,14 +272,18 @@ def torsor_act(q: Enhancement, y: Covector) -> Enhancement:
 
 
 def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
-    """The unique class y_hat with <y, x> = y_hat.x for all x."""
+    """The unique class y_hat with <y, x> = y_hat.x for all x, from the form's orthogonal split."""
     if y.dim != form.dim:
         raise DimensionMismatchError(f"form dim {form.dim}, covector dim {y.dim}")
-    if not form.nondegenerate:
+    _a, _b, r, _null, odd, planes = _split(form, form._diagonal())
+    if r:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")
-    sol = solve(form.matrix, y)
-    assert sol is not None  # nondegenerate Gram matrix is invertible
-    return sol
+    dual, yb = 0, y.bits
+    for u in odd:  # u.u = 1
+        dual ^= u * ((yb & u).bit_count() & 1)
+    for u, w in planes:  # u.w = 1, u.u = w.w = 0
+        dual ^= u * ((yb & w).bit_count() & 1) ^ w * ((yb & u).bit_count() & 1)
+    return F2Vector(form.dim, dual)
 
 
 def restrict(q: Enhancement, s: Subspace) -> Enhancement:

@@ -12,7 +12,7 @@ R adds to every q-null subspace of the nondegenerate quotient; otherwise a
 q-null subspace meets R in at most the hyperplane ker(q|R), and every
 isotropic subspace of the quotient lifts to a q-null one (its values are
 corrected by a radical class with q = 2).  Beta, R and q on R all come from
-the one orthogonal split in ``brown``; no rank is computed.
+the one orthogonal split in ``forms``; no rank is computed.
 
 Listing the subspaces is exponential by nature.  One walk over
 reduced-echelon bases serves it: rows are picked lowest pivot first, each
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .brown import _angle, _split
+from .brown import _angle
 from .errors import DegenerateFormError, LimitError
 from .f2 import Subspace
-from .forms import Enhancement, value_table
+from .forms import Enhancement, _split, value_table
 
 MAX_SEARCH_DIM = 10
 
@@ -129,7 +129,7 @@ def max_vanishing_dim(q: Enhancement) -> int:
     form can exceed n / 2.
     """
     _check_search_guard(q)
-    a, b, r, null_radical = _split(q)
+    a, b, r, null_radical, _, _ = _split(q.form, q.values)
     m = q.form.dim - r
     return r + (m - _ANISOTROPIC_RANK[_angle(a, b)]) // 2 if null_radical else r - 1 + m // 2
 
@@ -141,7 +141,7 @@ def has_null_lagrangian(q: Enhancement) -> bool:
     beta = 0 (the anisotropic part must vanish; Brown, Kirby-Taylor).
     """
     _check_search_guard(q)
-    a, b, r, _ = _split(q)
+    a, b, r, _, _, _ = _split(q.form, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
     return q.form.dim % 2 == 0 and _angle(a, b) == 0

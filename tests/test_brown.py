@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import pinquad.brown
+import pinquad.forms
 from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.errors import (
     DegenerateFormError,
@@ -127,8 +128,9 @@ class TestSplit:
             n = q.form.dim
             degenerate = naive_rank([sum(b << j for j, b in enumerate(r)) for r in gram]) < n
             radical = naive_radical(gram)
-            _a, _b, r, null_radical = pinquad.brown._split(q)
+            _a, _b, r, null_radical, odd, planes = pinquad.forms._split(q.form, q.values)
             assert len(radical) == 1 << r, (gram, values)
+            assert len(odd) + 2 * len(planes) + r == n
             assert (r > 0) == degenerate == (kind != "rebased")
             assert null_radical == all(naive_q(gram, values, x) == 0 for x in radical)
             assert null_radical == (kind != "radical_q2")

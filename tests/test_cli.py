@@ -19,7 +19,8 @@ import pinquad.vanishing
 from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.cli import EXIT_CODES, main
 from pinquad.errors import DegenerateFormError, PinquadError
-from pinquad.forms import BilinearForm, Enhancement
+from pinquad.f2 import F2Matrix, F2Vector
+from pinquad.forms import BilinearForm, Covector, Enhancement, isotropic_reduction, poincare_dual
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 
 DATA = Path(__file__).parent / "data"
@@ -283,16 +284,27 @@ class TestExitCodes:
         assert max_vanishing_dim(cli._load_enhancement(str(DATA / "degenerate.json"))) == 1
 
     def test_enhancement_answers_run_no_elimination(self, capsys, monkeypatch):
-        # nondegeneracy, beta and the null dimension all come from the splitting
+        # nondegeneracy, beta, the null dimension and the dual all come from the splitting
         def refuse(*_args):
             raise AssertionError("F2 elimination run")
 
+        names = ("_rref", "rank", "solve", "kernel_basis")
+        eliminations = [getattr(pinquad.f2, name) for name in names]
         for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "pinquad"]:
-            for name in ("_rref", "rank"):
-                if getattr(module, name, None) in (pinquad.f2._rref, pinquad.f2.rank):
+            for name in names:
+                if getattr(module, name, None) in eliminations:
                     monkeypatch.setattr(module, name, refuse)
         with pytest.raises(AssertionError):
-            BilinearForm.from_rows([[0]]).nondegenerate
+            pinquad.f2.rank(F2Matrix(1, 1, (1,)))
+        torus = Enhancement(BilinearForm.from_rows([[0, 1], [1, 0]]), (0, 0))
+        assert torus.form.nondegenerate and not BilinearForm.from_rows([[0]]).nondegenerate
+        assert poincare_dual(torus.form, Covector(2, 0b01)) == F2Vector(2, 0b10)
+        assert poincare_dual(BilinearForm.from_rows([[1]]), Covector(1, 1)) == F2Vector(1, 1)
+        assert isotropic_reduction(torus, F2Vector(2, 0b01)).form.dim == 0
+        for argv, golden, code in GOLDEN_CASES:
+            if argv[0] in ("enumerate", "surgery", "torsor"):
+                got = run(capsys, *argv)[:2]
+                assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8")), argv
         code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
         assert (code, out) == (0, "beta=0 A=4 B=0 n=4\n")
         code, _out, err = run(capsys, "brown", str(DATA / "degenerate.json"))

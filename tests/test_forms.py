@@ -29,8 +29,11 @@ from oracles import (
     all_enhancement_values,
     law_table,
     naive_dot,
+    naive_mat_vec,
     naive_q,
+    naive_rank,
     random_basis,
+    random_degenerate,
     random_nondegenerate,
     rebase,
     reference_reduction,
@@ -294,6 +297,28 @@ class TestPoincareDual:
             for x in range(1 << n):
                 assert parity(y_bits & x) == naive_dot(gram, yhat.bits, x)
         assert len(duals) == 1 << n
+
+    def test_random_bases(self):
+        # re-based forms to rank 32: the split's pieces are not basis vectors there
+        rng = random.Random("dual-rebased")
+        for _ in range(200):
+            gram, values = random_nondegenerate(rng, rng.randint(1, 32))
+            gram, _values = rebase(gram, values, random_basis(rng, len(gram)))
+            form, rows = BilinearForm.from_rows(gram), [bits(r) for r in gram]
+            assert form.nondegenerate and naive_rank(rows) == form.dim
+            for _ in range(3):
+                y = Covector(form.dim, rng.getrandbits(form.dim))
+                assert naive_mat_vec(rows, poincare_dual(form, y).bits) == y.bits, (gram, y)
+
+    def test_random_degenerate_bases(self):
+        rng = random.Random("dual-degenerate")
+        for _ in range(100):
+            gram, values = random_degenerate(rng, rng.randint(1, 32), rng.choice((0, 2)))
+            gram, _values = rebase(gram, values, random_basis(rng, len(gram)))
+            form = BilinearForm.from_rows(gram)
+            assert not form.nondegenerate and naive_rank([bits(r) for r in gram]) < form.dim
+            with pytest.raises(DegenerateFormError):
+                poincare_dual(form, Covector(form.dim, rng.getrandbits(form.dim)))
 
 
 class TestRestrict:

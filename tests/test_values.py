@@ -11,7 +11,6 @@ import pickle
 
 import pytest
 
-import pinquad.forms
 from pinquad.brown import GaussSumResult, gauss_sum
 from pinquad.f2 import F2Matrix, F2Vector, Subspace
 from pinquad.forms import BilinearForm, Covector, Enhancement
@@ -145,7 +144,7 @@ def test_derived_values_survive_round_trips():
 
 
 def test_equality_ignores_derived_values():
-    # row masks, the cached nondegeneracy and the signature are never compared or printed
+    # row masks and the signature are never compared or printed
     fresh, used = BilinearForm(2, ((0, 1), (1, 0))), BilinearForm(2, ((0, 1), (1, 0)))
     assert used.nondegenerate
     assert used == fresh and hash(used) == hash(fresh) == hash((2, ((0, 1), (1, 0))))
@@ -155,15 +154,7 @@ def test_equality_ignores_derived_values():
     assert "signature" not in repr(e8)
 
 
-def test_nondegenerate_is_computed_once(monkeypatch):
-    calls = []
-    real = pinquad.forms.rank
-
-    def counting(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(pinquad.forms, "rank", counting)
-    form = BilinearForm(3, ((1, 1, 0), (1, 0, 0), (0, 0, 1)))
-    assert form.nondegenerate and form.nondegenerate and form.nondegenerate
-    assert len(calls) == 1
+@pytest.mark.parametrize("obj,text,fields", CASES, ids=IDS)
+def test_no_instance_dict(obj, text, fields):
+    # plain __slots__ classes: nothing is cached on an instance
+    assert not hasattr(obj, "__dict__")
