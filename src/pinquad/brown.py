@@ -12,6 +12,8 @@ Math. 95, 1972): 1 + i^q(u) for u.u = 1, 2 or -2 for a plane, 2 or 0 for a radic
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import DegenerateFormError, InternalError, LimitError, UnsupportedInputError
 from .f2 import Value
 from .forms import Enhancement, _split
@@ -24,9 +26,9 @@ class GaussSumResult(Value):
 
     __slots__ = _fields = ("n", "counts")
 
-    def __init__(self, n: int, counts: tuple[int, int, int, int]):
+    def __init__(self, n: int, counts: Sequence[int]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", counts)  # classes with q = 0, 1, 2, 3
+        object.__setattr__(self, "counts", tuple(counts))  # classes with q = 0, 1, 2, 3
 
     @property
     def a(self) -> int:

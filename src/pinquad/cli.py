@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .brown import brown_invariant, gauss_sum
 from .errors import (
@@ -117,6 +117,20 @@ def _parse_bits(text: str, what: str) -> int:
     return int(text[::-1], 2)
 
 
+def _class_argument(path: str, text: str, flag: str, cls: type[F2Vector]) -> tuple:
+    """(q, beta, class) from a file and a bit string.
+
+    Checked in this order: the file, the bit string, beta (a degenerate form or the Gauss
+    guard), the class dimension, and last the vector size cap.
+    """
+    q = _load_enhancement(path)
+    bits = _parse_bits(text, flag)
+    beta = brown_invariant(q)
+    if len(text) != q.form.dim:  # checked before the vector is built, whose size is capped
+        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, {flag[2:]} dim {len(text)}")
+    return q, beta, cls(len(text), bits)
+
+
 def _basis_text(rows: Sequence[int], n: int) -> str:
     """Basis rows as ``[b, ...]``, each a bit string of length n, coordinate 0 first."""
     return f"[{', '.join(f'{r:0{n}b}'[::-1] for r in rows)}]"
@@ -160,7 +174,22 @@ def _unimodular_form(expr: str) -> UnimodularForm:
     return _parse(parse_form_name, expr)
 
 
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+def _emit(args: argparse.Namespace, record: object, text: Callable[[], str]) -> None:
+    """Print the record as JSON under --json, else the text, which is rendered only then."""
+    print(json.dumps(record) if args.json else text())
+
+
+def _render_table(records: Sequence[dict]) -> str:
+    """The enumerate table: one row per enhancement, each column as wide as its widest cell."""
+    headers = ["values", "beta", "max_null_dim"]
+    rows = [
+        [
+            str(rec["values"]),
+            "degenerate" if rec["beta"] is None else str(rec["beta"]),
+            "-" if rec["max_null_dim"] is None else str(rec["max_null_dim"]),
+        ]
+        for rec in records
+    ]
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
         for i, h in enumerate(headers)
@@ -179,18 +208,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         beta = brown_invariant(q) if nondegenerate else None
         null_dim = max_vanishing_dim(q) if form.dim <= MAX_SEARCH_DIM else None
         records.append({"values": list(q.values), "beta": beta, "max_null_dim": null_dim})
-    if args.json:
-        print(json.dumps(records))
-        return EXIT_OK
-    rows = [
-        [
-            str(rec["values"]),
-            "degenerate" if rec["beta"] is None else str(rec["beta"]),
-            "-" if rec["max_null_dim"] is None else str(rec["max_null_dim"]),
-        ]
-        for rec in records
-    ]
-    print(_render_table(["values", "beta", "max_null_dim"], rows))
+    _emit(args, records, lambda: _render_table(records))
     return EXIT_OK
 
 
@@ -198,10 +216,8 @@ def cmd_brown(args: argparse.Namespace) -> int:
     q = _load_enhancement(args.enhancement)
     beta = brown_invariant(q)
     gs = gauss_sum(q)
-    if args.json:
-        print(json.dumps({"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}))
-    else:
-        print(f"beta={beta} A={gs.a} B={gs.b} n={gs.n}")
+    record = {"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}
+    _emit(args, record, lambda: f"beta={beta} A={gs.a} B={gs.b} n={gs.n}")
     return EXIT_OK
 
 
@@ -223,17 +239,12 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.max:
         d = max_vanishing_dim(q)
-        print(json.dumps({"max_null_dim": d}) if args.json else d)
+        _emit(args, {"max_null_dim": d}, lambda: str(d))
         return EXIT_OK
     lag = has_null_lagrangian(q)
     witness = next(_null_bases(q, n // 2)) if lag else None
-    if args.json:
-        rows = None if witness is None else _basis_json(witness, n)
-        print(json.dumps({"lagrangian": lag, "witness": rows}))
-    elif lag:
-        print(f"yes: {_basis_text(witness, n)}")
-    else:
-        print("no")
+    record = {"lagrangian": lag, "witness": None if witness is None else _basis_json(witness, n)}
+    _emit(args, record, lambda: f"yes: {_basis_text(witness, n)}" if lag else "no")
     return EXIT_OK
 
 
@@ -247,51 +258,28 @@ def cmd_gm(args: argparse.Namespace) -> int:
     elif args.enhancement is not None:
         observed = brown_invariant(_load_enhancement(args.enhancement))
     verdict = None if observed is None else ("PASS" if observed == required else "FAIL")
-    if args.json:
-        print(
-            json.dumps(
-                {"required_beta": required, "observed_beta": observed, "verdict": verdict}
-            )
-        )
-    else:
-        print(f"required beta = {required}")
-        if observed is not None:
-            print(f"observed beta = {observed}")
-            print(verdict)
+    record = {"required_beta": required, "observed_beta": observed, "verdict": verdict}
+    text = lambda: f"required beta = {required}" + (
+        "" if observed is None else f"\nobserved beta = {observed}\n{verdict}"
+    )
+    _emit(args, record, text)
     return EXIT_OK if verdict in (None, "PASS") else EXIT_FAIL
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:
-    q = _load_enhancement(args.enhancement)
-    bits = _parse_bits(args.surgery_class, "--class")
-    n = len(args.surgery_class)
-    beta_before = brown_invariant(q)
-    if n != q.form.dim:  # checked before the vector is built, whose size is capped
-        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {n}")
-    c = F2Vector(n, bits)
+    q, beta_before, c = _class_argument(args.enhancement, args.surgery_class, "--class", F2Vector)
     reduced = isotropic_reduction(q, c)
     beta_after = brown_invariant(reduced)
     if beta_before != beta_after:
         raise InternalError(f"surgery changed beta: {beta_before} -> {beta_after}; this is a bug")
-    if args.json:
-        payload = reduced.to_json()
-        payload["beta_before"] = beta_before
-        payload["beta_after"] = beta_after
-        print(json.dumps(payload))
-    else:
-        print(f"beta {beta_before} -> {beta_after}")
-        print(json.dumps(reduced.to_json()))
+    report = {"beta_before": beta_before, "beta_after": beta_after}
+    text = lambda: f"beta {beta_before} -> {beta_after}\n{json.dumps(reduced.to_json())}"
+    _emit(args, {**reduced.to_json(), **report}, text)
     return EXIT_OK
 
 
 def cmd_torsor(args: argparse.Namespace) -> int:
-    q = _load_enhancement(args.enhancement)
-    bits = _parse_bits(args.covector, "--covector")
-    n = len(args.covector)
-    beta_before = brown_invariant(q)
-    if n != q.form.dim:  # checked before the vector is built, whose size is capped
-        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, covector dim {n}")
-    y = Covector(n, bits)
+    q, beta_before, y = _class_argument(args.enhancement, args.covector, "--covector", Covector)
     acted = torsor_act(q, y)
     beta_after = brown_invariant(acted)
     measured = (beta_after - beta_before) % 8
@@ -299,23 +287,18 @@ def cmd_torsor(args: argparse.Namespace) -> int:
     # by y shifts beta by -2*q(dual(y)) mod 8
     predicted = (-2 * eval_q(q, poincare_dual(q.form, y))) % 8
     verdict = "MATCH" if measured == predicted else "MISMATCH"
-    if args.json:
-        payload = acted.to_json()
-        payload.update(
-            {
-                "beta_before": beta_before,
-                "beta_after": beta_after,
-                "predicted_delta": predicted,
-                "measured_delta": measured,
-                "verdict": verdict,
-            }
-        )
-        print(json.dumps(payload))
-    else:
-        print(f"predicted delta = {predicted}")
-        print(f"measured delta = {measured}")
-        print(verdict)
-        print(json.dumps(acted.to_json()))
+    report = {
+        "beta_before": beta_before,
+        "beta_after": beta_after,
+        "predicted_delta": predicted,
+        "measured_delta": measured,
+        "verdict": verdict,
+    }
+    text = lambda: (
+        f"predicted delta = {predicted}\nmeasured delta = {measured}\n"
+        f"{verdict}\n{json.dumps(acted.to_json())}"
+    )
+    _emit(args, {**acted.to_json(), **report}, text)
     if verdict != "MATCH":
         print("error: torsor delta mismatch; this is a bug", file=sys.stderr)
         return EXIT_FAIL
@@ -335,12 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--genus", type=int, help="orientable surface of this genus")
     kind.add_argument("--crosscaps", type=int, help="nonorientable surface with this many crosscaps")
     kind.add_argument("--form", help="JSON form file, or a library name such as H or 1+1")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("brown", help="Brown invariant and Gauss sum of an enhancement")
     p.add_argument("enhancement", help="enhancement JSON file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_brown)
 
     p = sub.add_parser("vanishing", help="subspaces on which the enhancement vanishes")
@@ -351,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--lagrangian", action="store_true", help="test for a half-dimensional q-null subspace"
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_vanishing)
 
     p = sub.add_parser("gm", help="Guillou-Marin congruence for a characteristic vector")
@@ -360,21 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     check = p.add_mutually_exclusive_group()
     check.add_argument("--beta", type=int, help="candidate Brown invariant to verify")
     check.add_argument("--enhancement", help="enhancement JSON file to verify")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gm)
 
     p = sub.add_parser("surgery", help="reduce an enhancement along a q-null class")
     p.add_argument("enhancement", help="enhancement JSON file")
     p.add_argument("--class", dest="surgery_class", required=True, help="class as a bit string")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_surgery)
 
     p = sub.add_parser("torsor", help="act on an enhancement by a cohomology class")
     p.add_argument("enhancement", help="enhancement JSON file")
     p.add_argument("--covector", required=True, help="acting class as a bit string")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_torsor)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

@@ -7,7 +7,7 @@ coincides with equality of subspaces.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, LimitError
 
@@ -69,7 +69,8 @@ class F2Matrix(Value):
 
     __slots__ = _fields = ("rows", "cols", "row_masks")
 
-    def __init__(self, rows: int, cols: int, row_masks: tuple[int, ...]):
+    def __init__(self, rows: int, cols: int, row_masks: Sequence[int]):
+        row_masks = tuple(row_masks)
         if len(row_masks) != rows:
             raise ValueError(f"expected {rows} rows, got {len(row_masks)}")
         top = 1 << cols
@@ -140,7 +141,8 @@ class Subspace(Value):
 
     __slots__ = _fields = ("ambient_dim", "row_masks")
 
-    def __init__(self, ambient_dim: int, row_masks: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, row_masks: Sequence[int]):
+        row_masks = tuple(row_masks)
         n = ambient_dim
         if not 0 <= n <= MAX_VECTOR_DIM:
             raise LimitError(f"ambient dimension {n} outside [0, {MAX_VECTOR_DIM}]")

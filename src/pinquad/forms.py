@@ -48,29 +48,29 @@ class BilinearForm(Value):
     __slots__ = ("dim", "gram", "row_masks")
     _fields = ("dim", "gram")
 
-    def __init__(self, dim: int, gram: tuple[tuple[int, ...], ...]):
+    def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
         if len(gram) != dim or any(len(r) != dim for r in gram):
             raise ValueError(f"Gram matrix is not {dim}x{dim}")
+        cols = tuple(zip(*gram))  # tuples whatever the rows are (lists, arrays); gram if symmetric
         try:  # whole rows at a time: int() refuses any byte that is not a bit
-            masks = tuple(int(bytes(r)[::-1].translate(_BIT_DIGITS), 2) for r in gram)
-            valid = tuple(zip(*gram)) == gram
+            masks = tuple(int(bytes(c)[::-1].translate(_BIT_DIGITS), 2) for c in cols)
+            valid = cols == gram  # True only for tuples of tuples: an array compares elementwise
         except (TypeError, ValueError):
             valid = False
-        if not valid:  # find the first fault in row-major order, or accept rows of other types
+        if valid is not True:  # report the first fault in row-major order; other row types pass
             for i in range(dim):
                 for j in range(dim):
                     if index(gram[i][j]) not in (0, 1):  # floats and strings raise TypeError
                         raise ValueError(f"Gram entry ({i},{j}) is {gram[i][j]}, expected a bit")
                     if gram[i][j] != gram[j][i]:
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-            masks = tuple(sum(int(bit) << j for j, bit in enumerate(row)) for row in gram)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", cols)
         object.__setattr__(self, "row_masks", masks)  # row i as a bitmask: bit j is gram[i][j]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BilinearForm":
-        return cls(len(rows), tuple(tuple(r) for r in rows))
+        return cls(len(rows), rows)
 
     @property
     def nondegenerate(self) -> bool:
@@ -97,24 +97,29 @@ class BilinearForm(Value):
         return cls(_json_int(data["dim"]), tuple(tuple(map(_json_int, row)) for row in data["gram"]))
 
 
+def _block_diagonal(blocks: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+    """The Gram matrix of an orthogonal sum: square blocks down the diagonal, 0 elsewhere."""
+    n = sum(map(len, blocks))
+    rows, off = [], 0
+    for block in blocks:
+        k = len(block)
+        rows += [(0,) * off + tuple(r) + (0,) * (n - off - k) for r in block]
+        off += k
+    return tuple(rows)
+
+
 def hyperbolic_form(genus: int) -> BilinearForm:
     """Orthogonal sum of ``genus`` hyperbolic planes [[0,1],[1,0]]."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    n = 2 * genus
-    gram = [[0] * n for _ in range(n)]
-    for g in range(genus):
-        gram[2 * g][2 * g + 1] = gram[2 * g + 1][2 * g] = 1
-    return BilinearForm.from_rows(gram)
+    return BilinearForm(2 * genus, _block_diagonal([((0, 1), (1, 0))] * genus))
 
 
 def crosscap_form(crosscaps: int) -> BilinearForm:
     """Identity form of rank ``crosscaps`` (one crosscap class per generator)."""
     if crosscaps < 1:
         raise ValueError("need at least one crosscap")
-    return BilinearForm.from_rows(
-        [[1 if i == j else 0 for j in range(crosscaps)] for i in range(crosscaps)]
-    )
+    return BilinearForm(crosscaps, _block_diagonal([((1,),)] * crosscaps))
 
 
 class Covector(F2Vector):
@@ -128,7 +133,8 @@ class Enhancement(Value):
 
     __slots__ = _fields = ("form", "values")
 
-    def __init__(self, form: BilinearForm, values: tuple[int, ...]):
+    def __init__(self, form: BilinearForm, values: Sequence[int]):
+        values = tuple(values)
         if len(values) != form.dim:
             raise DimensionMismatchError(f"form has dim {form.dim}, got {len(values)} basis values")
         for i, v in enumerate(values):
@@ -141,10 +147,6 @@ class Enhancement(Value):
                 )
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.form.dim
 
     def to_json(self) -> dict:
         return {"form": self.form.to_json(), "values": list(self.values)}
@@ -305,14 +307,8 @@ def restrict(q: Enhancement, s: Subspace) -> Enhancement:
 
 def direct_sum(q1: Enhancement, q2: Enhancement) -> Enhancement:
     """Orthogonal sum: block-diagonal form, concatenated basis values."""
-    n1, n2 = q1.form.dim, q2.form.dim
-    gram = tuple(
-        tuple(q1.form.gram[i][j] if j < n1 else 0 for j in range(n1 + n2)) for i in range(n1)
-    ) + tuple(
-        tuple(0 if j < n1 else q2.form.gram[i][j - n1] for j in range(n1 + n2))
-        for i in range(n2)
-    )
-    return Enhancement(BilinearForm(n1 + n2, gram), q1.values + q2.values)
+    gram = _block_diagonal([q1.form.gram, q2.form.gram])
+    return Enhancement(BilinearForm(len(gram), gram), q1.values + q2.values)
 
 
 def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:

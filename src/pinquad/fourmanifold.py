@@ -17,7 +17,7 @@ from typing import Sequence
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError
 from .f2 import Value
-from .forms import BilinearForm, Enhancement, _json_int
+from .forms import BilinearForm, Enhancement, _block_diagonal, _json_int
 
 MAX_FORM_DIM = 12
 
@@ -83,7 +83,7 @@ class UnimodularForm(Value):
     __slots__ = ("dim", "gram", "_signature")
     _fields = ("dim", "gram")
 
-    def __init__(self, dim: int, gram: tuple[tuple[int, ...], ...]):
+    def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
         _check_form_cap(dim)
         if len(gram) != dim or any(len(r) != dim for r in gram):
             raise ValueError(f"Gram matrix is not {dim}x{dim}")
@@ -107,7 +107,7 @@ class UnimodularForm(Value):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "UnimodularForm":
-        return cls(len(rows), tuple(tuple(r) for r in rows))
+        return cls(len(rows), rows)
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != self.dim or len(v) != self.dim:
@@ -200,14 +200,7 @@ def unimodular_direct_sum(*forms: UnimodularForm) -> UnimodularForm:
     """Block-diagonal sum of unimodular forms."""
     n = sum(f.dim for f in forms)
     _check_form_cap(n)  # before the n x n Gram matrix is built
-    gram = [[0] * n for _ in range(n)]
-    off = 0
-    for f in forms:
-        for i in range(f.dim):
-            for j in range(f.dim):
-                gram[off + i][off + j] = f.gram[i][j]
-        off += f.dim
-    return UnimodularForm.from_rows(gram)
+    return UnimodularForm(n, _block_diagonal([f.gram for f in forms]))
 
 
 def parse_form_name(expr: str) -> UnimodularForm:

@@ -37,6 +37,7 @@ GOLDEN_CASES = [
     (["enumerate", "--crosscaps", "1"], "enumerate_crosscaps1.txt", 0),
     (["enumerate", "--genus", "1"], "enumerate_genus1.txt", 0),
     (["enumerate", "--genus", "0"], "enumerate_genus0.txt", 0),
+    (["enumerate", "--genus", "1", "--json"], "enumerate_genus1.json", 0),
     (["brown", str(DATA / "rp2_v1.json")], "brown_rp2_v1.txt", 0),
     (["brown", str(DATA / "torus_v22.json")], "brown_torus_v22.txt", 0),
     (["brown", str(DATA / "dim0.json")], "brown_dim0.txt", 0),
@@ -49,6 +50,22 @@ GOLDEN_CASES = [
     (
         ["vanishing", str(DATA / "genus5_v0.json"), "--lagrangian"],
         "vanishing_genus5_v0_lagrangian.txt",
+        0,
+    ),
+    (
+        ["vanishing", str(DATA / "torus_v22.json"), "--lagrangian"],
+        "vanishing_torus_v22_lagrangian.txt",
+        0,
+    ),
+    (
+        ["vanishing", str(DATA / "torus_v22.json"), "--lagrangian", "--json"],
+        "vanishing_torus_v22_lagrangian.json",
+        0,
+    ),
+    (["vanishing", str(DATA / "torus_v00.json"), "--dim", "3"], "vanishing_torus_v00_dim3.txt", 0),
+    (
+        ["vanishing", str(DATA / "torus_v00.json"), "--dim", "3", "--json"],
+        "vanishing_torus_v00_dim3.json",
         0,
     ),
     (["vanishing", str(DATA / "rp2_v1.json"), "--dim", "1"], "vanishing_rp2_v1_dim1.txt", 0),
@@ -186,6 +203,20 @@ class TestExitCodes:
         # checked before the file is read, like a negative --genus
         code, out, err = run(capsys, "vanishing", str(DATA / path), "--dim", "-1", *flags)
         assert (code, out, err) == (2, "", "error: --dim must be >= 0\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["enumerate", "--genus", "-1"], "--genus must be >= 0"),
+            (["enumerate", "--crosscaps", "0"], "--crosscaps must be >= 1"),
+            (["gm", "--form", "1", "--char", "1,x"], "expected comma-separated integers, got '1,x'"),
+        ],
+        ids=["negative_genus", "no_crosscaps", "bad_char"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_bad_argument_values(self, capsys, argv, message, flags):
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_not_characteristic(self, capsys):
         code, _out, err = run(capsys, "gm", "--form", "1", "--char", "2")
@@ -431,6 +462,15 @@ class TestStrictJson:
 
 
 class TestJsonMode:
+    def test_text_is_not_rendered(self, capsys, monkeypatch):
+        # under --json the text table is never built: its cost would be thrown away
+        def refuse(*_args):
+            raise AssertionError("text rendered in JSON mode")
+
+        monkeypatch.setattr(cli, "_render_table", refuse)
+        code, out, _ = run(capsys, "enumerate", "--genus", "1", "--json")
+        assert (code, out) == (0, (GOLDEN / "enumerate_genus1.json").read_text(encoding="utf-8"))
+
     def test_enumerate_json(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--genus", "1", "--json")
         assert code == 0

@@ -382,6 +382,14 @@ class TestDirectSum:
         c = Enhancement(RP2, (3,))
         assert direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
 
+    def test_block_diagonal_layout(self):
+        # the surface forms and direct sums share one builder: pin its Gram matrices outright
+        assert hyperbolic_form(0).gram == ()
+        assert hyperbolic_form(2).gram == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+        assert crosscap_form(3).gram == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        s = direct_sum(Enhancement(TORUS, (0, 2)), Enhancement(RP2, (3,)))
+        assert s.form.gram == ((0, 1, 0), (1, 0, 0), (0, 0, 1)) and s.values == (0, 2, 3)
+
     def test_eval_splits(self):
         q1 = Enhancement(TORUS, (2, 0))
         q2 = Enhancement(KLEIN, (1, 3))

@@ -158,3 +158,43 @@ def test_equality_ignores_derived_values():
 def test_no_instance_dict(obj, text, fields):
     # plain __slots__ classes: nothing is cached on an instance
     assert not hasattr(obj, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "from_lists,from_tuples",
+    [
+        (BilinearForm(2, [[0, 1], [1, 0]]), TORUS),
+        (BilinearForm.from_rows([[0, 1], [1, 0]]), TORUS),
+        (BilinearForm(0, []), BilinearForm(0, ())),
+        (Enhancement(TORUS, [0, 2]), Enhancement(TORUS, (0, 2))),
+        (Subspace(4, [5, 10]), Subspace(4, (5, 10))),
+        (F2Matrix(2, 3, [5, 2]), F2Matrix(2, 3, (5, 2))),
+        (GaussSumResult(2, [3, 0, 1, 0]), GaussSumResult(2, (3, 0, 1, 0))),
+    ],
+    ids=["BilinearForm", "BilinearForm_from_rows", "BilinearForm_empty", "Enhancement", "Subspace",
+         "F2Matrix", "GaussSumResult"],
+)
+def test_sequences_are_stored_as_tuples(from_lists, from_tuples):
+    # a value built from lists is the value built from tuples: equal, hashable, same repr
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert repr(from_lists) == repr(from_tuples)
+    assert len({from_lists, from_tuples}) == 1
+
+
+def test_numpy_rows_are_stored_as_tuples():
+    np = pytest.importorskip("numpy")
+    rows = [np.array([0, 1]), np.array([1, 0])]
+    built = [
+        (BilinearForm(2, np.array([[0, 1], [1, 0]])), TORUS),
+        (BilinearForm(2, rows), TORUS),
+        (Enhancement(TORUS, np.array([0, 2])), Enhancement(TORUS, (0, 2))),
+        (Subspace(4, np.array([5, 10])), Subspace(4, (5, 10))),
+        (F2Matrix(2, 3, np.array([5, 2])), F2Matrix(2, 3, (5, 2))),
+        (GaussSumResult(2, np.array([3, 0, 1, 0])), GaussSumResult(2, (3, 0, 1, 0))),
+    ]
+    for from_arrays, from_tuples in built:
+        assert from_arrays == from_tuples and hash(from_arrays) == hash(from_tuples)
+    form = built[0][0]
+    assert form.row_masks == TORUS.row_masks and form.nondegenerate
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        BilinearForm(2, np.array([[0, 1], [0, 0]]))
