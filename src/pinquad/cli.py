@@ -106,8 +106,9 @@ def _parse(parse, data, prefix: str = ""):
         raise UsageError(f"{prefix}{e}") from None
 
 
-def _load_enhancement(path: str) -> Enhancement:
-    return _parse(Enhancement.from_json, _load_json(path), f"{path} is not a valid enhancement: ")
+def _read(path: str, cls: type, what: str):
+    """A cls read from a JSON file; a malformed file is a UsageError that names it a ``what``."""
+    return _parse(cls.from_json, _load_json(path), f"{path} is not a valid {what}: ")
 
 
 def _parse_bits(text: str, what: str) -> int:
@@ -123,7 +124,7 @@ def _class_argument(path: str, text: str, flag: str, cls: type[F2Vector]) -> tup
     Checked in this order: the file, the bit string, beta (a degenerate form or the Gauss
     guard), the class dimension, and last the vector size cap.
     """
-    q = _load_enhancement(path)
+    q = _read(path, Enhancement, "enhancement")
     bits = _parse_bits(text, flag)
     beta = brown_invariant(q)
     if len(text) != q.form.dim:  # checked before the vector is built, whose size is capped
@@ -160,29 +161,25 @@ def _surface_form(args: argparse.Namespace) -> BilinearForm:
             raise UsageError("--crosscaps must be >= 1")
         _check_enumeration_guard(args.crosscaps)
         return crosscap_form(args.crosscaps)
-    expr = args.form
-    if os.path.exists(expr):
-        return _parse(BilinearForm.from_json, _load_json(expr), f"{expr} is not a valid form: ")
-    return _parse(parse_form_name, expr).mod2()
+    if os.path.exists(args.form):
+        return _read(args.form, BilinearForm, "form")
+    return _parse(parse_form_name, args.form).mod2()
 
 
 def _unimodular_form(expr: str) -> UnimodularForm:
     if os.path.exists(expr):
-        return _parse(
-            UnimodularForm.from_json, _load_json(expr), f"{expr} is not a valid unimodular form: "
-        )
+        return _read(expr, UnimodularForm, "unimodular form")
     return _parse(parse_form_name, expr)
 
 
-def _emit(args: argparse.Namespace, record: object, text: Callable[[], str]) -> None:
-    """Print the record as JSON under --json, else the text, which is rendered only then."""
-    print(json.dumps(record) if args.json else text())
+def _emit(args: argparse.Namespace, record: Callable[[], object], text: Callable[[], str]) -> None:
+    """Print the record as JSON under --json, else the text; only the one printed is built."""
+    print(json.dumps(record()) if args.json else text())
 
 
 def _render_table(records: Sequence[dict]) -> str:
     """The enumerate table: one row per enhancement, each column as wide as its widest cell."""
-    headers = ["values", "beta", "max_null_dim"]
-    rows = [
+    rows = [["values", "beta", "max_null_dim"]] + [
         [
             str(rec["values"]),
             "degenerate" if rec["beta"] is None else str(rec["beta"]),
@@ -190,14 +187,8 @@ def _render_table(records: Sequence[dict]) -> str:
         ]
         for rec in records
     ]
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -208,15 +199,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         beta = brown_invariant(q) if nondegenerate else None
         null_dim = max_vanishing_dim(q) if form.dim <= MAX_SEARCH_DIM else None
         records.append({"values": list(q.values), "beta": beta, "max_null_dim": null_dim})
-    _emit(args, records, lambda: _render_table(records))
+    _emit(args, lambda: records, lambda: _render_table(records))
     return EXIT_OK
 
 
 def cmd_brown(args: argparse.Namespace) -> int:
-    q = _load_enhancement(args.enhancement)
+    q = _read(args.enhancement, Enhancement, "enhancement")
     beta = brown_invariant(q)
     gs = gauss_sum(q)
-    record = {"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}
+    record = lambda: {"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}
     _emit(args, record, lambda: f"beta={beta} A={gs.a} B={gs.b} n={gs.n}")
     return EXIT_OK
 
@@ -224,26 +215,21 @@ def cmd_brown(args: argparse.Namespace) -> int:
 def cmd_vanishing(args: argparse.Namespace) -> int:
     if args.dim is not None and args.dim < 0:
         raise UsageError("--dim must be >= 0")
-    q = _load_enhancement(args.enhancement)
+    q = _read(args.enhancement, Enhancement, "enhancement")
     n = q.form.dim
     if args.dim is not None:
         spaces = vanishing_subspaces(q, args.dim)
-        if args.json:
-            bases = [_basis_json(s.row_masks, n) for s in spaces]
-            print(json.dumps({"dim": args.dim, "subspaces": bases}))
-        elif not spaces:
-            print("none")
-        else:
-            for s in spaces:
-                print(_basis_text(s.row_masks, n))
+        bases = lambda: [_basis_json(s.row_masks, n) for s in spaces]
+        text = lambda: "\n".join(_basis_text(s.row_masks, n) for s in spaces) or "none"
+        _emit(args, lambda: {"dim": args.dim, "subspaces": bases()}, text)
         return EXIT_OK
     if args.max:
         d = max_vanishing_dim(q)
-        _emit(args, {"max_null_dim": d}, lambda: str(d))
+        _emit(args, lambda: {"max_null_dim": d}, lambda: str(d))
         return EXIT_OK
     lag = has_null_lagrangian(q)
     witness = next(_null_bases(q, n // 2)) if lag else None
-    record = {"lagrangian": lag, "witness": None if witness is None else _basis_json(witness, n)}
+    record = lambda: {"lagrangian": lag, "witness": _basis_json(witness, n) if lag else None}
     _emit(args, record, lambda: f"yes: {_basis_text(witness, n)}" if lag else "no")
     return EXIT_OK
 
@@ -256,9 +242,9 @@ def cmd_gm(args: argparse.Namespace) -> int:
     if args.beta is not None:
         observed = args.beta % 8
     elif args.enhancement is not None:
-        observed = brown_invariant(_load_enhancement(args.enhancement))
+        observed = brown_invariant(_read(args.enhancement, Enhancement, "enhancement"))
     verdict = None if observed is None else ("PASS" if observed == required else "FAIL")
-    record = {"required_beta": required, "observed_beta": observed, "verdict": verdict}
+    record = lambda: {"required_beta": required, "observed_beta": observed, "verdict": verdict}
     text = lambda: f"required beta = {required}" + (
         "" if observed is None else f"\nobserved beta = {observed}\n{verdict}"
     )
@@ -274,7 +260,7 @@ def cmd_surgery(args: argparse.Namespace) -> int:
         raise InternalError(f"surgery changed beta: {beta_before} -> {beta_after}; this is a bug")
     report = {"beta_before": beta_before, "beta_after": beta_after}
     text = lambda: f"beta {beta_before} -> {beta_after}\n{json.dumps(reduced.to_json())}"
-    _emit(args, {**reduced.to_json(), **report}, text)
+    _emit(args, lambda: {**reduced.to_json(), **report}, text)
     return EXIT_OK
 
 
@@ -298,7 +284,7 @@ def cmd_torsor(args: argparse.Namespace) -> int:
         f"predicted delta = {predicted}\nmeasured delta = {measured}\n"
         f"{verdict}\n{json.dumps(acted.to_json())}"
     )
-    _emit(args, {**acted.to_json(), **report}, text)
+    _emit(args, lambda: {**acted.to_json(), **report}, text)
     if verdict != "MATCH":
         print("error: torsor delta mismatch; this is a bug", file=sys.stderr)
         return EXIT_FAIL

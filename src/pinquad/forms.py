@@ -42,11 +42,29 @@ def _check_enumeration_guard(dim: int) -> None:
         )
 
 
-class BilinearForm(Value):
+class _Gram(Value):
+    """A square Gram matrix as JSON {"dim": n, "gram": rows}; a subclass validates and stores it."""
+
+    __slots__ = ()
+    _fields = ("dim", "gram")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "_Gram":
+        return cls(len(rows), rows)
+
+    def to_json(self) -> dict:
+        return {"dim": self.dim, "gram": [list(map(int, row)) for row in self.gram]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "_Gram":
+        dim = _json_int(data["dim"])
+        return cls(dim, tuple(tuple(map(_json_int, row)) for row in data["gram"]))
+
+
+class BilinearForm(_Gram):
     """Symmetric bilinear form on F2^dim given by its Gram matrix."""
 
     __slots__ = ("dim", "gram", "row_masks")
-    _fields = ("dim", "gram")
 
     def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
         if len(gram) != dim or any(len(r) != dim for r in gram):
@@ -64,13 +82,10 @@ class BilinearForm(Value):
                         raise ValueError(f"Gram entry ({i},{j}) is {gram[i][j]}, expected a bit")
                     if gram[i][j] != gram[j][i]:
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+            cols = tuple(tuple(map(index, row)) for row in gram)  # numpy ints and bools as ints
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gram", cols)
         object.__setattr__(self, "row_masks", masks)  # row i as a bitmask: bit j is gram[i][j]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BilinearForm":
-        return cls(len(rows), rows)
 
     @property
     def nondegenerate(self) -> bool:
@@ -88,13 +103,6 @@ class BilinearForm(Value):
             m &= m - 1
             acc ^= self.row_masks[i]
         return acc
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": [list(row) for row in self.gram]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BilinearForm":
-        return cls(_json_int(data["dim"]), tuple(tuple(map(_json_int, row)) for row in data["gram"]))
 
 
 def _block_diagonal(blocks: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
@@ -149,7 +157,7 @@ class Enhancement(Value):
         object.__setattr__(self, "values", values)
 
     def to_json(self) -> dict:
-        return {"form": self.form.to_json(), "values": list(self.values)}
+        return {"form": self.form.to_json(), "values": list(map(int, self.values))}
 
     @classmethod
     def from_json(cls, data: dict) -> "Enhancement":

@@ -16,8 +16,7 @@ from typing import Sequence
 
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError
-from .f2 import Value
-from .forms import BilinearForm, Enhancement, _block_diagonal, _json_int
+from .forms import BilinearForm, Enhancement, _Gram, _block_diagonal
 
 MAX_FORM_DIM = 12
 
@@ -77,11 +76,10 @@ def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
     return minors
 
 
-class UnimodularForm(Value):
+class UnimodularForm(_Gram):
     """Symmetric integer Gram matrix with determinant +-1."""
 
     __slots__ = ("dim", "gram", "_signature")
-    _fields = ("dim", "gram")
 
     def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
         _check_form_cap(dim)
@@ -105,10 +103,6 @@ class UnimodularForm(Value):
             self, "_signature", sum(1 if p * m > 0 else -1 for p, m in zip([1] + minors, minors))
         )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "UnimodularForm":
-        return cls(len(rows), rows)
-
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatchError(
@@ -119,13 +113,6 @@ class UnimodularForm(Value):
     def mod2(self) -> BilinearForm:
         """Reduction mod 2; nondegenerate because the form is unimodular."""
         return BilinearForm.from_rows([[x & 1 for x in row] for row in self.gram])
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": [list(row) for row in self.gram]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "UnimodularForm":
-        return cls(_json_int(data["dim"]), tuple(tuple(map(_json_int, row)) for row in data["gram"]))
 
 
 def _characteristic_coords(m: UnimodularForm, c: Sequence[int]) -> tuple[int, ...]:

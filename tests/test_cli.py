@@ -38,6 +38,12 @@ GOLDEN_CASES = [
     (["enumerate", "--genus", "1"], "enumerate_genus1.txt", 0),
     (["enumerate", "--genus", "0"], "enumerate_genus0.txt", 0),
     (["enumerate", "--genus", "1", "--json"], "enumerate_genus1.json", 0),
+    (["enumerate", "--form", str(DATA / "klein_form.json")], "enumerate_klein_form.txt", 0),
+    (
+        ["enumerate", "--form", str(DATA / "klein_form.json"), "--json"],
+        "enumerate_klein_form.json",
+        0,
+    ),
     (["brown", str(DATA / "rp2_v1.json")], "brown_rp2_v1.txt", 0),
     (["brown", str(DATA / "torus_v22.json")], "brown_torus_v22.txt", 0),
     (["brown", str(DATA / "dim0.json")], "brown_dim0.txt", 0),
@@ -91,6 +97,18 @@ GOLDEN_CASES = [
         "gm_e8_char0_beta4.txt",
         0,
     ),
+    # the E8 Cartan matrix read from a file gives what the expression E8 gives
+    (
+        ["gm", "--form", str(DATA / "e8_form.json"), "--char", "0,0,0,0,0,0,0,0", "--beta", "4"],
+        "gm_e8_char0_beta4.txt",
+        0,
+    ),
+    (
+        ["gm", "--form", str(DATA / "e8_form.json"), "--char", "0,0,0,0,0,0,0,0", "--beta", "4"]
+        + ["--json"],
+        "gm_e8_char0_beta4.json",
+        0,
+    ),
     (["gm", "--form", "1", "--char", "3", "--beta", "0"], "gm_one_char3_beta0.txt", 1),
     (["surgery", str(DATA / "torus_v00.json"), "--class", "10"], "surgery_torus_v00_a.txt", 0),
     (
@@ -101,18 +119,21 @@ GOLDEN_CASES = [
     (["torsor", str(DATA / "torus_v00.json"), "--covector", "10"], "torsor_torus_v00_y10.txt", 0),
     (["torsor", str(DATA / "rp2_v1.json"), "--covector", "1"], "torsor_rp2_v1_y1.txt", 0),
 ]
+# a case's id is its golden's name; a later case with the same golden adds its index
+GOLDEN_IDS = [
+    g + (f"#{i}" if any(h == g for _, h, _ in GOLDEN_CASES[:i]) else "")
+    for i, (_, g, _) in enumerate(GOLDEN_CASES)
+]
 
 
-@pytest.mark.parametrize(
-    "argv,golden,code", GOLDEN_CASES, ids=[g for _, g, _ in GOLDEN_CASES]
-)
+@pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=GOLDEN_IDS)
 def test_golden_output(capsys, argv, golden, code):
     got_code, out, _err = run(capsys, *argv)
     assert got_code == code
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=[g for _, g, _ in GOLDEN_CASES])
+@pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=GOLDEN_IDS)
 def test_byte_determinism(capsys, argv, golden, code):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
@@ -243,6 +264,26 @@ class TestExitCodes:
         code, _out, _err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "10")
         assert code == 2
 
+    def test_torsor_mismatch_is_reported(self, capsys, monkeypatch):
+        # a wrong dual predicts delta 0 where acting by y = 1 on RP^2 shifts beta by 6
+        monkeypatch.setattr(cli, "poincare_dual", lambda form, y: F2Vector(form.dim, 0))
+        argv = ("torsor", str(DATA / "rp2_v1.json"), "--covector", "1")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (1, "error: torsor delta mismatch; this is a bug\n")
+        assert json.loads(out) == {
+            "form": {"dim": 1, "gram": [[1]]},
+            "values": [3],
+            "beta_before": 1,
+            "beta_after": 7,
+            "predicted_delta": 0,
+            "measured_delta": 6,
+            "verdict": "MISMATCH",
+        }
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "error: torsor delta mismatch; this is a bug\n")
+        acted = '{"form": {"dim": 1, "gram": [[1]]}, "values": [3]}'
+        assert out == f"predicted delta = 0\nmeasured delta = 6\nMISMATCH\n{acted}\n"
+
     @pytest.mark.parametrize("command,flag", [("surgery", "--class"), ("torsor", "--covector")])
     @pytest.mark.parametrize("text", ["", "012", "1 0", "1_0", "0b1"])
     def test_malformed_bit_string(self, capsys, command, flag, text):
@@ -306,13 +347,14 @@ class TestExitCodes:
         code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
         assert code == 0
         assert out == "beta=0 A=4 B=0 n=4\n"
-        q = cli._load_enhancement(str(DATA / "genus2_v0000.json"))
+        q = cli._read(str(DATA / "genus2_v0000.json"), Enhancement, "enhancement")
         assert brown_invariant(q) == 0
         assert gauss_sum(q).counts == (10, 0, 6, 0)
         assert arf_from_brown(q) == 0
         assert max_vanishing_dim(q) == 2
         assert has_null_lagrangian(q)
-        assert max_vanishing_dim(cli._load_enhancement(str(DATA / "degenerate.json"))) == 1
+        degenerate = cli._read(str(DATA / "degenerate.json"), Enhancement, "enhancement")
+        assert max_vanishing_dim(degenerate) == 1
 
     def test_enhancement_answers_run_no_elimination(self, capsys, monkeypatch):
         # nondegeneracy, beta, the null dimension and the dual all come from the splitting
@@ -340,9 +382,9 @@ class TestExitCodes:
         assert (code, out) == (0, "beta=0 A=4 B=0 n=4\n")
         code, _out, err = run(capsys, "brown", str(DATA / "degenerate.json"))
         assert code == 3 and "degenerate" in err
-        q = cli._load_enhancement(str(DATA / "genus2_v0000.json"))
+        q = cli._read(str(DATA / "genus2_v0000.json"), Enhancement, "enhancement")
         assert (brown_invariant(q), max_vanishing_dim(q), has_null_lagrangian(q)) == (0, 2, True)
-        degenerate = cli._load_enhancement(str(DATA / "degenerate.json"))
+        degenerate = cli._read(str(DATA / "degenerate.json"), Enhancement, "enhancement")
         assert max_vanishing_dim(degenerate) == 1
         for answer in (brown_invariant, has_null_lagrangian):
             with pytest.raises(DegenerateFormError):

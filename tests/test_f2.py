@@ -48,6 +48,26 @@ class TestF2Vector:
         with pytest.raises(LimitError):
             F2Vector(33, 0)
 
+    def test_bits_must_fit(self):
+        with pytest.raises(ValueError, match=r"^bit mask 0x4 does not fit in dimension 2$"):
+            F2Vector(2, 4)
+
+
+class TestF2Matrix:
+    @pytest.mark.parametrize(
+        "rows,cols,masks,message",
+        [
+            (2, 3, (1,), "expected 2 rows, got 1"),
+            (1, 2, (4,), "row 0 mask 0x4 does not fit in 2 columns"),
+            (2, 2, (1, -1), "row 1 mask -0x1 does not fit in 2 columns"),
+        ],
+        ids=["row_count", "too_wide", "negative"],
+    )
+    def test_construction_messages(self, rows, cols, masks, message):
+        with pytest.raises(ValueError) as info:
+            F2Matrix(rows, cols, masks)
+        assert str(info.value) == message
+
 
 class TestRank:
     def test_zero_matrix(self):

@@ -74,6 +74,12 @@ class TestBilinearForm:
         for i in range(3):
             assert naive_dot(form.gram, 1 << i, 1 << i) == 1
 
+    def test_surface_forms_refuse_bad_counts(self):
+        with pytest.raises(ValueError, match=r"^genus must be nonnegative$"):
+            hyperbolic_form(-1)
+        with pytest.raises(ValueError, match=r"^need at least one crosscap$"):
+            crosscap_form(0)
+
     def test_nondegeneracy_flag(self):
         assert TORUS.nondegenerate
         assert not BilinearForm.from_rows([[0]]).nondegenerate
@@ -285,6 +291,10 @@ class TestPoincareDual:
         with pytest.raises(DegenerateFormError):
             poincare_dual(BilinearForm.from_rows([[0]]), cov(1))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match=r"^form dim 2, covector dim 3$"):
+            poincare_dual(TORUS, cov(1, 0, 0))
+
     @pytest.mark.parametrize("gram", standard_grams(5), ids=lambda g: f"dim{len(g)}")
     def test_pairing_identity_and_bijection(self, gram):
         form = BilinearForm.from_rows(gram)
@@ -411,6 +421,11 @@ class TestIsotropicReduction:
         q = Enhancement(hyperbolic_form(2), (0, 0, 0, 0))
         r = isotropic_reduction(q, vec(1, 0, 0, 0))
         assert r == Enhancement(TORUS, (0, 0))
+
+    def test_dimension_mismatch(self):
+        q = Enhancement(TORUS, (0, 0))
+        with pytest.raises(DimensionMismatchError, match=r"^enhancement dim 2, class dim 3$"):
+            isotropic_reduction(q, vec(1, 0, 0))
 
     def test_zero_class_rejected(self):
         q = Enhancement(TORUS, (0, 0))

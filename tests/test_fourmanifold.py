@@ -180,6 +180,10 @@ class TestUnimodularForm:
         with pytest.raises(ValueError, match="symmetric"):
             UnimodularForm.from_rows([[1, 1], [0, 1]])
 
+    def test_rejects_a_short_gram(self):
+        with pytest.raises(ValueError, match=r"^Gram matrix is not 2x2$"):
+            UnimodularForm(2, ((1, 0),))
+
     @pytest.mark.parametrize("rows", [[[1.9]], [[1.0]], [["1"]]], ids=["1.9", "1.0", "str"])
     def test_from_rows_refuses_non_integers(self, rows):
         # int() would build [[1]] from each of these
@@ -334,6 +338,10 @@ class TestGuillouMarin:
     def test_rejects_non_characteristic(self):
         with pytest.raises(NotCharacteristicError):
             gm_required_beta(ONE, (2,))
+
+    def test_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatchError, match=r"^form has dim 1, vector has length 2$"):
+            gm_required_beta(ONE, (1, 1))
 
     def test_check_against_enhancements(self):
         torus_even = Enhancement(hyperbolic_form(1), (0, 0))  # beta 0

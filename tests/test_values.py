@@ -7,6 +7,7 @@ computed from the fields (a form's row masks, its nondegeneracy, a
 unimodular form's signature) take no part in any of this.
 """
 import copy
+import json
 import pickle
 
 import pytest
@@ -196,5 +197,31 @@ def test_numpy_rows_are_stored_as_tuples():
         assert from_arrays == from_tuples and hash(from_arrays) == hash(from_tuples)
     form = built[0][0]
     assert form.row_masks == TORUS.row_masks and form.nondegenerate
+    # the rows a form checks entry by entry are stored as the ints that check found
+    assert repr(form) == repr(built[1][0]) == repr(TORUS)
     with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
         BilinearForm(2, np.array([[0, 1], [0, 0]]))
+
+
+def test_json_is_written_as_plain_ints():
+    # numpy arrays, numpy scalars and bools are stored as given or as ints; JSON is ints alike
+    np = pytest.importorskip("numpy")
+    zero, one, two = np.int64(0), np.int64(1), np.int64(2)
+    built = [
+        (BilinearForm(2, np.array([[0, 1], [1, 0]])), TORUS),
+        (BilinearForm(2, ((zero, one), (one, zero))), TORUS),
+        (BilinearForm(2, ((False, True), (True, False))), TORUS),
+        (BilinearForm(2, [[False, True], [True, False]]), TORUS),
+        (Enhancement(TORUS, np.array([0, 2])), Enhancement(TORUS, (0, 2))),
+        (Enhancement(TORUS, (zero, two)), Enhancement(TORUS, (0, 2))),
+        (
+            Enhancement(BilinearForm(1, ((True,),)), (True,)),
+            Enhancement(BilinearForm(1, ((1,),)), (1,)),
+        ),
+        (UnimodularForm(2, np.array([[0, 1], [1, 0]])), FORM_LIBRARY["H"]),
+        (UnimodularForm(1, ((True,),)), FORM_LIBRARY["1"]),
+    ]
+    for odd, plain in built:
+        text = json.dumps(odd.to_json())
+        assert text == json.dumps(plain.to_json())
+        assert type(odd).from_json(json.loads(text)) == plain
