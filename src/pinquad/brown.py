@@ -48,11 +48,11 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
     """Gauss sum and value counts of an enhancement, by orthogonal splitting."""
     n = q.form.dim
     _check_gauss_guard(n)
-    a, b, r, null_radical, _, _ = _split(q.form, q.values)
+    a, b, r, null_radical, odd, _ = _split(q.form, q.values)
     # a radical class contributes 1 + i^q(u): 2 for q(u) = 0, and 0 for q(u) = 2
     a, b = (a << r, b << r) if null_radical else (0, 0)
-    # x -> x.x is linear: every class is even when every basis value is, else half are
-    even = 1 << n if 1 not in q.values and 3 not in q.values else 1 << (n - 1)
+    # x -> x.x is linear: every class is even when the split has no odd piece, else half are
+    even = 1 << (n - 1) if odd else 1 << n
     odd_count = (1 << n) - even
     return GaussSumResult(
         n, ((even + a) // 2, (odd_count + b) // 2, (even - a) // 2, (odd_count - b) // 2)

@@ -161,15 +161,18 @@ def _surface_form(args: argparse.Namespace) -> BilinearForm:
             raise UsageError("--crosscaps must be >= 1")
         _check_enumeration_guard(args.crosscaps)
         return crosscap_form(args.crosscaps)
-    if os.path.exists(args.form):
-        return _read(args.form, BilinearForm, "form")
-    return _parse(parse_form_name, args.form).mod2()
+    return _form_argument(args.form, BilinearForm, "form")
 
 
-def _unimodular_form(expr: str) -> UnimodularForm:
-    if os.path.exists(expr):
-        return _read(expr, UnimodularForm, "unimodular form")
-    return _parse(parse_form_name, expr)
+def _form_argument(expr: str, cls: type, what: str):
+    """A library form expression (mod 2 for a surface form), else a JSON file: names beat files."""
+    try:
+        form = _parse(parse_form_name, expr)
+    except UsageError:  # an unknown name; a sum over the rank cap is a LimitError and passes
+        if not os.path.exists(expr):
+            raise
+        return _read(expr, cls, what)
+    return form if cls is UnimodularForm else form.mod2()
 
 
 def _emit(args: argparse.Namespace, record: Callable[[], object], text: Callable[[], str]) -> None:
@@ -235,7 +238,7 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
 
 
 def cmd_gm(args: argparse.Namespace) -> int:
-    form = _unimodular_form(args.form)
+    form = _form_argument(args.form, UnimodularForm, "unimodular form")
     char = _parse_ints(args.char)
     required = gm_required_beta(form, char)
     observed = None

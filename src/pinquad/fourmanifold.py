@@ -11,7 +11,7 @@ characteristic surface must carry, run no elimination at all.
 """
 from __future__ import annotations
 
-from operator import index
+from operator import index, mul
 from typing import Sequence
 
 from .brown import brown_invariant
@@ -104,6 +104,7 @@ class UnimodularForm(_Gram):
         )
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """u.v over the integers; the Guillou-Marin check reads c.c off its Wu pass instead."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatchError(
                 f"form has dim {self.dim}, vectors have lengths {len(u)}, {len(v)}"
@@ -115,22 +116,24 @@ class UnimodularForm(_Gram):
         return BilinearForm.from_rows([[x & 1 for x in row] for row in self.gram])
 
 
-def _characteristic_coords(m: UnimodularForm, c: Sequence[int]) -> tuple[int, ...]:
-    """c as integers, checked against c.e_i = e_i.e_i (mod 2) for every basis vector."""
+def _characteristic_square(m: UnimodularForm, c: Sequence[int]) -> int:
+    """c.c = sum of c_i * c.e_i, from the c.e_i that check c.e_i = e_i.e_i (mod 2) for each i."""
     coords = tuple(map(index, c))  # floats and strings are refused, not truncated
     if len(coords) != m.dim:
         raise DimensionMismatchError(f"form has dim {m.dim}, vector has length {len(coords)}")
-    for i in range(m.dim):
-        pairing = sum(coords[j] * m.gram[j][i] for j in range(m.dim))
-        if (pairing - m.gram[i][i]) % 2:
-            raise NotCharacteristicError(i, pairing % 2, m.gram[i][i] % 2)
-    return coords
+    square = 0
+    for i, (row, ci) in enumerate(zip(m.gram, coords)):
+        pairing = sum(map(mul, row, coords))  # c.e_i: the form is symmetric
+        if (pairing - row[i]) % 2:
+            raise NotCharacteristicError(i, pairing % 2, row[i] % 2)
+        square += ci * pairing
+    return square
 
 
 def is_characteristic(m: UnimodularForm, c: Sequence[int]) -> bool:
     """Whether c.e_i = e_i.e_i (mod 2) for every basis vector."""
     try:
-        _characteristic_coords(m, c)
+        _characteristic_square(m, c)
     except NotCharacteristicError:
         return False
     return True
@@ -148,8 +151,7 @@ def gm_required_beta(m: UnimodularForm, c: Sequence[int]) -> int:
     (van der Blij), so in particular it is even; an odd difference signals a
     bug, not bad input.
     """
-    coords = _characteristic_coords(m, c)
-    cc = m.pair(coords, coords)
+    cc = _characteristic_square(m, c)
     sig = signature(m)
     if (cc - sig) % 2:
         raise InternalError(

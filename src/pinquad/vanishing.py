@@ -44,23 +44,6 @@ def _check_search_guard(q: Enhancement) -> None:
         raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
 
 
-def _class_set_with_zero_pairing(func_mask: int, n: int) -> int:
-    """Bitset of classes x in [0, 2^n) with parity(x & func_mask) = 0.
-
-    Doubling construction: appending coordinate j mirrors the lower block,
-    complemented when bit j of the functional is set.
-    """
-    acc = 1  # x = 0 always pairs to 0
-    for j in range(n):
-        width = 1 << j
-        block = (1 << width) - 1
-        if (func_mask >> j) & 1:
-            acc |= (block ^ acc) << width
-        else:
-            acc |= acc << width
-    return acc
-
-
 def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
     """Reduced-echelon bases of the d-dimensional q-null subspaces, in row-tuple order.
 
@@ -75,6 +58,11 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
         if v == 0 and x:
             zero_at_pivot[(x & -x).bit_length() - 1] |= 1 << x
     functional = q.form.functional_mask
+    # ones[j]: the classes with bit j set; those pairing to 1 with x are the XOR of ones[j]
+    # over the bits j of x's functional.  With w = 2^j, (2^(2^n) - 1) / (2^w + 1) is w ones
+    # at the bottom of every 2w bits, the classes with bit j clear.
+    full = (1 << (1 << n)) - 1
+    ones = [(full // ((1 << (1 << j)) + 1)) << (1 << j) for j in range(n)]
     successors: dict[int, int] = {}
 
     def after(x: int) -> int:
@@ -82,7 +70,11 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
         if s is None:
             above = range((x & -x).bit_length(), n)
             s = sum(zero_at_pivot[k] for k in above if not (x >> k) & 1)  # disjoint sets
-            s = successors[x] = s & _class_set_with_zero_pairing(functional(x), n)
+            f, paired = functional(x), 0
+            for j in range(n):
+                if f >> j & 1:
+                    paired ^= ones[j]
+            s = successors[x] = s & ~paired
         return s
 
     def walk(rows: tuple[int, ...], level: int) -> Iterator[tuple[int, ...]]:
@@ -137,11 +129,12 @@ def max_vanishing_dim(q: Enhancement) -> int:
 def has_null_lagrangian(q: Enhancement) -> bool:
     """Whether a q-null subspace of half the dimension exists.
 
-    On a nondegenerate form this holds exactly when the rank is even and
-    beta = 0 (the anisotropic part must vanish; Brown, Kirby-Taylor).
+    On a nondegenerate form this holds exactly when beta = 0 (the anisotropic
+    part must vanish; Brown, Kirby-Taylor); beta = n (mod 2), so the rank is
+    then even.
     """
     _check_search_guard(q)
     a, b, r, _, _, _ = _split(q.form, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
-    return q.form.dim % 2 == 0 and _angle(a, b) == 0
+    return _angle(a, b) == 0

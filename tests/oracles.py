@@ -30,6 +30,13 @@ def naive_dot(gram, x_bits, y_bits):
     return total % 2
 
 
+def naive_pair(gram, u, v):
+    """u.v over the integers, by the double sum of u_i * gram[i][j] * v_j."""
+    n = len(gram)
+    assert len(u) == len(v) == n
+    return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
 def naive_mat_vec(rows, x_bits):
     """The product m.x as a bitmask, for m given by its row bitmasks, one coordinate at a time."""
     out = 0

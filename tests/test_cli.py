@@ -503,6 +503,44 @@ class TestStrictJson:
         assert out.startswith("beta=1 ")
 
 
+FORM_NAME_CASES = {
+    "gm_H": ["gm", "--form", "H", "--char", "0,0", "--beta", "0"],
+    "gm_E8": ["gm", "--form", "E8", "--char", ",".join("0" * 8)],
+    "gm_1": ["gm", "--form", "1", "--char", "1", "--json"],
+    "enumerate_H": ["enumerate", "--form", "H"],
+    "enumerate_E8": ["enumerate", "--form", "E8", "--json"],
+    "enumerate_1": ["enumerate", "--form", "1"],
+}
+
+
+class TestFormArgument:
+    """--form is a library expression first, and a file only when it does not parse."""
+
+    @pytest.mark.parametrize("argv", FORM_NAME_CASES.values(), ids=FORM_NAME_CASES)
+    def test_names_beat_stray_files(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        expected = run(capsys, *argv)
+        for name in ("H", "E8", "1"):
+            (tmp_path / name).write_text("not json\n", encoding="utf-8")
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
+    def test_missing_path_is_an_unknown_name(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command[0], "--form", "missing.json", *command[1:])
+        message = "unknown form name 'missing.json'; known names: 1, -1, H, E8"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
+    def test_sum_over_the_cap_beats_a_file_of_that_name(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "E8+E8").write_text('{"dim": 1, "gram": [[1]]}', encoding="utf-8")
+        code, out, err = run(capsys, command[0], "--form", "E8+E8", *command[1:])
+        cap = pinquad.fourmanifold.MAX_FORM_DIM
+        assert (code, out, err) == (4, "", f"error: form dimension 16 exceeds cap {cap}\n")
+
+
 class TestJsonMode:
     def test_text_is_not_rendered(self, capsys, monkeypatch):
         # under --json the text table is never built: its cost would be thrown away

@@ -23,6 +23,7 @@ from oracles import (
     kernel_vanishing_check,
     naive_dot,
     naive_max_null_dim,
+    naive_q,
     random_basis,
     random_degenerate,
     random_nondegenerate,
@@ -236,3 +237,43 @@ class TestClosedForm:
             assert next(d for d in range(n, -1, -1) if vanishing_subspaces(q, d)) == expected
             if q.form.nondegenerate:
                 assert has_null_lagrangian(q) == (n % 2 == 0 and expected == n // 2)
+
+
+def high_rank_case(n, kind):
+    """A seeded enhancement of rank exactly n in a random basis: nondegenerate, or
+    degenerate with q = 0 or q = 2 on the radical."""
+    rng = random.Random(f"high-rank-{kind}-{n}")
+    while True:
+        if kind == "nondegenerate":
+            gram, values = random_nondegenerate(rng, n)
+        else:
+            gram, values = random_degenerate(rng, n, int(kind[-1]))
+        if len(gram) == n:
+            return rebase(gram, values, random_basis(rng, n))
+
+
+class TestListingCountsAtHighRank:
+    """The walk at ranks 7-10, which the listing comparison above does not reach.
+
+    A q-null line is a nonzero class with q = 0.  A q-null plane holds three
+    such classes, pairwise orthogonal, and any two orthogonal ones span one
+    (q(x + y) = q(x) + q(y) + 2*(x.y)), so the planes are a third of the pairs.
+    """
+
+    @pytest.mark.parametrize("kind", ["nondegenerate", "degenerate_q0", "degenerate_q2"])
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_line_and_plane_counts(self, n, kind):
+        gram, values = high_rank_case(n, kind)
+        q = Enhancement(BilinearForm.from_rows(gram), values)
+        zeros = [x for x in range(1, 1 << n) if naive_q(gram, values, x) == 0]
+        pairs = sum(
+            naive_dot(gram, x, y) == 0 for i, x in enumerate(zeros) for y in zeros[i + 1 :]
+        )
+        assert len(vanishing_subspaces(q, 1)) == len(zeros)
+        assert 3 * len(vanishing_subspaces(q, 2)) == pairs
+        if kind == "nondegenerate":
+            assert has_null_lagrangian(q) == (2 * max_vanishing_dim(q) == n)
+        else:
+            assert not q.form.nondegenerate
+            with pytest.raises(DegenerateFormError):
+                has_null_lagrangian(q)
