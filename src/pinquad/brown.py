@@ -1,14 +1,11 @@
 """The Brown invariant of a quadratic enhancement, by orthogonal splitting.
 
-The Gauss sum of q is the sum of i^q(x) over all 2^n classes.  It equals
-A + Bi with A = N0 - N2 and B = N1 - N3, where Nk counts classes of value k.
-For a nondegenerate form it lands on one of the eight integer points with
-A^2 + B^2 = 2^n, and the angle, in eighths of a turn, is the Brown invariant
-beta in Z/8.
-
-The sum is never enumerated.  It is multiplicative over orthogonal sums, so it is
-the product over the pieces of the split ``forms._split`` (E. H. Brown, Ann. of
-Math. 95, 1972): 1 + i^q(u) for u.u = 1, 2 or -2 for a plane, 2 or 0 for a radical class.
+Beta in Z/8 adds up over orthogonal sums, so ``forms._split`` sums it over its pieces
+(E. H. Brown, Ann. of Math. 95, 1972).  The Gauss sum of q, the sum of i^q(x) over all 2^n
+classes, is A + Bi with A = N0 - N2 and B = N1 - N3, where Nk counts classes of value k.  It
+is multiplicative over the same pieces, so it is never enumerated: when q is 0 on the
+radical, of dimension r, it lies on the ray at beta eighths of a turn, 2^((n + r)/2) from 0;
+otherwise it is 0.
 """
 from __future__ import annotations
 
@@ -39,18 +36,21 @@ class GaussSumResult(Value):
         return self.counts[1] - self.counts[3]
 
 
-def _check_gauss_guard(n: int) -> None:
-    if n > MAX_GAUSS_DIM:
-        raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
+# the Gauss sum's direction by beta, counterclockwise from (1, 0) in eighths of a turn
+_RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
 def gauss_sum(q: Enhancement) -> GaussSumResult:
-    """Gauss sum and value counts of an enhancement, by orthogonal splitting."""
+    """Gauss sum and value counts of an enhancement, from the Brown invariant of its split."""
     n = q.form.dim
-    _check_gauss_guard(n)
-    a, b, r, null_radical, odd, _ = _split(q.form, q.values)
-    # a radical class contributes 1 + i^q(u): 2 for q(u) = 0, and 0 for q(u) = 2
-    a, b = (a << r, b << r) if null_radical else (0, 0)
+    if n > MAX_GAUSS_DIM:
+        raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
+    beta, r, null_radical, odd, planes = _split(q.form, q.values)
+    # |1 + i^q(u)| = sqrt 2 for an odd class, and beta is odd exactly when their number is;
+    # a plane and a radical class with q = 0 double the sum, a radical class with q = 2 kills it
+    shift = len(odd) // 2 + len(planes) + r
+    a, b = _RAYS[beta]
+    a, b = (a << shift, b << shift) if null_radical else (0, 0)
     # x -> x.x is linear: every class is even when the split has no odd piece, else half are
     even = 1 << (n - 1) if odd else 1 << n
     odd_count = (1 << n) - even
@@ -59,25 +59,16 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
     )
 
 
-# beta by the signs of (A, B) on the eight legal rays
-_RAYS = {(1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3, (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7}
-
-
-def _angle(a: int, b: int) -> int:
-    return _RAYS[(a > 0) - (a < 0), (b > 0) - (b < 0)]
-
-
 def brown_invariant(q: Enhancement) -> int:
     """The Brown invariant beta(q) in Z/8 of a nondegenerate enhancement.
 
     Raises DegenerateFormError when the form is degenerate (no convention is
-    chosen for that case); a radical is reported before the Gauss-sum guard.
+    chosen for that case).
     """
-    a, b, r, _, _, _ = _split(q.form, q.values)
+    beta, r, *_ = _split(q.form, q.values)
     if r:
         raise DegenerateFormError("Brown invariant undefined: degenerate form")
-    _check_gauss_guard(q.form.dim)
-    return _angle(a, b)
+    return beta
 
 
 def arf_from_brown(q: Enhancement) -> int:

@@ -23,6 +23,7 @@ from .errors import (
 from .f2 import F2Vector, Subspace, Value, parity
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
+MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
 
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
@@ -58,7 +59,10 @@ class _Gram(Value):
     @classmethod
     def from_json(cls, data: dict) -> "_Gram":
         dim = _json_int(data["dim"])
-        return cls(dim, tuple(tuple(map(_json_int, row)) for row in data["gram"]))
+        rows = tuple(tuple(map(_json_int, row)) for row in data["gram"])
+        if any(x.bit_length() > MAX_ENTRY_BITS for row in rows for x in row):  # before arithmetic
+            raise LimitError(f"a Gram entry exceeds entry cap {MAX_ENTRY_BITS} bits")
+        return cls(dim, rows)
 
 
 class BilinearForm(_Gram):
@@ -89,7 +93,7 @@ class BilinearForm(_Gram):
 
     @property
     def nondegenerate(self) -> bool:
-        return not _split(self, self._diagonal())[2]
+        return not _split(self, self._diagonal())[1]
 
     def _diagonal(self) -> tuple[int, ...]:  # e_i.e_i: values of the right parity for _split
         return tuple(row >> i & 1 for i, row in enumerate(self.row_masks))
@@ -192,20 +196,22 @@ def _eval_bits(q: Enhancement, bits: int) -> int:
 
 
 def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
-    """(a, b, r, null_radical, odd, planes): the form's one orthogonal split, q on its pieces.
+    """(beta, r, null_radical, odd, planes): the form's one orthogonal split, q on its pieces.
 
     A symmetric form over F2 is an orthogonal sum of classes u with u.u = 1, planes (u, w)
     with u.w = 1 and u.u = w.w = 0, and its radical (Milnor-Husemoller 1973; Kirby-Taylor
     1990).  Pieces come off one at a time, odd classes first, the rest of the basis moving
-    into their complement.  ``odd`` and ``planes`` are class bitmasks; a + bi is the Gauss
-    sum of q on them, r the radical's dimension, null_radical whether q is 0 there.  q is
-    ``values`` on the basis, but only its parities steer, so the Gram diagonal gives the same
-    pieces.  A basis vector is kept as (class b, functional f, q value); u.v = f_v & b_u mod 2.
+    into their complement.  ``odd`` and ``planes`` are class bitmasks, r the radical's
+    dimension, null_radical whether q is 0 there, and beta the Brown invariant of q on the
+    pieces, which adds up over them (Brown 1972): 2 - q(u) for an odd class, 4 for a plane
+    with q = 2 on both classes, else 0.  q is ``values`` on the basis, but only its parities
+    steer, so the Gram diagonal gives the same pieces.  A basis vector is kept as (class b,
+    functional f, q value); u.v = f_v & b_u mod 2.
     """
     rest = [(1 << i, row, v) for i, (row, v) in enumerate(zip(form.row_masks, values))]
-    a, b, odd, planes = 1, 0, [], []
+    beta, odd, planes = 0, [], []
     while True:
-        # u.u = q(u) mod 2: split off an odd class, 1 + i^q(u) = 1 + i or 1 - i
+        # u.u = q(u) mod 2: split off an odd class
         for k, (bu, fu, qu) in enumerate(rest):
             if qu & 1:
                 break
@@ -213,7 +219,7 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
             break
         del rest[k]
         odd.append(bu)
-        a, b = (a - b, a + b) if qu == 1 else (a + b, b - a)
+        beta += 2 - qu
         shift = qu + 2  # q(v + u) = q(v) + q(u) + 2 when v.u = 1
         for j, (bv, fv, qv) in enumerate(rest):
             if (fv & bu).bit_count() & 1:
@@ -231,19 +237,17 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
             continue
         del rest[k]
         planes.append((bu, bw))
-        # a hyperbolic plane: 1 + i^q(u) + i^q(w) - i^(q(u) + q(w))
-        a, b = (-2 * a, -2 * b) if qu == qw == 2 else (2 * a, 2 * b)
-        fuw, buw, quw = fu ^ fw, bu ^ bw, (qu + qw + 2) & 3
+        beta += 4 if qu == qw == 2 else 0
         for j, (bv, fv, qv) in enumerate(rest):
-            # v + (v.w)u + (v.u)w is orthogonal to u and w and pairs to 0 with what it gains
-            if (fv & bu).bit_count() & 1:
-                if (fv & bw).bit_count() & 1:
-                    rest[j] = (bv ^ buw, fv ^ fuw, (qv + quw) & 3)
-                else:
-                    rest[j] = (bv ^ bw, fv ^ fw, (qv + qw) & 3)
-            elif (fv & bw).bit_count() & 1:
-                rest[j] = (bv ^ bu, fv ^ fu, (qv + qu) & 3)
-    return a, b, r, null_radical, odd, planes
+            # two reflections make v orthogonal to u and w: add u when v.w = 1, which keeps
+            # v.u (u.u = 0), then w when v.u = 1, which v now pairs with to 0
+            vu = (fv & bu).bit_count() & 1
+            if (fv & bw).bit_count() & 1:
+                bv, fv, qv = bv ^ bu, fv ^ fu, qv + qu + 2 * vu
+                rest[j] = (bv, fv, qv & 3)
+            if vu:
+                rest[j] = (bv ^ bw, fv ^ fw, (qv + qw) & 3)
+    return beta & 7, r, null_radical, odd, planes
 
 
 def value_table(q: Enhancement) -> list[int]:
@@ -285,7 +289,7 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
     """The unique class y_hat with <y, x> = y_hat.x for all x, from the form's orthogonal split."""
     if y.dim != form.dim:
         raise DimensionMismatchError(f"form dim {form.dim}, covector dim {y.dim}")
-    _a, _b, r, _null, odd, planes = _split(form, form._diagonal())
+    _beta, r, _null, odd, planes = _split(form, form._diagonal())
     if r:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")
     dual, yb = 0, y.bits

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .brown import _angle
 from .errors import DegenerateFormError, LimitError
 from .f2 import Subspace
 from .forms import Enhancement, _split, value_table
@@ -121,9 +120,9 @@ def max_vanishing_dim(q: Enhancement) -> int:
     form can exceed n / 2.
     """
     _check_search_guard(q)
-    a, b, r, null_radical, _, _ = _split(q.form, q.values)
+    beta, r, null_radical, _, _ = _split(q.form, q.values)
     m = q.form.dim - r
-    return r + (m - _ANISOTROPIC_RANK[_angle(a, b)]) // 2 if null_radical else r - 1 + m // 2
+    return r + (m - _ANISOTROPIC_RANK[beta]) // 2 if null_radical else r - 1 + m // 2
 
 
 def has_null_lagrangian(q: Enhancement) -> bool:
@@ -134,7 +133,7 @@ def has_null_lagrangian(q: Enhancement) -> bool:
     then even.
     """
     _check_search_guard(q)
-    a, b, r, _, _, _ = _split(q.form, q.values)
+    beta, r, *_ = _split(q.form, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
-    return _angle(a, b) == 0
+    return beta == 0

@@ -29,6 +29,7 @@ from pinquad.forms import (
 )
 from oracles import (
     all_enhancement_values,
+    block_sum,
     naive_beta,
     naive_counts,
     naive_dot,
@@ -128,7 +129,7 @@ class TestSplit:
             n = q.form.dim
             degenerate = naive_rank([sum(b << j for j, b in enumerate(r)) for r in gram]) < n
             radical = naive_radical(gram)
-            _a, _b, r, null_radical, odd, planes = pinquad.forms._split(q.form, q.values)
+            _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form, q.values)
             assert len(radical) == 1 << r, (gram, values)
             assert len(odd) + 2 * len(planes) + r == n
             assert (r > 0) == degenerate == (kind != "rebased")
@@ -194,6 +195,70 @@ class TestBrownInvariant:
             for q in enumerate_enhancements(form):
                 gs = gauss_sum(q)
                 assert gs.a**2 + gs.b**2 == 1 << form.dim
+
+
+# the orthogonal pieces and their Brown invariants (Brown 1972; Kirby-Taylor 1990)
+PIECE_BETAS = [
+    ([[1]], (1,), 1),
+    ([[1]], (3,), 7),
+    ([[0, 1], [1, 0]], (0, 0), 0),
+    ([[0, 1], [1, 0]], (0, 2), 0),
+    ([[0, 1], [1, 0]], (2, 2), 4),
+]
+
+
+def high_rank_sums(seed, even):
+    """A re-based orthogonal sum of pieces of rank 21 to 32, its beta (the pieces' betas
+    added mod 8) and the indices of the pieces used."""
+    rng = random.Random(f"high-rank-{seed}")
+    kinds = range(2, 5) if even else range(5)
+    n, chosen = rng.randint(21, 32), []
+    while sum(len(PIECE_BETAS[k][0]) for k in chosen) < n:
+        k = rng.choice(kinds)
+        if sum(len(PIECE_BETAS[j][0]) for j in chosen) + len(PIECE_BETAS[k][0]) <= n:
+            chosen.append(k)
+        elif even:  # an odd target rank: one more plane overshoots it by 1, and 31 + 1 = 32
+            n += 1
+    gram = block_sum([PIECE_BETAS[k][0] for k in chosen])
+    values = sum((PIECE_BETAS[k][1] for k in chosen), ())
+    gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+    beta = sum(PIECE_BETAS[k][2] for k in chosen) % 8
+    return Enhancement(BilinearForm.from_rows(gram), values), beta, set(chosen)
+
+
+class TestHighRank:
+    """beta has no guard: it adds up over the split at ranks past the Gauss-sum guard."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_beta_is_the_sum_over_the_pieces(self, seed):
+        q, beta, _ = high_rank_sums(seed, even=False)
+        assert 21 <= q.form.dim <= 32
+        assert brown_invariant(q) == beta
+        with pytest.raises(LimitError, match="Gauss-sum guard 20"):
+            gauss_sum(q)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arf_of_an_even_sum(self, seed):
+        q, beta, _ = high_rank_sums(seed, even=True)
+        assert 21 < q.form.dim <= 32 and not any(v & 1 for v in q.values)
+        assert arf_from_brown(q) == beta // 4
+
+    def test_every_piece_is_used(self):
+        used = set().union(*(high_rank_sums(seed, even=False)[2] for seed in range(12)))
+        assert used == set(range(len(PIECE_BETAS)))
+
+    @pytest.mark.parametrize(
+        "form,values,beta",
+        [
+            (crosscap_form(24), (1,) * 24, 0),
+            (crosscap_form(23), (3,) * 23, 1),
+            (crosscap_form(21), (1,) * 10 + (3,) * 11, 7),
+            (hyperbolic_form(15), (2,) * 30, 4),
+            (hyperbolic_form(16), (0, 2) * 16, 0),
+        ],
+    )
+    def test_standard_sums(self, form, values, beta):
+        assert brown_invariant(Enhancement(form, values)) == beta
 
 
 class TestAdditivity:

@@ -118,6 +118,23 @@ GOLDEN_CASES = [
     ),
     (["torsor", str(DATA / "torus_v00.json"), "--covector", "10"], "torsor_torus_v00_y10.txt", 0),
     (["torsor", str(DATA / "rp2_v1.json"), "--covector", "1"], "torsor_rp2_v1_y1.txt", 0),
+    # rank 24: beta answers above the Gauss-sum guard of brown, up to the 32-coordinate vector cap
+    (
+        ["surgery", str(DATA / "genus12_beta4.json"), "--class", "1" + "0" * 23],
+        "surgery_genus12_beta4_e0.txt",
+        0,
+    ),
+    (
+        ["torsor", str(DATA / "genus12_beta4.json"), "--covector", "001" + "0" * 21],
+        "torsor_genus12_beta4_e2.txt",
+        0,
+    ),
+    (
+        ["gm", "--form", "E8", "--char", ",".join("0" * 8), "--enhancement"]
+        + [str(DATA / "genus12_beta4.json")],
+        "gm_e8_char0_genus12_beta4.txt",
+        0,
+    ),
 ]
 # a case's id is its golden's name; a later case with the same golden adds its index
 GOLDEN_IDS = [
@@ -175,6 +192,7 @@ class TestExitCodes:
     def test_deeply_nested_json(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert deep.stat().st_size < cli.MAX_FILE_BYTES  # parsed, not refused for its size
         code, out, err = run(capsys, "brown", str(deep))
         assert code == 2
         assert out == ""
@@ -265,24 +283,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_torsor_mismatch_is_reported(self, capsys, monkeypatch):
-        # a wrong dual predicts delta 0 where acting by y = 1 on RP^2 shifts beta by 6
+        # a wrong dual predicts delta 0 where acting by y = 1 on RP^2 shifts beta by 6: a
+        # failed self-check is a bug, exit 7 with one line on stderr, in both output modes
         monkeypatch.setattr(cli, "poincare_dual", lambda form, y: F2Vector(form.dim, 0))
-        argv = ("torsor", str(DATA / "rp2_v1.json"), "--covector", "1")
-        code, out, err = run(capsys, *argv, "--json")
-        assert (code, err) == (1, "error: torsor delta mismatch; this is a bug\n")
-        assert json.loads(out) == {
-            "form": {"dim": 1, "gram": [[1]]},
-            "values": [3],
-            "beta_before": 1,
-            "beta_after": 7,
-            "predicted_delta": 0,
-            "measured_delta": 6,
-            "verdict": "MISMATCH",
-        }
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (1, "error: torsor delta mismatch; this is a bug\n")
-        acted = '{"form": {"dim": 1, "gram": [[1]]}, "values": [3]}'
-        assert out == f"predicted delta = 0\nmeasured delta = 6\nMISMATCH\n{acted}\n"
+        message = "error: torsor changed beta by 6, predicted 0; this is a bug\n"
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "1", *flags)
+            assert (code, out, err) == (7, "", message)
 
     @pytest.mark.parametrize("command,flag", [("surgery", "--class"), ("torsor", "--covector")])
     @pytest.mark.parametrize("text", ["", "012", "1 0", "1_0", "0b1"])
@@ -429,6 +436,12 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (7, "", message)
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_brown_over_the_gauss_guard(self, capsys, flags):
+        # beta itself has no guard (rank 24 answers in surgery, torsor and gm), the Gauss sum does
+        code, out, err = run(capsys, "brown", str(DATA / "genus12_beta4.json"), *flags)
+        assert (code, out, err) == (4, "", "error: dim 24 exceeds Gauss-sum guard 20\n")
+
     def test_degenerate_brown_over_the_gauss_guard(self, capsys, tmp_path):
         n = 21
         big = tmp_path / "degenerate21.json"
@@ -496,11 +509,78 @@ class TestStrictJson:
         assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
     def test_integer_values_still_reduced_mod_4(self, capsys, tmp_path):
+        # whatever their size: the 64-bit cap is on Gram entries only
         path = tmp_path / "q.json"
-        path.write_text('{"form": {"dim": 1, "gram": [[1]]}, "values": [-3]}', encoding="utf-8")
-        code, out, _err = run(capsys, "brown", str(path))
-        assert code == 0
-        assert out.startswith("beta=1 ")
+        for value, beta in (("-3", 1), ("9" * 4000 + "5", 7)):
+            path.write_text('{"form": {"dim": 1, "gram": [[1]]}, "values": [%s]}' % value)
+            code, out, _err = run(capsys, "brown", str(path))
+            assert code == 0
+            assert out.startswith(f"beta={beta} ")
+
+
+@pytest.fixture(scope="module")
+def h750(tmp_path_factory):
+    """H^750, rank 1,500: a 6.8 MB enhancement file."""
+    n = 1500
+    rows = (", ".join("1" if j == i ^ 1 else "0" for j in range(n)) for i in range(n))
+    path = tmp_path_factory.mktemp("hostile") / "h750.json"
+    gram = ", ".join(f"[{row}]" for row in rows)
+    path.write_text(f'{{"form": {{"dim": {n}, "gram": [{gram}]}}, "values": [{", ".join("0" * n)}]}}')
+    return path
+
+
+class TestJsonBounds:
+    """Hostile sizes are refused at the JSON boundary, with exit 4, before the work they cost."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["brown", "{}"],
+            ["vanishing", "{}", "--max"],
+            ["gm", "--form", "1", "--char", "1", "--enhancement", "{}"],
+        ],
+        ids=["brown", "vanishing", "gm"],
+    )
+    def test_file_over_the_size_cap_is_not_parsed(self, capsys, h750, argv):
+        assert h750.stat().st_size > cli.MAX_FILE_BYTES
+        tracemalloc.start()
+        try:
+            code = main([arg.format(h750) for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = f"error: {h750} exceeds file size cap {cli.MAX_FILE_BYTES} bytes\n"
+        assert (code, *capsys.readouterr()) == (4, "", message)
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("command", ["gm", "brown"])
+    def test_gram_entry_over_the_bit_cap(self, capsys, monkeypatch, tmp_path, command):
+        # 4,000 digits parse as JSON (under Python's 4,300-digit limit), but are refused before
+        # Bareiss runs and before any message would print them
+        def refuse(*_args):
+            raise AssertionError("form built")
+
+        monkeypatch.setattr(pinquad.fourmanifold.UnimodularForm, "__init__", refuse)
+        monkeypatch.setattr(BilinearForm, "__init__", refuse)
+        n, big = 12, int("7" * 4000)
+        form = {"dim": n, "gram": [[big if i == j else 0 for j in range(n)] for i in range(n)]}
+        path = tmp_path / "big.json"
+        if command == "gm":
+            path.write_text(json.dumps(form))
+            argv = ["gm", "--form", str(path), "--char", ",".join("1" * n)]
+        else:
+            path.write_text(json.dumps({"form": form, "values": [0] * n}))
+            argv = ["brown", str(path)]
+        assert run(capsys, *argv) == (4, "", "error: a Gram entry exceeds entry cap 64 bits\n")
+
+    @pytest.mark.parametrize("entry,code", [(2**63, 2), (-(2**63), 2), (2**64, 4), (-(2**64) - 1, 4)])
+    def test_gram_entry_bit_cap_boundary(self, capsys, tmp_path, entry, code):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"dim": 1, "gram": [[entry]]}))
+        got, out, err = run(capsys, "gm", "--form", str(path), "--char", "1")
+        assert (got, out) == (code, "")
+        if code == 2:  # read, then refused as not unimodular
+            assert err.endswith(f"form is not unimodular: det = {entry}\n")
 
 
 FORM_NAME_CASES = {
