@@ -65,7 +65,7 @@ def brown_invariant(q: Enhancement) -> int:
     Raises DegenerateFormError when the form is degenerate (no convention is
     chosen for that case).
     """
-    beta, r, *_ = _split(q.form, q.values)
+    beta, r, _, _, _ = _split(q.form, q.values)
     if r:
         raise DegenerateFormError("Brown invariant undefined: degenerate form")
     return beta

@@ -82,34 +82,43 @@ class F2Matrix(Value):
         object.__setattr__(self, "row_masks", row_masks)
 
 
-def _rref(masks: Iterable[int], cols: int) -> list[int]:
+def _rref(masks: Iterable[int]) -> list[int]:
     """Reduced row echelon form of a list of row bitmasks.
 
     Returns nonzero rows with strictly increasing pivots (lowest set bit),
-    each pivot column cleared in every other row.
+    each pivot column cleared in every other row.  Each row is reduced by the
+    basis row of its pivot, looked up by pivot bit, until it is zero or has a
+    new pivot; one pass from the highest pivot down then clears every pivot
+    column above a row's own, the rows above already being fully reduced.
     """
-    rows = [m for m in masks if m]
-    out: list[int] = []
-    for col in range(cols):
-        bit = 1 << col
-        piv = None
-        for i, r in enumerate(rows):
-            if r & bit:
-                piv = rows.pop(i)
+    basis: dict[int, int] = {}  # pivot bit -> basis row
+    for r in masks:
+        while r:
+            p = r & -r
+            b = basis.get(p)
+            if b is None:
+                basis[p] = r
                 break
-        if piv is None:
-            continue
-        out = [r ^ piv if r & bit else r for r in out]
-        rows = [r ^ piv if r & bit else r for r in rows]
-        out.append(piv)
-        if not rows:
-            break
+            r ^= b
+    out: list[int] = []
+    done = 0  # pivot bits of the rows already reduced
+    for p in sorted(basis, reverse=True):
+        r = basis[p]
+        m = r & done  # a reduced row has no bit at another pivot: its XOR clears just one bit
+        while m:
+            b = m & -m
+            r ^= basis[b]
+            m ^= b
+        basis[p] = r
+        done |= p
+        out.append(r)
+    out.reverse()
     return out
 
 
 def rank(m: F2Matrix) -> int:
     """Dimension of the row space."""
-    return len(_rref(m.row_masks, m.cols))
+    return len(_rref(m.row_masks))
 
 
 def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
@@ -124,7 +133,7 @@ def solve(m: F2Matrix, b: F2Vector) -> F2Vector | None:
     rhs = 1 << m.cols
     augmented = (r | rhs * ((b.bits >> i) & 1) for i, r in enumerate(m.row_masks))
     x = 0
-    for r in _rref(augmented, m.cols + 1):
+    for r in _rref(augmented):
         if r == rhs:
             return None
         # rows are fully reduced, so each pivot variable equals its rhs bit
@@ -172,7 +181,7 @@ class Subspace(Value):
 
 def kernel_basis(m: F2Matrix) -> Subspace:
     """The solution space of m.x = 0 as a canonical Subspace."""
-    rref_rows = _rref(m.row_masks, m.cols)
+    rref_rows = _rref(m.row_masks)
     pivot_cols = [(r & -r).bit_length() - 1 for r in rref_rows]
     pivot_set = set(pivot_cols)
     gens = []
@@ -185,4 +194,4 @@ def kernel_basis(m: F2Matrix) -> Subspace:
                 bits |= 1 << p
         gens.append(bits)
     # a generator's lowest bit may be a pivot column below its free column: reduce again
-    return Subspace(m.cols, tuple(_rref(gens, m.cols)))
+    return Subspace(m.cols, tuple(_rref(gens)))

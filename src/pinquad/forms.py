@@ -27,6 +27,7 @@ MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the libr
 
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
+_BITS = bytes.maketrans(b"01", b"\0\1")  # the inverse: a binary digit to its byte
 
 
 def _json_int(x: object) -> int:
@@ -205,48 +206,89 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
     dimension, null_radical whether q is 0 there, and beta the Brown invariant of q on the
     pieces, which adds up over them (Brown 1972): 2 - q(u) for an odd class, 4 for a plane
     with q = 2 on both classes, else 0.  q is ``values`` on the basis, but only its parities
-    steer, so the Gram diagonal gives the same pieces.  A basis vector is kept as (class b,
-    functional f, q value); u.v = f_v & b_u mod 2.
+    steer, so the Gram diagonal gives the same pieces.
+
+    The work is done on the Gram matrix of the current basis: bit x of ``gram[v]`` is v.x,
+    ``cls[v]`` is v's class, and q is two bitmasks over the basis, its bits 0 and 1.  Moving
+    the vectors that pair with a piece changes no other vector's pairings, so each step
+    rewrites only their rows; ``alive`` marks the vectors not yet split off.
     """
-    rest = [(1 << i, row, v) for i, (row, v) in enumerate(zip(form.row_masks, values))]
+    n = form.dim
+    gram = list(form.row_masks)
+    cls = [1 << i for i in range(n)]
+    q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
+    for i, v in enumerate(values):
+        if v & 1:
+            q0 |= 1 << i
+        if v & 2:
+            q1 |= 1 << i
+    alive = (1 << n) - 1
     beta, odd, planes = 0, [], []
-    while True:
-        # u.u = q(u) mod 2: split off an odd class
-        for k, (bu, fu, qu) in enumerate(rest):
-            if qu & 1:
-                break
-        else:
-            break
-        del rest[k]
-        odd.append(bu)
-        beta += 2 - qu
-        shift = qu + 2  # q(v + u) = q(v) + q(u) + 2 when v.u = 1
-        for j, (bv, fv, qv) in enumerate(rest):
-            if (fv & bu).bit_count() & 1:
-                rest[j] = (bv ^ bu, fv ^ fu, (qv + shift) & 3)
+    # u.u = q(u) mod 2: split off the lowest odd class; v + u for each v with v.u = 1
+    while q0 & alive:
+        bu = q0 & alive & -(q0 & alive)
+        alive ^= bu
+        u = bu.bit_length() - 1
+        cu, s = cls[u], gram[u] & alive
+        odd.append(cu)
+        # (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal too; q(v + u) = q(v) + q(u) + 2
+        if q1 & bu:  # q(u) = 3: add 1 on s
+            beta -= 1
+            q1 ^= q0 & s
+        else:  # q(u) = 1: add 3 on s
+            beta += 1
+            q1 ^= s & ~q0
+        q0 ^= s
+        m = s
+        while m:
+            bv = m & -m
+            v = bv.bit_length() - 1
+            gram[v] ^= s
+            cls[v] ^= cu
+            m ^= bv
+    # every live vector is even now and stays so: q is q1 twice
     r, null_radical = 0, True
-    while rest:
-        bu, fu, qu = rest.pop()
-        for k, (bw, fw, qw) in enumerate(rest):
-            if (fw & bu).bit_count() & 1:
-                break
-        else:
+    while alive:
+        u = alive.bit_length() - 1
+        bu = 1 << u
+        alive ^= bu
+        partners = gram[u] & alive
+        if not partners:
             # a radical class: q(u) is 0 or 2
             r += 1
-            null_radical = null_radical and not qu
+            null_radical = null_radical and not q1 & bu
             continue
-        del rest[k]
-        planes.append((bu, bw))
-        beta += 4 if qu == qw == 2 else 0
-        for j, (bv, fv, qv) in enumerate(rest):
-            # two reflections make v orthogonal to u and w: add u when v.w = 1, which keeps
-            # v.u (u.u = 0), then w when v.u = 1, which v now pairs with to 0
-            vu = (fv & bu).bit_count() & 1
-            if (fv & bw).bit_count() & 1:
-                bv, fv, qv = bv ^ bu, fv ^ fu, qv + qu + 2 * vu
-                rest[j] = (bv, fv, qv & 3)
-            if vu:
-                rest[j] = (bv ^ bw, fv ^ fw, (qv + qw) & 3)
+        bw = partners & -partners
+        alive ^= bw
+        w = bw.bit_length() - 1
+        cu, cw = cls[u], cls[w]
+        su, sw = gram[u] & alive, gram[w] & alive
+        qu, qw = q1 & bu, q1 & bw
+        planes.append((cu, cw))
+        if qu and qw:
+            beta += 4
+        # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
+        # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
+        # by q(w) on su, and by 2 more on both
+        q1 ^= su & sw
+        if qu:
+            q1 ^= sw
+        if qw:
+            q1 ^= su
+        m = sw
+        while m:
+            bv = m & -m
+            v = bv.bit_length() - 1
+            gram[v] ^= su
+            cls[v] ^= cu
+            m ^= bv
+        m = su
+        while m:
+            bv = m & -m
+            v = bv.bit_length() - 1
+            gram[v] ^= sw
+            cls[v] ^= cw
+            m ^= bv
     return beta & 7, r, null_radical, odd, planes
 
 
@@ -330,6 +372,8 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     failure raises SurgeryObstructionError naming the obstruction.  Because
     q(x + c) = q(x) for x in c-perp, the enhancement descends to cosets; the
     coset representatives are fixed by zeroing the pivot coordinate p of c.
+    They are e_j + perp_j e_h for j other than p and h, so the reduced Gram rows and
+    values are written down from the parent's, one row at a time.
     """
     if c.dim != q.form.dim:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {c.dim}")
@@ -346,5 +390,24 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     # On the representatives x_p = 0, and x.c = 0 fixes x_h, h the top bit of perp: perp is
     # nonzero (nondegenerate form), and h > p if perp has bit p (c.c = 0 needs a second bit).
     h = perp.bit_length() - 1
-    rows = (1 << j | (perp >> j & 1) << h for j in range(n) if j not in (p, h))
-    return restrict(q, Subspace(n, tuple(rows)))
+    rows, values = q.form.row_masks, q.values
+    gh, qh = rows[h], values[h]
+    lo, hi = min(p, h), max(p, h)
+    # dropping coordinates lo < hi: bits below lo stay, those between move down 1, above 2
+    below, between, above = (1 << lo) - 1, (1 << hi - 1) - (1 << lo), -(1 << hi - 1)
+    reduced, reduced_values = [], []
+    for j in range(n):
+        if j == p or j == h:
+            continue
+        f, v = rows[j], values[j]
+        if perp >> j & 1:  # the representative e_j + e_h
+            f ^= gh
+            v += qh + 2 * (gh >> j & 1)
+        if f >> h & 1:  # its pairing with e_i + perp_i e_h is f_i + perp_i f_h
+            f ^= perp
+        reduced.append(f & below | f >> 1 & between | f >> 2 & above)
+        reduced_values.append(v & 3)
+    k = n - 2
+    bits = "".join([f"{f:0{k}b}" for f in reversed(reduced)])[::-1].encode().translate(_BITS)
+    gram = tuple([tuple(bits[i * k : i * k + k]) for i in range(k)])
+    return Enhancement(BilinearForm(k, gram), reduced_values)

@@ -133,7 +133,7 @@ def has_null_lagrangian(q: Enhancement) -> bool:
     then even.
     """
     _check_search_guard(q)
-    beta, r, *_ = _split(q.form, q.values)
+    beta, r, _, _, _ = _split(q.form, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
     return beta == 0

@@ -37,6 +37,7 @@ from oracles import (
     naive_q,
     naive_radical,
     naive_rank,
+    PIECES,
     random_basis,
     random_degenerate,
     random_nondegenerate,
@@ -119,8 +120,56 @@ def split_cases(kind):
     return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
 
 
+def piece_cases(kind):
+    """Seeded forms of rank 0 to 40 with values of the right parity: random symmetric
+    (dense, sparse, or even with a zero diagonal), or sums of known pieces, degenerate or
+    not, written in a random basis."""
+    rng = random.Random(f"pieces-{kind}")
+    cases = []
+    for _ in range(24):
+        n = rng.randint(0, 40)
+        if kind in ("dense", "sparse", "even"):
+            density = 0.5 if kind != "sparse" else 2 / max(n, 2)
+            gram = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + (kind == "even"), n):
+                    gram[i][j] = gram[j][i] = int(rng.random() < density)
+            values = tuple(gram[i][i] + 2 * rng.randrange(2) for i in range(n))
+        elif kind == "degenerate":
+            gram, values = random_degenerate(rng, max(n, 1), rng.choice((0, 2)))
+        else:
+            gram, values = random_nondegenerate(rng, n)
+        if kind in ("degenerate", "rebased"):
+            gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+        cases.append((gram, values))
+    return cases
+
+
 class TestSplit:
-    """The radical found by the splitting, against rank and an exhaustive radical."""
+    """The pieces and radical found by the splitting, against the oracles' pairings, rank
+    and an exhaustive radical."""
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "even", "degenerate", "rebased"])
+    def test_pieces_against_naive_pairings(self, kind):
+        # the pieces' own Gram matrix, paired and valued by the oracles, is the orthogonal sum
+        # of <1> per odd class and H per plane; beta adds up over it, r fills the rank
+        for gram, values in piece_cases(kind):
+            n = len(gram)
+            beta, r, _null, odd, planes = pinquad.forms._split(BilinearForm.from_rows(gram), values)
+            for u in odd:
+                assert naive_dot(gram, u, u) == 1
+            for u, w in planes:
+                assert naive_dot(gram, u, w) == 1
+                assert naive_dot(gram, u, u) == naive_dot(gram, w, w) == 0
+            pieces = odd + [c for plane in planes for c in plane]
+            piece_gram, piece_q = rebase(gram, values, pieces)
+            assert piece_gram == block_sum([[[1]]] * len(odd) + [PIECES[1]] * len(planes))
+            assert len(odd) + 2 * len(planes) + r == n
+            assert r == n - naive_rank([sum(b << j for j, b in enumerate(row)) for row in gram])
+            odd_q, plane_q = piece_q[: len(odd)], piece_q[len(odd) :]
+            pieces_beta = sum(2 - v for v in odd_q)
+            pieces_beta += sum(4 for qu, qw in zip(plane_q[::2], plane_q[1::2]) if qu == qw == 2)
+            assert beta == pieces_beta % 8, (gram, values)
 
     @pytest.mark.parametrize("kind", ["rebased", "radical_q0", "radical_q2"])
     def test_radical_matches_oracle(self, kind):

@@ -8,6 +8,7 @@ from pinquad.f2 import (
     F2Matrix,
     F2Vector,
     Subspace,
+    _rref,
     kernel_basis,
     rank,
     solve,
@@ -94,6 +95,51 @@ class TestRank:
             cols = rng.randint(1, 6)
             m = F2Matrix(rows, cols, tuple(rng.randrange(1 << cols) for _ in range(rows)))
             assert rank(m) + kernel_basis(m).dim == cols
+
+    def test_against_naive_rank_to_64_columns(self):
+        # sums of random rows, so the rank falls short, with zero rows and repeats mixed in
+        rng = random.Random(6464)
+        for _ in range(300):
+            cols = rng.randint(1, 64)
+            right = [rng.getrandbits(cols) for _ in range(rng.randint(0, cols))]
+            masks = []
+            for _ in range(rng.randint(1, 40)):
+                pick = rng.random()
+                if pick < 0.15:
+                    masks.append(0)
+                elif pick < 0.3 and masks:
+                    masks.append(rng.choice(masks))
+                else:
+                    row = 0
+                    for r in right:
+                        if rng.randrange(2):
+                            row ^= r
+                    masks.append(row)
+            m = F2Matrix(len(masks), cols, tuple(masks))
+            assert rank(m) == naive_rank(masks), masks
+
+
+class TestRref:
+    def test_reduced_echelon_spanning_the_rows(self):
+        # nonzero rows, pivots (lowest bits) increasing, each pivot column clear in every
+        # other row, and the span of the input, to 32 columns
+        rng = random.Random(3232)
+        for trial in range(300):
+            cols = rng.randint(1, 32)
+            right = [rng.getrandbits(cols) for _ in range(rng.randint(0, cols))]
+            masks = [0] * (trial % 3)
+            for _ in range(rng.randint(1, 40)):
+                masks.append(0)
+                for r in right:
+                    if rng.randrange(2):
+                        masks[-1] ^= r
+            masks += masks[: trial % 4]
+            rows = _rref(masks)
+            pivots = [r & -r for r in rows]
+            assert all(rows) and pivots == sorted(set(pivots))
+            for r, p in zip(rows, pivots):
+                assert all(not other & p for other in rows if other != r)
+            assert Subspace(cols, rows) == spanned([F2Vector(cols, x) for x in masks])
 
 
 class TestSolve:

@@ -453,10 +453,19 @@ class TestIsotropicReduction:
                 isotropic_reduction(q, c)
 
     def test_matches_kernel_elimination(self):
-        # every admissible class of every enhancement of the standard forms to rank 6
-        for gram in standard_grams(6):
+        # every admissible class of every enhancement of the standard forms to rank 6, of the
+        # odd rank-2 forms with an isotropic class, and of sums re-based to rank 5; among them,
+        # with h the top bit of c-perp and p the pivot of c, the edges of the row formula
+        rng = random.Random(5)
+        rebased = []
+        while len(rebased) < 3:
+            gram, values = random_nondegenerate(rng, 5)
+            rebased.append(rebase(gram, values, random_basis(rng, len(gram)))[0])
+        edges = set()
+        for gram in standard_grams(6) + [[[1, 1], [1, 0]], [[0, 1], [1, 1]]] + rebased:
             form = BilinearForm.from_rows(gram)
             n = form.dim
+            masks = [bits(row) for row in gram]
             for q in enumerate_enhancements(form):
                 for c_bits in range(1, 1 << n):
                     c = F2Vector(n, c_bits)
@@ -464,6 +473,15 @@ class TestIsotropicReduction:
                         continue
                     r = isotropic_reduction(q, c)
                     assert r == reference_reduction(q, c) and r.form.dim == n - 2
+                    perp = naive_mat_vec(masks, c_bits)
+                    p, h = (c_bits & -c_bits).bit_length() - 1, perp.bit_length() - 1
+                    if h < p and perp != 1 << h:
+                        edges.add("h below p, c-perp wider than e_h")
+                    if perp >> p & 1:
+                        edges.add("c-perp has bit p")
+                    if n == 2:
+                        edges.add("rank 2 reduced to rank 0")
+        assert len(edges) == 3
 
     def test_matches_kernel_elimination_on_rebased_forms(self):
         # random classes, obstructed ones included, on nondegenerate forms to rank 32
