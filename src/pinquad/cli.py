@@ -49,13 +49,7 @@ from .forms import (
     torsor_act,
 )
 from .fourmanifold import UnimodularForm, gm_required_beta, parse_form_name
-from .vanishing import (
-    MAX_SEARCH_DIM,
-    _null_bases,
-    has_null_lagrangian,
-    max_vanishing_dim,
-    vanishing_subspaces,
-)
+from .vanishing import MAX_SEARCH_DIM, _null_bases, has_null_lagrangian, max_vanishing_dim
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -66,7 +60,7 @@ EXIT_NOT_CHARACTERISTIC = 5
 EXIT_OBSTRUCTED = 6
 EXIT_INTERNAL = 7
 
-MAX_FILE_BYTES = 1 << 20  # JSON files, refused unparsed above it; rank 32 takes about 3 KB
+MAX_FILE_BYTES = 1 << 20  # JSON files, refused unparsed above it; it admits about rank 720
 
 
 class UsageError(PinquadError):
@@ -128,14 +122,11 @@ def _class_argument(path: str, text: str, flag: str, cls: type[F2Vector]) -> tup
     """(q, beta, class) from a file and a bit string.
 
     Checked in this order: the file, the bit string, beta (a degenerate form; beta has no
-    guard), the class dimension, and last the vector size cap.
+    guard); the class dimension is checked by the command's own operation.
     """
     q = _read(path, Enhancement, "enhancement")
     bits = _parse_bits(text, flag)
-    beta = brown_invariant(q)
-    if len(text) != q.form.dim:  # checked before the vector is built, whose size is capped
-        raise DimensionMismatchError(f"enhancement dim {q.form.dim}, {flag[2:]} dim {len(text)}")
-    return q, beta, cls(len(text), bits)
+    return q, brown_invariant(q), cls(len(text), bits)
 
 
 def _basis_text(rows: Sequence[int], n: int) -> str:
@@ -227,10 +218,10 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
     q = _read(args.enhancement, Enhancement, "enhancement")
     n = q.form.dim
     if args.dim is not None:
-        spaces = vanishing_subspaces(q, args.dim)
-        bases = lambda: [_basis_json(s.row_masks, n) for s in spaces]
-        text = lambda: "\n".join(_basis_text(s.row_masks, n) for s in spaces) or "none"
-        _emit(args, lambda: {"dim": args.dim, "subspaces": bases()}, text)
+        bases = list(_null_bases(q, args.dim))
+        record = lambda: {"dim": args.dim, "subspaces": [_basis_json(b, n) for b in bases]}
+        text = lambda: "\n".join(_basis_text(b, n) for b in bases) or "none"
+        _emit(args, record, text)
         return EXIT_OK
     if args.max:
         d = max_vanishing_dim(q)

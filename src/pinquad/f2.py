@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, LimitError
-
-MAX_VECTOR_DIM = 32
+from .errors import DimensionMismatchError
 
 
 def parity(mask: int) -> int:
@@ -56,8 +54,6 @@ class F2Vector(Value):
     __slots__ = _fields = ("dim", "bits")
 
     def __init__(self, dim: int, bits: int):
-        if not 0 <= dim <= MAX_VECTOR_DIM:
-            raise LimitError(f"vector dimension {dim} outside [0, {MAX_VECTOR_DIM}]")
         if not 0 <= bits < (1 << dim):
             raise ValueError(f"bit mask {bits:#x} does not fit in dimension {dim}")
         object.__setattr__(self, "dim", dim)
@@ -153,8 +149,6 @@ class Subspace(Value):
     def __init__(self, ambient_dim: int, row_masks: Sequence[int]):
         row_masks = tuple(row_masks)
         n = ambient_dim
-        if not 0 <= n <= MAX_VECTOR_DIM:
-            raise LimitError(f"ambient dimension {n} outside [0, {MAX_VECTOR_DIM}]")
         top = 1 << n
         last = 0  # pivot bit of the previous row
         seen = 0  # union of the previous rows

@@ -13,7 +13,7 @@ from pinquad.errors import (
     UnsupportedInputError,
 )
 from pinquad.f2 import F2Vector
-from pinquad.vanishing import MAX_SEARCH_DIM, has_null_lagrangian
+from pinquad.vanishing import has_null_lagrangian
 from pinquad.forms import (
     BilinearForm,
     Enhancement,
@@ -184,7 +184,7 @@ class TestSplit:
             assert (r > 0) == degenerate == (kind != "rebased")
             assert null_radical == all(naive_q(gram, values, x) == 0 for x in radical)
             assert null_radical == (kind != "radical_q2")
-            for answer in (brown_invariant, has_null_lagrangian)[: 1 + (n <= MAX_SEARCH_DIM)]:
+            for answer in (brown_invariant, has_null_lagrangian):
                 if degenerate:
                     with pytest.raises(DegenerateFormError):
                         answer(q)
@@ -256,12 +256,12 @@ PIECE_BETAS = [
 ]
 
 
-def high_rank_sums(seed, even):
-    """A re-based orthogonal sum of pieces of rank 21 to 32, its beta (the pieces' betas
-    added mod 8) and the indices of the pieces used."""
+def high_rank_sums(seed, even, ranks=(21, 32)):
+    """A re-based orthogonal sum of pieces of rank in ``ranks`` (21 to 32 by default), its
+    beta (the pieces' betas added mod 8) and the indices of the pieces used."""
     rng = random.Random(f"high-rank-{seed}")
     kinds = range(2, 5) if even else range(5)
-    n, chosen = rng.randint(21, 32), []
+    n, chosen = rng.randint(*ranks), []
     while sum(len(PIECE_BETAS[k][0]) for k in chosen) < n:
         k = rng.choice(kinds)
         if sum(len(PIECE_BETAS[j][0]) for j in chosen) + len(PIECE_BETAS[k][0]) <= n:
@@ -276,15 +276,31 @@ def high_rank_sums(seed, even):
 
 
 class TestHighRank:
-    """beta has no guard: it adds up over the split at ranks past the Gauss-sum guard."""
+    """beta has no guard: it adds up over the split at ranks past the Gauss-sum guard, and
+    the Lagrangian test, surgery, the torsor action and the dual answer there too."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_beta_is_the_sum_over_the_pieces(self, seed):
         q, beta, _ = high_rank_sums(seed, even=False)
         assert 21 <= q.form.dim <= 32
         assert brown_invariant(q) == beta
+        assert has_null_lagrangian(q) == (beta == 0)
         with pytest.raises(LimitError, match="Gauss-sum guard 20"):
             gauss_sum(q)
+        # past 32 coordinates: surgery keeps beta, acting by y moves it by -2 q(dual y)
+        q, beta, _ = high_rank_sums(seed, even=False, ranks=(33, 64))
+        n, gram, values = q.form.dim, q.form.gram, q.values
+        assert 33 <= n <= 64 and brown_invariant(q) == beta
+        rng = random.Random(f"high-rank-classes-{seed}")
+        c = 0
+        while not c or naive_dot(gram, c, c) or naive_q(gram, values, c):
+            c = rng.getrandbits(n)
+        assert brown_invariant(isotropic_reduction(q, F2Vector(n, c))) == beta
+        y = Covector(n, rng.getrandbits(n))
+        dual = poincare_dual(q.form, y)
+        assert all(naive_dot(gram, dual.bits, 1 << i) == y.bits >> i & 1 for i in range(n))
+        moved = brown_invariant(torsor_act(q, y))
+        assert (moved - beta) % 8 == (-2 * naive_q(gram, values, dual.bits)) % 8
 
     @pytest.mark.parametrize("seed", range(6))
     def test_arf_of_an_even_sum(self, seed):

@@ -1,6 +1,9 @@
+import contextlib
 import errno
+import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -8,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinquad
 import pinquad.brown
@@ -20,8 +25,17 @@ from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.cli import EXIT_CODES, main
 from pinquad.errors import DegenerateFormError, PinquadError
 from pinquad.f2 import F2Matrix, F2Vector
-from pinquad.forms import BilinearForm, Covector, Enhancement, isotropic_reduction, poincare_dual
+from pinquad.forms import (
+    BilinearForm,
+    Covector,
+    Enhancement,
+    hyperbolic_form,
+    isotropic_reduction,
+    poincare_dual,
+)
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
+
+from oracles import naive_dot, naive_q
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -118,7 +132,7 @@ GOLDEN_CASES = [
     ),
     (["torsor", str(DATA / "torus_v00.json"), "--covector", "10"], "torsor_torus_v00_y10.txt", 0),
     (["torsor", str(DATA / "rp2_v1.json"), "--covector", "1"], "torsor_rp2_v1_y1.txt", 0),
-    # rank 24: beta answers above the Gauss-sum guard of brown, up to the 32-coordinate vector cap
+    # rank 24: beta answers above the Gauss-sum guard of brown, and surgery and torsor with it
     (
         ["surgery", str(DATA / "genus12_beta4.json"), "--class", "1" + "0" * 23],
         "surgery_genus12_beta4_e0.txt",
@@ -218,6 +232,15 @@ class TestExitCodes:
         assert code == 4
         assert "guard" in err
 
+    def test_lagrangian_past_the_search_guard(self, capsys, tmp_path):
+        # "no" is closed-form at any rank; "yes" prints the walk's first basis, which is guarded
+        code, out, err = run(capsys, "vanishing", str(DATA / "genus12_beta4.json"), "--lagrangian")
+        assert (code, out, err) == (0, "no\n", "")
+        h6 = tmp_path / "h6.json"
+        h6.write_text(json.dumps(Enhancement(hyperbolic_form(6), (0,) * 12).to_json()))
+        code, out, err = run(capsys, "vanishing", str(h6), "--lagrangian")
+        assert (code, out, err) == (4, "", "error: dim 12 exceeds vanishing-search guard 10\n")
+
     @pytest.mark.parametrize("summands", [2_000, 20_000])
     @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
     def test_form_expression_over_the_cap_builds_nothing(self, capsys, command, summands):
@@ -302,7 +325,7 @@ class TestExitCodes:
         "command,flag,what", [("surgery", "--class", "class"), ("torsor", "--covector", "covector")]
     )
     def test_over_long_vector_is_a_mismatch(self, capsys, command, flag, what):
-        # past the 32-coordinate vector cap it is still a dimension mismatch, not a guard
+        # a class longer than the form is a dimension mismatch, found after beta
         path = DATA / "torus_v00.json"
         code, out, err = run(capsys, command, str(path), flag, "1" * 40)
         assert (code, out, err) == (2, "", f"error: enhancement dim 2, {what} dim 40\n")
@@ -414,7 +437,7 @@ class TestExitCodes:
         def no_listing(q, dim):
             raise AssertionError("--lagrangian must not list subspaces")
 
-        for module in (pinquad, pinquad.vanishing, cli):
+        for module in (pinquad, pinquad.vanishing):
             monkeypatch.setattr(module, "vanishing_subspaces", no_listing)
         code, out, _err = run(capsys, "vanishing", str(DATA / "genus2_v0000.json"), "--lagrangian")
         assert code == 0
@@ -581,6 +604,60 @@ class TestJsonBounds:
         assert (got, out) == (code, "")
         if code == 2:  # read, then refused as not unimodular
             assert err.endswith(f"form is not unimodular: det = {entry}\n")
+
+
+@pytest.fixture(scope="module")
+def rank720(tmp_path_factory):
+    """A seeded nondegenerate rank-720 enhancement in compact JSON, about the largest the
+    file cap admits, with a q-null class and a covector of it as bit strings."""
+    rng = random.Random("rank-720")
+    n = 720
+    form = None
+    while form is None or not form.nondegenerate:  # about 42% of random forms are
+        masks = [0] * n
+        for i in range(n):
+            row = rng.getrandbits(n - i) << i  # the entries j >= i of row i
+            masks[i] |= row
+            for j in range(i + 1, n):
+                masks[j] |= (row >> j & 1) << i
+        gram = [[m >> j & 1 for j in range(n)] for m in masks]
+        form = BilinearForm.from_rows(gram)
+    values = [gram[i][i] + 2 * rng.getrandbits(1) for i in range(n)]
+    c = 0
+    while not c or naive_dot(gram, c, c) or naive_q(gram, values, c):
+        c = rng.getrandbits(n)
+    path = tmp_path_factory.mktemp("at_cap") / "rank720.json"
+    path.write_text(json.dumps(Enhancement(form, values).to_json(), separators=(",", ":")))
+    bits = lambda x: f"{x:0{n}b}"[::-1]
+    return path, bits(c), bits(rng.getrandbits(n))
+
+
+class TestAtTheFileCap:
+    """Rank 720, under the file cap: surgery and the torsor action are polynomial and
+    answer; brown's Gauss sum is still refused by its guard."""
+
+    def test_file_is_under_the_cap(self, rank720):
+        assert 1_000_000 < rank720[0].stat().st_size < cli.MAX_FILE_BYTES
+
+    def test_surgery_keeps_beta(self, capsys, rank720):
+        path, c, _y = rank720
+        code, out, err = run(capsys, "surgery", str(path), "--class", c, "--json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["beta_before"] == record["beta_after"]
+        assert record["form"]["dim"] == len(record["values"]) == 718
+
+    def test_torsor_matches(self, capsys, rank720):
+        path, _c, y = rank720
+        code, out, err = run(capsys, "torsor", str(path), "--covector", y, "--json")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["verdict"] == "MATCH"
+        assert record["predicted_delta"] == record["measured_delta"]
+
+    def test_brown_at_the_gauss_guard(self, capsys, rank720):
+        code, out, err = run(capsys, "brown", str(rank720[0]))
+        assert (code, out, err) == (4, "", "error: dim 720 exceeds Gauss-sum guard 20\n")
 
 
 FORM_NAME_CASES = {
@@ -777,3 +854,71 @@ def test_import_loads_no_dataclass_machinery():
     env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+JSON_VALUES = st.recursive(
+    st.integers(-1, 4) | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+FUZZ_BASES = [
+    "torus_v00.json",
+    "rp2_v1.json",
+    "klein_v13.json",
+    "genus2_v0000.json",
+    "degenerate.json",
+    "dim0.json",
+    "rebased6.json",
+    "klein_form.json",
+    "e8_form.json",
+]
+FUZZ_COMMANDS = [
+    ["brown", "{path}"],
+    ["vanishing", "{path}", "--max"],
+    ["vanishing", "{path}", "--lagrangian"],
+    ["vanishing", "{path}", "--dim", "1"],
+    ["surgery", "{path}", "--class", "{bits}"],
+    ["torsor", "{path}", "--covector", "{bits}"],
+    ["gm", "--form", "H", "--char", "0,0", "--enhancement", "{path}"],
+    ["enumerate", "--form", "{path}"],
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A document of tests/data with one to three of its parts replaced, deleted or added."""
+    doc = json.loads((DATA / draw(st.sampled_from(FUZZ_BASES))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        if not doc:
+            break
+        pick = lambda node: draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent = doc
+        key = pick(parent)
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.integers(0, 3)):
+            parent = parent[key]
+            key = pick(parent)
+        op = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "replace":
+            parent[key] = draw(JSON_VALUES)
+        elif op == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, draw(JSON_VALUES))
+        else:
+            parent[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    return doc
+
+
+@given(doc=mutated_documents(), bits=st.text(alphabet="01", min_size=1, max_size=8))
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, bits):
+    # every command on a malformed or out-of-domain file exits in the contract, with an
+    # error line for each code past FAIL, and no exception escapes main
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    for argv in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(path=path, bits=bits) for arg in argv])
+        assert code in range(8), (argv, doc)
+        assert code in (0, 1) or err.getvalue().startswith("error: "), (argv, doc)
