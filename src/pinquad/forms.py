@@ -28,6 +28,9 @@ MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the libr
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
 _BITS = bytes.maketrans(b"01", b"\0\1")  # the inverse: a binary digit to its byte
+# a Z/4 value as a byte -> its bit 0, and its bit 1, as a binary digit
+_LOW_BIT = bytes.maketrans(b"\0\1\2\3", b"0101")
+_HIGH_BIT = bytes.maketrans(b"\0\1\2\3", b"0011")
 
 
 def _json_int(x: object) -> int:
@@ -72,25 +75,28 @@ class BilinearForm(_Gram):
     __slots__ = ("dim", "gram", "row_masks")
 
     def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
-        if len(gram) != dim or any(len(r) != dim for r in gram):
-            raise ValueError(f"Gram matrix is not {dim}x{dim}")
-        cols = tuple(zip(*gram))  # tuples whatever the rows are (lists, arrays); gram if symmetric
-        try:  # whole rows at a time: int() refuses any byte that is not a bit
-            masks = tuple(int(bytes(c)[::-1].translate(_BIT_DIGITS), 2) for c in cols)
-            valid = cols == gram  # True only for tuples of tuples: an array compares elementwise
+        try:  # one parse of the joined rows: int() refuses any byte that is not a bit
+            bits = int(b"".join(map(bytes, gram))[::-1].translate(_BIT_DIGITS) or b"0", 2)
+            # True only for a square symmetric tuple of tuples: an array compares elementwise
+            valid = len(gram) == dim and tuple(zip(*gram)) == gram
         except (TypeError, ValueError):
             valid = False
-        if valid is not True:  # report the first fault in row-major order; other row types pass
+        if valid is not True:  # name the first fault, shape before entries; other row types pass
+            if len(gram) != dim or any(len(r) != dim for r in gram):
+                raise ValueError(f"Gram matrix is not {dim}x{dim}")
             for i in range(dim):
                 for j in range(dim):
                     if index(gram[i][j]) not in (0, 1):  # floats and strings raise TypeError
                         raise ValueError(f"Gram entry ({i},{j}) is {gram[i][j]}, expected a bit")
                     if gram[i][j] != gram[j][i]:
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
-            cols = tuple(tuple(map(index, row)) for row in gram)  # numpy ints and bools as ints
+            # numpy ints and bools as ints, rows as tuples: the parse above then holds
+            return BilinearForm.__init__(self, dim, tuple(tuple(map(index, row)) for row in gram))
+        row = (1 << dim) - 1
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", cols)
-        object.__setattr__(self, "row_masks", masks)  # row i as a bitmask: bit j is gram[i][j]
+        object.__setattr__(self, "gram", gram)
+        # row i as a bitmask, bit j is gram[i][j]: bits i*dim to i*dim + dim - 1 of the parse
+        object.__setattr__(self, "row_masks", tuple(bits >> i * dim & row for i in range(dim)))
 
     @property
     def nondegenerate(self) -> bool:
@@ -201,11 +207,15 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
 
     A symmetric form over F2 is an orthogonal sum of classes u with u.u = 1, planes (u, w)
     with u.w = 1 and u.u = w.w = 0, and its radical (Milnor-Husemoller 1973; Kirby-Taylor
-    1990).  Pieces come off one at a time, odd classes first, the rest of the basis moving
-    into their complement.  ``odd`` and ``planes`` are class bitmasks, r the radical's
-    dimension, null_radical whether q is 0 there, and beta the Brown invariant of q on the
-    pieces, which adds up over them (Brown 1972): 2 - q(u) for an odd class, 4 for a plane
-    with q = 2 on both classes, else 0.  q is ``values`` on the basis, but only its parities
+    1990).  One loop takes the pieces off one at a time, the rest of the basis moving into
+    their complement: the lowest odd class while any is left, else the lowest class, which
+    leaves with its lowest partner as a plane, or alone as a radical class if it has none.
+    ``odd`` and ``planes`` are class bitmasks, r the radical's dimension, null_radical
+    whether q is 0 there, and beta the Brown invariant of q on the pieces, which adds up
+    over them (Brown 1972): 2 - q(u) for an odd class, 4 for a plane with q = 2 on both
+    classes, else 0.  The pieces depend on the order they come off in, but what callers read
+    from them does not: beta, r, null_radical, how many odd classes and planes there are,
+    and the Poincare duals they give.  q is ``values`` on the basis, but only its parities
     steer, so the Gram diagonal gives the same pieces.
 
     The work is done on the Gram matrix of the current basis: bit x of ``gram[v]`` is v.x,
@@ -216,79 +226,64 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
     n = form.dim
     gram = list(form.row_masks)
     cls = [1 << i for i in range(n)]
-    q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
-    for i, v in enumerate(values):
-        if v & 1:
-            q0 |= 1 << i
-        if v & 2:
-            q1 |= 1 << i
+    digits = bytes(values)[::-1]  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
+    q0 = int(digits.translate(_LOW_BIT) or b"0", 2)
+    q1 = int(digits.translate(_HIGH_BIT) or b"0", 2)
     alive = (1 << n) - 1
-    beta, odd, planes = 0, [], []
-    # u.u = q(u) mod 2: split off the lowest odd class; v + u for each v with v.u = 1
-    while q0 & alive:
-        bu = q0 & alive & -(q0 & alive)
+    beta, r, null_radical, odd, planes = 0, 0, True, [], []
+    while alive:
+        pick = q0 & alive or alive  # u.u = q(u) mod 2; once no live class is odd, none becomes so
+        bu = pick & -pick
         alive ^= bu
         u = bu.bit_length() - 1
-        cu, s = cls[u], gram[u] & alive
-        odd.append(cu)
-        # (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal too; q(v + u) = q(v) + q(u) + 2
-        if q1 & bu:  # q(u) = 3: add 1 on s
-            beta -= 1
-            q1 ^= q0 & s
-        else:  # q(u) = 1: add 3 on s
-            beta += 1
-            q1 ^= s & ~q0
-        q0 ^= s
-        m = s
-        while m:
-            bv = m & -m
-            v = bv.bit_length() - 1
-            gram[v] ^= s
-            cls[v] ^= cu
-            m ^= bv
-    # every live vector is even now and stays so: q is q1 twice
-    r, null_radical = 0, True
-    while alive:
-        u = alive.bit_length() - 1
-        bu = 1 << u
-        alive ^= bu
-        partners = gram[u] & alive
-        if not partners:
-            # a radical class: q(u) is 0 or 2
+        s = gram[u] & alive
+        if q0 & bu:
+            cu = cls[u]
+            odd.append(cu)
+            # v + u for each v in s: (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal
+            # too, and q(v + u) = q(v) + q(u) + 2
+            if q1 & bu:  # q(u) = 3: add 1 on s
+                beta -= 1
+                q1 ^= q0 & s
+            else:  # q(u) = 1: add 3 on s
+                beta += 1
+                q1 ^= s & ~q0
+            q0 ^= s
+            m = s
+            while m:
+                bv = m & -m
+                v = bv.bit_length() - 1
+                gram[v] ^= s
+                cls[v] ^= cu
+                m ^= bv
+        elif s:  # every live class is even: q is q1 twice
+            bw = s & -s
+            alive ^= bw
+            w = bw.bit_length() - 1
+            cu, cw = cls[u], cls[w]
+            su, sw = s ^ bw, gram[w] & alive
+            qu, qw = q1 & bu, q1 & bw
+            planes.append((cu, cw))
+            if qu and qw:
+                beta += 4
+            # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
+            # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
+            # by q(w) on su, and by 2 more on both.  Each v in m gets row and class c added.
+            q1 ^= su & sw
+            if qu:
+                q1 ^= sw
+            if qw:
+                q1 ^= su
+            for m, row, c in ((sw, su, cu), (su, sw, cw)):
+                while m:
+                    bv = m & -m
+                    v = bv.bit_length() - 1
+                    gram[v] ^= row
+                    cls[v] ^= c
+                    m ^= bv
+        else:  # a radical class: q(u) is 0 or 2
             r += 1
             null_radical = null_radical and not q1 & bu
-            continue
-        bw = partners & -partners
-        alive ^= bw
-        w = bw.bit_length() - 1
-        cu, cw = cls[u], cls[w]
-        su, sw = gram[u] & alive, gram[w] & alive
-        qu, qw = q1 & bu, q1 & bw
-        planes.append((cu, cw))
-        if qu and qw:
-            beta += 4
-        # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
-        # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
-        # by q(w) on su, and by 2 more on both
-        q1 ^= su & sw
-        if qu:
-            q1 ^= sw
-        if qw:
-            q1 ^= su
-        m = sw
-        while m:
-            bv = m & -m
-            v = bv.bit_length() - 1
-            gram[v] ^= su
-            cls[v] ^= cu
-            m ^= bv
-        m = su
-        while m:
-            bv = m & -m
-            v = bv.bit_length() - 1
-            gram[v] ^= sw
-            cls[v] ^= cw
-            m ^= bv
     return beta & 7, r, null_radical, odd, planes
 
 
@@ -313,7 +308,7 @@ def enumerate_enhancements(form: BilinearForm) -> Iterator[Enhancement]:
     Choice bit i toggles values[i] between gram[i][i] and gram[i][i] + 2.
     """
     _check_enumeration_guard(form.dim)
-    diag = tuple(form.gram[i][i] for i in range(form.dim))
+    diag = form._diagonal()
     for choice in range(1 << form.dim):
         values = tuple((diag[i] + 2 * ((choice >> i) & 1)) % 4 for i in range(form.dim))
         yield Enhancement(form, values)

@@ -131,15 +131,101 @@ class TestBilinearForm:
     def test_row_masks(self):
         rng = random.Random(6)
         for _ in range(200):
-            n = rng.randint(0, 32)
-            gram = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    gram[i][j] = gram[j][i] = rng.randrange(2)
+            gram = random_symmetric(rng, rng.randint(0, 32))
             form = BilinearForm.from_rows(gram)
             assert form.row_masks == tuple(
                 sum(bit << j for j, bit in enumerate(row)) for row in gram
             )
+
+
+def first_fault(dim, gram):
+    """(exception type, message) a row-major scan names first, or None for a valid matrix."""
+    if len(gram) != dim or any(len(r) != dim for r in gram):
+        return ValueError, f"Gram matrix is not {dim}x{dim}"
+    for i in range(dim):
+        for j in range(dim):
+            x = gram[i][j]
+            if not hasattr(x, "__index__"):  # named as the interpreter names a type
+                name = type(x).__name__
+                if type(x).__module__ != "builtins":
+                    name = f"{type(x).__module__}.{name}"
+                return TypeError, f"'{name}' object cannot be interpreted as an integer"
+            if x not in (0, 1):
+                return ValueError, f"Gram entry ({i},{j}) is {x}, expected a bit"
+            if x != gram[j][i]:
+                return ValueError, f"Gram matrix not symmetric at ({i},{j})"
+    return None
+
+
+def faulty_grams(rng, n):
+    """(dim, rows) with one fault each: a bad entry, an asymmetric pair, a ragged row, a bad dim."""
+    gram = random_symmetric(rng, n)
+
+    def with_row(i, row):
+        return [row if k == i else r for k, r in enumerate(gram)]
+
+    cases = [(n + 1, gram)] + [(n - 1, gram)] * (n > 0)
+    if n:
+        i, j = rng.randrange(n), rng.randrange(n)
+        row = gram[i]
+        cases += [(n, with_row(i, row[:j] + [bad] + row[j + 1 :])) for bad in (2, 256, -1, 1.0)]
+        cases += [(n, with_row(i, row[:-1])), (n, with_row(i, row + [0]))]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        row = gram[i]
+        cases.append((n, with_row(i, row[:j] + [1 - row[j]] + row[j + 1 :])))
+    return cases
+
+
+def random_symmetric(rng, n):
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randrange(2)
+    return gram
+
+
+def as_tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+def as_arrays(rows):
+    np = pytest.importorskip("numpy")
+    if len({len(r) for r in rows}) > 1:  # ragged: a list of row arrays
+        return [np.array(r) for r in rows]
+    return np.array(rows)
+
+
+CONTAINERS = pytest.mark.parametrize(
+    "container", [as_tuples, list, as_arrays], ids=["tuples", "lists", "numpy"]
+)
+
+
+class TestGramCheck:
+    """The one-parse check against a per-entry loop, for rows as tuples, lists and arrays."""
+
+    @CONTAINERS
+    def test_valid_forms_match_a_per_entry_loop(self, container):
+        rng = random.Random(25)
+        for n in range(41):
+            gram = random_symmetric(rng, n)
+            form = BilinearForm(n, container(gram))
+            assert form.row_masks == tuple(sum(b << j for j, b in enumerate(r)) for r in gram)
+            reference = BilinearForm(n, as_tuples(gram))
+            assert form.gram == reference.gram == as_tuples(gram)
+            assert all(type(x) is int for row in form.gram for x in row)
+            assert form == reference and hash(form) == hash(reference)
+
+    @CONTAINERS
+    def test_faults_are_named_as_a_row_major_scan_names_them(self, container):
+        rng = random.Random(26)
+        for n in range(41):
+            for dim, rows in faulty_grams(rng, n):
+                gram = container(rows)
+                kind, message = first_fault(dim, gram)
+                with pytest.raises(kind) as info:
+                    BilinearForm(dim, gram)
+                assert str(info.value) == message
 
 
 class TestEnhancementConstruction:

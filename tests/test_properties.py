@@ -4,12 +4,15 @@ Enhancements are drawn as orthogonal sums of <1>, <-1> and hyperbolic planes
 (with any values), whose Brown invariant is known piece by piece, and then
 written in a random basis of F2^n: the Gram matrix and the basis values are
 moved together, so the enhancement is the same and only its presentation
-changes.  Runs are derandomized and bounded, so the suite is deterministic.
+changes.  Some draws also get radical classes <0>, with q = 0 or 2 on them.
+Runs are derandomized and bounded, so the suite is deterministic.
 """
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinquad.brown import brown_invariant
+from pinquad.brown import brown_invariant, gauss_sum
+from pinquad.errors import DegenerateFormError
 from pinquad.forms import BilinearForm, Enhancement, direct_sum
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 from oracles import block_sum, rebase
@@ -21,10 +24,17 @@ PIECE_BETA = {(1,): 1, (3,): 7, (0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 4}
 
 
 @st.composite
-def split_enhancements(draw, max_dim):
-    """(gram, values, beta) of an orthogonal sum of pieces, rank at most max_dim."""
+def split_enhancements(draw, max_dim, radical=False):
+    """(gram, values, beta) of an orthogonal sum of pieces, rank at most max_dim.
+
+    With ``radical``, some draws also have a zero block; beta is then that of the other pieces.
+    """
     n = draw(st.integers(0, max_dim))
     blocks, values, beta = [], (), 0
+    zeros = draw(st.integers(0, min(n, 3))) if radical else 0
+    if zeros:
+        blocks.append([[0] * zeros for _ in range(zeros)])
+        values += tuple(draw(st.sampled_from((0, 2))) for _ in range(zeros))
     while len(values) < n:
         if n - len(values) >= 2 and draw(st.booleans()):
             blocks.append([[0, 1], [1, 0]])
@@ -57,9 +67,9 @@ def bases(draw, n):
 
 
 @st.composite
-def rebased(draw, max_dim):
+def rebased(draw, max_dim, radical=False):
     """An enhancement of known beta, and the same enhancement in a random basis."""
-    gram, values, beta = draw(split_enhancements(max_dim))
+    gram, values, beta = draw(split_enhancements(max_dim, radical))
     moved_gram, moved_values = rebase(gram, values, draw(bases(len(values))))
     original = Enhancement(BilinearForm.from_rows(gram), values)
     moved = Enhancement(BilinearForm.from_rows(moved_gram), moved_values)
@@ -80,6 +90,20 @@ def test_null_answers_are_invariant_under_change_of_basis(case):
     original, moved, _beta = case
     assert max_vanishing_dim(moved) == max_vanishing_dim(original)
     assert has_null_lagrangian(moved) == has_null_lagrangian(original)
+
+
+@PROPERTY_SETTINGS
+@given(rebased(20, radical=True))
+def test_answers_are_invariant_under_change_of_basis_on_degenerate_forms(case):
+    original, moved, _beta = case
+    assert moved.form.nondegenerate == original.form.nondegenerate
+    assert gauss_sum(moved).counts == gauss_sum(original).counts
+    if original.form.dim <= 10:
+        assert max_vanishing_dim(moved) == max_vanishing_dim(original)
+    if not original.form.nondegenerate:
+        for q in (original, moved):
+            with pytest.raises(DegenerateFormError):
+                brown_invariant(q)
 
 
 @PROPERTY_SETTINGS
