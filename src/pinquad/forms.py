@@ -28,9 +28,6 @@ MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the libr
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
 _BITS = bytes.maketrans(b"01", b"\0\1")  # the inverse: a binary digit to its byte
-# a Z/4 value as a byte -> its bit 0, and its bit 1, as a binary digit
-_LOW_BIT = bytes.maketrans(b"\0\1\2\3", b"0101")
-_HIGH_BIT = bytes.maketrans(b"\0\1\2\3", b"0011")
 
 
 def _json_int(x: object) -> int:
@@ -75,10 +72,11 @@ class BilinearForm(_Gram):
     __slots__ = ("dim", "gram", "row_masks")
 
     def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
-        try:  # one parse of the joined rows: int() refuses any byte that is not a bit
-            bits = int(b"".join(map(bytes, gram))[::-1].translate(_BIT_DIGITS) or b"0", 2)
+        try:  # one parse of the joined columns: bytes() takes only 0-255, int() only bits
+            cols = tuple(zip(*gram))  # tuples whatever the rows are; gram if it is symmetric
+            bits = int(b"".join(map(bytes, cols))[::-1].translate(_BIT_DIGITS) or b"0", 2)
             # True only for a square symmetric tuple of tuples: an array compares elementwise
-            valid = len(gram) == dim and tuple(zip(*gram)) == gram
+            valid = len(gram) == dim and cols == gram
         except (TypeError, ValueError):
             valid = False
         if valid is not True:  # name the first fault, shape before entries; other row types pass
@@ -94,7 +92,7 @@ class BilinearForm(_Gram):
             return BilinearForm.__init__(self, dim, tuple(tuple(map(index, row)) for row in gram))
         row = (1 << dim) - 1
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram", cols)
         # row i as a bitmask, bit j is gram[i][j]: bits i*dim to i*dim + dim - 1 of the parse
         object.__setattr__(self, "row_masks", tuple(bits >> i * dim & row for i in range(dim)))
 
@@ -226,9 +224,12 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
     n = form.dim
     gram = list(form.row_masks)
     cls = [1 << i for i in range(n)]
-    digits = bytes(values)[::-1]  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
-    q0 = int(digits.translate(_LOW_BIT) or b"0", 2)
-    q1 = int(digits.translate(_HIGH_BIT) or b"0", 2)
+    q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
+    for i, v in enumerate(values):
+        if v & 1:
+            q0 |= 1 << i
+        if v & 2:
+            q1 |= 1 << i
     alive = (1 << n) - 1
     beta, r, null_radical, odd, planes = 0, 0, True, [], []
     while alive:

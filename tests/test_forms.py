@@ -227,6 +227,26 @@ class TestGramCheck:
                     BilinearForm(dim, gram)
                 assert str(info.value) == message
 
+    def test_a_tuple_of_row_arrays(self):
+        # at dim 1 such rows pass the transpose test: the entries, not the arrays' buffers, count
+        np = pytest.importorskip("numpy")
+        rng = random.Random(27)
+        for n in range(41):
+            gram = random_symmetric(rng, n)
+            form = BilinearForm(n, tuple(map(np.array, gram)))
+            reference = BilinearForm.from_rows(gram)
+            assert form == reference and hash(form) == hash(reference)
+            assert all(type(row) is tuple for row in form.gram)
+            for dim, rows in faulty_grams(rng, n):
+                rows = tuple(map(np.array, rows))
+                kind, message = first_fault(dim, rows)
+                with pytest.raises(kind) as info:
+                    BilinearForm(dim, rows)
+                assert str(info.value) == message
+        for x in (2, 256, 257, -1):  # 256 is the bytes 00 01 00 .. of an int64
+            with pytest.raises(ValueError, match=rf"^Gram entry \(0,0\) is {x}, expected a bit$"):
+                BilinearForm(1, (np.array([x]),))
+
 
 class TestEnhancementConstruction:
     def test_parity_constraint_enforced(self):
