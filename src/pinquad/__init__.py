@@ -29,13 +29,11 @@ from .forms import (
     Covector,
     Enhancement,
     crosscap_form,
-    direct_sum,
     enumerate_enhancements,
     eval_q,
     hyperbolic_form,
     isotropic_reduction,
     poincare_dual,
-    restrict,
     torsor_act,
     value_table,
 )
@@ -49,10 +47,6 @@ from .fourmanifold import (
     signature,
     unimodular_direct_sum,
 )
-from .vanishing import (
-    has_null_lagrangian,
-    max_vanishing_dim,
-    vanishing_subspaces,
-)
+from .vanishing import has_null_lagrangian, max_vanishing_dim
 
 __version__ = "0.1.0"

@@ -193,9 +193,10 @@ def _render_table(records: Sequence[dict]) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     form = _surface_form(args)
-    records = []
+    enhancements = enumerate_enhancements(form)  # its guard comes before the split below
     nondegenerate = form.nondegenerate
-    for q in enumerate_enhancements(form):
+    records = []
+    for q in enhancements:
         beta = brown_invariant(q) if nondegenerate else None
         null_dim = max_vanishing_dim(q) if form.dim <= MAX_SEARCH_DIM else None
         records.append({"values": list(q.values), "beta": beta, "max_null_dim": null_dim})

@@ -20,7 +20,7 @@ from .errors import (
     LimitError,
     SurgeryObstructionError,
 )
-from .f2 import F2Vector, Subspace, Value, parity
+from .f2 import F2Vector, Value, parity
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
@@ -306,13 +306,15 @@ def value_table(q: Enhancement) -> list[int]:
 def enumerate_enhancements(form: BilinearForm) -> Iterator[Enhancement]:
     """All 2^dim enhancements of the form, in binary-counter order.
 
-    Choice bit i toggles values[i] between gram[i][i] and gram[i][i] + 2.
+    Choice bit i toggles values[i] between gram[i][i] and gram[i][i] + 2.  The guard is
+    checked at the call, before the first enhancement is asked for.
     """
     _check_enumeration_guard(form.dim)
-    diag = form._diagonal()
-    for choice in range(1 << form.dim):
-        values = tuple((diag[i] + 2 * ((choice >> i) & 1)) % 4 for i in range(form.dim))
-        yield Enhancement(form, values)
+    diag, n = form._diagonal(), form.dim
+    return (
+        Enhancement(form, tuple((diag[i] + 2 * ((choice >> i) & 1)) % 4 for i in range(n)))
+        for choice in range(1 << n)
+    )
 
 
 def torsor_act(q: Enhancement, y: Covector) -> Enhancement:
@@ -336,29 +338,6 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
     for u, w in planes:  # u.w = 1, u.u = w.w = 0
         dual ^= u * ((yb & w).bit_count() & 1) ^ w * ((yb & u).bit_count() & 1)
     return F2Vector(form.dim, dual)
-
-
-def restrict(q: Enhancement, s: Subspace) -> Enhancement:
-    """The enhancement induced on a subspace, in terms of its echelon basis.
-
-    The restricted Gram matrix records pairwise intersections of the basis
-    vectors and may be degenerate.
-    """
-    if s.ambient_dim != q.form.dim:
-        raise DimensionMismatchError(
-            f"enhancement dim {q.form.dim}, subspace ambient dim {s.ambient_dim}"
-        )
-    basis = s.row_masks
-    funcs = [q.form.functional_mask(b) for b in basis]
-    gram = tuple(tuple((f & b).bit_count() & 1 for b in basis) for f in funcs)
-    values = tuple(_eval_bits(q, b) for b in basis)
-    return Enhancement(BilinearForm(len(basis), gram), values)
-
-
-def direct_sum(q1: Enhancement, q2: Enhancement) -> Enhancement:
-    """Orthogonal sum: block-diagonal form, concatenated basis values."""
-    gram = _block_diagonal([q1.form.gram, q2.form.gram])
-    return Enhancement(BilinearForm(len(gram), gram), q1.values + q2.values)
 
 
 def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:

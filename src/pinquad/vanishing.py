@@ -20,7 +20,7 @@ Listing the subspaces is exponential by nature.  One walk over
 reduced-echelon bases serves it, and it holds the one search guard, as it
 tabulates all 2^n values: rows are picked lowest pivot first, each
 level in increasing class order, so the bases come out in canonical order
-(by ``Subspace.row_masks``) by construction and are never sorted.  Only
+(by their row tuples) by construction and are never sorted.  Only
 pairwise orthogonal classes with q = 0 are joined, so every partial span is
 q-null.  The q-null Lagrangian witness is the walk's first basis, so finding
 it stops at the first leaf.  Candidate sets are bitsets over all 2^n
@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import DegenerateFormError, LimitError
-from .f2 import Subspace
 from .forms import Enhancement, _split, value_table
 
 MAX_SEARCH_DIM = 10
@@ -100,15 +99,6 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
         yield ()
     else:
         yield from walk((), sum(zero_at_pivot))
-
-
-def vanishing_subspaces(q: Enhancement, dim: int) -> list[Subspace]:
-    """All dim-dimensional subspaces with q identically zero, in canonical order.
-
-    Every returned subspace is automatically isotropic: q zero on a span
-    forces 2*(x.y) = 0 for all pairs in it.
-    """
-    return [Subspace(q.form.dim, rows) for rows in _null_bases(q, dim)]
 
 
 def max_vanishing_dim(q: Enhancement) -> int:

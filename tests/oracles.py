@@ -9,14 +9,13 @@ basis, and Gauss sums are counted per class.  The random forms at the end are or
 type, moved by random changes of basis.  The one exception is the surgery
 reference: it finds the coset representatives by the package's kernel
 elimination (itself checked against naive matrix-vector products), where
-the package writes them down by formula, and restricts q with the package's
-``restrict``.
+the package writes them down by formula; q is then written on them with
+``rebase``, as on any list of classes.
 """
 from itertools import combinations
 
 from pinquad.errors import DimensionMismatchError
 from pinquad.f2 import F2Matrix, Subspace, kernel_basis
-from pinquad.forms import restrict
 
 
 def naive_dot(gram, x_bits, y_bits):
@@ -103,8 +102,11 @@ def surgery_representatives(form, c_bits):
 
 
 def reference_reduction(q, c):
-    """Surgery on an admissible class c: q restricted to the eliminated coset representatives."""
-    return restrict(q, surgery_representatives(q.form, c.bits))
+    """Surgery on an admissible class c: (Gram rows, values) of q on the eliminated coset
+    representatives, as tuples, the shape of a reduced ``Enhancement``'s fields."""
+    reps = surgery_representatives(q.form, c.bits).row_masks
+    gram, values = rebase(q.form.gram, q.values, reps)
+    return tuple(map(tuple, gram)), values
 
 
 def characteristic_class_mod2(m):
@@ -307,7 +309,8 @@ def random_basis(rng, n):
 
 
 def rebase(gram, values, rows):
-    """The same enhancement written in the basis ``rows``.
+    """The same enhancement written in the basis ``rows``; for fewer rows, its
+    restriction to their span, in that basis (the Gram matrix may be degenerate).
 
     Each new basis class a is paired with the old basis once (the mask of
     gram.a); a.b is then the parity of that mask on b.

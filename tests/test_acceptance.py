@@ -20,7 +20,6 @@ from pinquad.forms import (
     Covector,
     Enhancement,
     crosscap_form,
-    direct_sum,
     enumerate_enhancements,
     eval_q,
     hyperbolic_form,
@@ -35,11 +34,7 @@ from pinquad.fourmanifold import (
     parse_form_name,
     signature,
 )
-from pinquad.vanishing import (
-    has_null_lagrangian,
-    max_vanishing_dim,
-    vanishing_subspaces,
-)
+from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 from oracles import (
     characteristic_class_mod2,
     enumerate_subspaces,
@@ -48,6 +43,8 @@ from oracles import (
     naive_pair,
 )
 from test_cli import GOLDEN_CASES, run
+from test_forms import orthogonal_sum
+from test_vanishing import null_subspaces
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,7 +130,7 @@ def test_criterion_3_additivity():
     violations = 0
     for q1 in pieces:
         for q2 in pieces:
-            if brown_invariant(direct_sum(q1, q2)) != (betas[q1] + betas[q2]) % 8:
+            if brown_invariant(orthogonal_sum(q1, q2)) != (betas[q1] + betas[q2]) % 8:
                 violations += 1
     report(3, "Brown invariant additivity", violations)
 
@@ -200,12 +197,12 @@ def test_criterion_6_half_dimension_bound():
             # nothing q-null just above half dimension; emptiness there forces
             # emptiness at every larger dimension (subspaces of q-null spans
             # are q-null, the monotonicity property checked in test_vanishing)
-            if n // 2 + 1 <= n and vanishing_subspaces(q, n // 2 + 1):
+            if n // 2 + 1 <= n and null_subspaces(q, n // 2 + 1):
                 violations += 1
             # every subspace found is isotropic: basis pairs suffice since the
             # pairing is bilinear (checked exhaustively in test_forms)
             for d in range(n // 2 + 1):
-                for s in vanishing_subspaces(q, d):
+                for s in null_subspaces(q, d):
                     for a in s.row_masks:
                         for b in s.row_masks:
                             if (gx[a] & b).bit_count() & 1:

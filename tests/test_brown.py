@@ -18,7 +18,6 @@ from pinquad.forms import (
     BilinearForm,
     Enhancement,
     crosscap_form,
-    direct_sum,
     enumerate_enhancements,
     eval_q,
     hyperbolic_form,
@@ -44,6 +43,7 @@ from oracles import (
     rebase,
     standard_grams,
 )
+from test_forms import orthogonal_sum
 
 TORUS = hyperbolic_form(1)
 RP2 = crosscap_form(1)
@@ -334,7 +334,7 @@ class TestAdditivity:
             pieces.extend(enumerate_enhancements(form))
         for q1 in pieces:
             for q2 in pieces:
-                total = brown_invariant(direct_sum(q1, q2))
+                total = brown_invariant(orthogonal_sum(q1, q2))
                 assert total == (brown_invariant(q1) + brown_invariant(q2)) % 8
 
 

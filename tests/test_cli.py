@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import errno
 import io
@@ -29,12 +30,14 @@ from pinquad.forms import (
     BilinearForm,
     Covector,
     Enhancement,
+    crosscap_form,
     hyperbolic_form,
     isotropic_reduction,
     poincare_dual,
 )
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 
+import oracles
 from oracles import naive_dot, naive_q
 
 DATA = Path(__file__).parent / "data"
@@ -367,6 +370,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: dim ") and "enumeration guard 12" in err
 
+    def test_enumeration_guard_checked_before_splitting_a_form_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        splits = []
+        split = pinquad.forms._split
+        monkeypatch.setattr(pinquad.forms, "_split", lambda *a: splits.append(a) or split(*a))
+        path = tmp_path / "crosscaps13.json"
+        path.write_text(json.dumps(crosscap_form(13).to_json()))
+        code, out, err = run(capsys, "enumerate", "--form", str(path))
+        assert (code, out, err) == (4, "", "error: dim 13 exceeds enhancement enumeration guard 12\n")
+        assert splits == []
+
     def test_brown_builds_no_value_table(self, capsys, monkeypatch):
         def refuse(_q):
             raise AssertionError("value table built")
@@ -434,15 +449,20 @@ class TestExitCodes:
         monkeypatch.setattr(pinquad.vanishing, "value_table", counting)
         monkeypatch.setattr(pinquad.brown, "value_table", counting, raising=False)
 
-        def no_listing(q, dim):
-            raise AssertionError("--lagrangian must not list subspaces")
+        drawn = []
+        walk = cli._null_bases
 
-        for module in (pinquad, pinquad.vanishing):
-            monkeypatch.setattr(module, "vanishing_subspaces", no_listing)
+        def counting_walk(q, d):  # --lagrangian lists nothing: it draws the witness only
+            for rows in walk(q, d):
+                drawn.append(rows)
+                yield rows
+
+        monkeypatch.setattr(cli, "_null_bases", counting_walk)
         code, out, _err = run(capsys, "vanishing", str(DATA / "genus2_v0000.json"), "--lagrangian")
         assert code == 0
         assert out == "yes: [1000, 0010]\n"
         assert len(calls) == 1
+        assert drawn == [(0b0001, 0b0100)]  # e0 and e2, the witness printed
 
     @pytest.mark.parametrize("command", ["surgery", "gm"])
     def test_internal_error(self, capsys, monkeypatch, command):
@@ -854,6 +874,51 @@ def test_import_loads_no_dataclass_machinery():
     env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+PUBLIC_API = {
+    "GaussSumResult", "arf_from_brown", "brown_invariant", "gauss_sum",
+    "DegenerateFormError", "DimensionMismatchError", "InternalError", "LimitError",
+    "NotCharacteristicError", "PinquadError", "SurgeryObstructionError", "UnsupportedInputError",
+    "F2Matrix", "F2Vector", "Subspace", "kernel_basis", "rank", "solve",
+    "BilinearForm", "Covector", "Enhancement", "crosscap_form", "enumerate_enhancements",
+    "eval_q", "hyperbolic_form", "isotropic_reduction", "poincare_dual", "torsor_act",
+    "value_table",
+    "FORM_LIBRARY", "UnimodularForm", "gm_check", "gm_required_beta", "is_characteristic",
+    "parse_form_name", "signature", "unimodular_direct_sum",
+    "has_null_lagrangian", "max_vanishing_dim",
+}
+
+
+def imported_names(path):
+    """(module, name) for each name a file imports, (module, None) for a plain import."""
+    return {
+        (node.module, a.name) if isinstance(node, ast.ImportFrom) else (a.name, None)
+        for node in ast.walk(ast.parse(Path(path).read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    }
+
+
+def test_public_api_is_pinned():
+    # a public name added to or dropped from the package shows up here as a change
+    names = {name for _module, name in imported_names(pinquad.__file__) if not name.startswith("_")}
+    assert names == PUBLIC_API
+    assert all(hasattr(pinquad, name) for name in names)
+
+
+def test_oracles_share_little_code_with_the_package():
+    # the references check the package, so they borrow from it only these; the names the
+    # benchmark's tests import from them stay
+    imports = imported_names(oracles.__file__)
+    assert {(m, name) for m, name in imports if m.split(".")[0] == "pinquad"} == {
+        ("pinquad.errors", "DimensionMismatchError"),
+        ("pinquad.f2", "F2Matrix"),
+        ("pinquad.f2", "Subspace"),
+        ("pinquad.f2", "kernel_basis"),
+    }
+    for name in ("all_subspace_spans", "law_table", "naive_beta", "naive_gauss"):
+        assert callable(getattr(oracles, name))
 
 
 JSON_VALUES = st.recursive(

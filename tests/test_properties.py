@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from pinquad.brown import brown_invariant, gauss_sum
 from pinquad.errors import DegenerateFormError
-from pinquad.forms import BilinearForm, Enhancement, direct_sum
+from pinquad.forms import BilinearForm, Enhancement
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 from oracles import block_sum, rebase
+from test_forms import orthogonal_sum
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -110,5 +111,5 @@ def test_answers_are_invariant_under_change_of_basis_on_degenerate_forms(case):
 @given(st.integers(0, 20).flatmap(lambda k: st.tuples(rebased(k), rebased(20 - k))))
 def test_beta_is_additive(cases):
     (_, q1, beta1), (_, q2, beta2) = cases
-    total = brown_invariant(direct_sum(q1, q2))
+    total = brown_invariant(orthogonal_sum(q1, q2))
     assert total == (brown_invariant(q1) + brown_invariant(q2)) % 8 == (beta1 + beta2) % 8
