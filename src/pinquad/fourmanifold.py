@@ -29,42 +29,35 @@ def _check_form_cap(dim: int) -> None:
 def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
     """Leading principal minors D_1..D_n of a symmetric integer matrix, up to congruence.
 
-    Symmetric elimination in integers (Bareiss 1968): each step picks a
-    nonzero diagonal pivot d, swapping it into place by a symmetric
-    permutation, and updates the trailing block by
+    Symmetric elimination in integers (Bareiss 1968): step k takes the
+    diagonal entry d = a[k][k] as its pivot and updates the trailing block by
     a[r][t] = (d * a[r][t] - a[r][k] * a[k][t]) // prev, with prev the previous
     pivot (1 at the start).  The division is exact because every active entry
     is a bordered minor: the determinant of the leading block bordered by one
-    more row and column.  When the active block has an all-zero diagonal, a
-    hyperbolic off-diagonal entry is folded onto the diagonal by adding row and
-    column j to row and column i; a bordered minor is linear in its border row
-    and column, so the active entries stay bordered minors of the folded basis.
-    An all-zero active block contributes zeros.  Every basis change has
-    determinant +-1, so D_n is the determinant of ``gram``.
+    more row and column.  When a[k][k] = 0, the first partner j > k with
+    a[k][j] != 0 is folded in, e_k <- e_k + s*e_j, by adding s times row and
+    column j to row and column k.  A bordered minor is linear in its border
+    row and column, so the active entries stay bordered minors of the folded
+    basis, and the new pivot is 2*s*a[k][j] + a[j][j].  The two signs of s give
+    pivots that differ by 4*a[k][j] != 0, so at least one is nonzero.  With no
+    partner, row k of the active block is zero; the form is singular and the
+    remaining minors are 0.  Every basis change has determinant 1, so D_n is
+    the determinant of ``gram``.
     """
     n = len(gram)
     a = [list(row) for row in gram]
     minors: list[int] = []
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0), None
-            )
-            if pair is None:
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if j is None:
                 return minors + [0] * (n - k)
-            i, j = pair
-            # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal
+            s = 1 if 2 * a[k][j] + a[j][j] else -1
             for t in range(k, n):
-                a[i][t] += a[j][t]
+                a[k][t] += s * a[j][t]
             for t in range(k, n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for row in a[k:]:
-                row[k], row[piv] = row[piv], row[k]
+                a[t][k] += s * a[t][j]
         d = a[k][k]
         minors.append(d)
         pivot_row = a[k]

@@ -10,15 +10,12 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from pinquad.brown import brown_invariant, gauss_sum
 from pinquad.errors import SurgeryObstructionError
-from pinquad.f2 import F2Vector, Subspace
+from pinquad.f2 import F2Vector
 from pinquad.forms import (
-    BilinearForm,
     Covector,
-    Enhancement,
     crosscap_form,
     enumerate_enhancements,
     eval_q,

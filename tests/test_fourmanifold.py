@@ -117,10 +117,10 @@ class TestUnimodularForm:
             for i in range(n):
                 for j in range(i, n):
                     g[i][j] = g[j][i] = rng.randint(-2, 2)
-            if trial % 3 >= 1:  # zero diagonal: only the hyperbolic fold finds pivots
+            if trial % 3 >= 1:  # zero diagonal: only the fold finds pivots
                 for i in range(n):
                     g[i][i] = 0
-            if trial % 3 == 2:  # a zero row and column leave an all-zero active block
+            if trial % 3 == 2:  # a zero row and column leave a zero active row
                 k = rng.randrange(n)
                 for i in range(n):
                     g[i][k] = g[k][i] = 0
@@ -135,7 +135,7 @@ class TestUnimodularForm:
 
     def test_rank_cap_against_sympy(self):
         # ranks up to the cap, entries in the hundreds, negative pivots, the
-        # hyperbolic fold and all-zero active blocks, against sympy's det and
+        # fold with either sign and zero active rows, against sympy's det and
         # the characteristic polynomial's signature
         sympy = pytest.importorskip("sympy")
         rng = random.Random(8128)
@@ -155,6 +155,8 @@ class TestUnimodularForm:
             n = a.dim + k
             g = [[a.gram[i][j] if i < a.dim and j < a.dim else 0 for j in range(n)] for i in range(n)]
             cases.append(random_congruence(g, rng, steps=rng.choice((0, 40))))
+        cases.append([[0, 1], [1, -2]])  # only the fold e_0 - e_1 gives a nonzero pivot
+        cases.append([[1, 0, 0], [0, 0, 0], [0, 0, 1]])  # a zero row after a nonzero pivot
         largest, negative_pivot, verdicts = 0, False, set()
         for g in cases:
             det = sympy.Matrix(g).det()
