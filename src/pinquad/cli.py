@@ -21,9 +21,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .brown import brown_invariant, gauss_sum
+# each command imports the other package modules it uses when it runs, so a start-up
+# loads only those: with no bytecode cache, compiling them is the package's main start-up cost
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -34,22 +35,10 @@ from .errors import (
     SurgeryObstructionError,
     UnsupportedInputError,
 )
-from .f2 import F2Vector
-from .forms import (
-    BilinearForm,
-    Covector,
-    Enhancement,
-    _check_enumeration_guard,
-    crosscap_form,
-    enumerate_enhancements,
-    eval_q,
-    hyperbolic_form,
-    isotropic_reduction,
-    poincare_dual,
-    torsor_act,
-)
-from .fourmanifold import UnimodularForm, gm_required_beta, parse_form_name
-from .vanishing import MAX_SEARCH_DIM, _null_bases, has_null_lagrangian, max_vanishing_dim
+
+if TYPE_CHECKING:
+    from .f2 import F2Vector
+    from .forms import BilinearForm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,6 +113,8 @@ def _class_argument(path: str, text: str, flag: str, cls: type[F2Vector]) -> tup
     Checked in this order: the file, the bit string, beta (a degenerate form; beta has no
     guard); the class dimension is checked by the command's own operation.
     """
+    from .brown import brown_invariant
+    from .forms import Enhancement
     q = _read(path, Enhancement, "enhancement")
     bits = _parse_bits(text, flag)
     return q, brown_invariant(q), cls(len(text), bits)
@@ -147,6 +138,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _surface_form(args: argparse.Namespace) -> BilinearForm:
+    from .forms import BilinearForm, _check_enumeration_guard, crosscap_form, hyperbolic_form
     if args.genus is not None:
         if args.genus < 0:
             raise UsageError("--genus must be >= 0")
@@ -163,6 +155,7 @@ def _surface_form(args: argparse.Namespace) -> BilinearForm:
 
 def _form_argument(expr: str, cls: type, what: str):
     """A library form expression (mod 2 for a surface form), else a JSON file: names beat files."""
+    from .fourmanifold import UnimodularForm, parse_form_name
     try:
         form = _parse(parse_form_name, expr)
     except UsageError:  # an unknown name; a sum over the rank cap is a LimitError and passes
@@ -192,6 +185,9 @@ def _render_table(records: Sequence[dict]) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .brown import brown_invariant
+    from .forms import enumerate_enhancements
+    from .vanishing import MAX_SEARCH_DIM, max_vanishing_dim
     form = _surface_form(args)
     enhancements = enumerate_enhancements(form)  # its guard comes before the split below
     nondegenerate = form.nondegenerate
@@ -205,6 +201,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_brown(args: argparse.Namespace) -> int:
+    from .brown import brown_invariant, gauss_sum
+    from .forms import Enhancement
     q = _read(args.enhancement, Enhancement, "enhancement")
     beta = brown_invariant(q)
     gs = gauss_sum(q)
@@ -214,6 +212,8 @@ def cmd_brown(args: argparse.Namespace) -> int:
 
 
 def cmd_vanishing(args: argparse.Namespace) -> int:
+    from .forms import Enhancement
+    from .vanishing import _null_bases, has_null_lagrangian, max_vanishing_dim
     if args.dim is not None and args.dim < 0:
         raise UsageError("--dim must be >= 0")
     q = _read(args.enhancement, Enhancement, "enhancement")
@@ -236,6 +236,9 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
 
 
 def cmd_gm(args: argparse.Namespace) -> int:
+    from .brown import brown_invariant
+    from .forms import Enhancement
+    from .fourmanifold import UnimodularForm, gm_required_beta
     form = _form_argument(args.form, UnimodularForm, "unimodular form")
     char = _parse_ints(args.char)
     required = gm_required_beta(form, char)
@@ -254,6 +257,9 @@ def cmd_gm(args: argparse.Namespace) -> int:
 
 
 def cmd_surgery(args: argparse.Namespace) -> int:
+    from .brown import brown_invariant
+    from .f2 import F2Vector
+    from .forms import isotropic_reduction
     q, beta_before, c = _class_argument(args.enhancement, args.surgery_class, "--class", F2Vector)
     reduced = isotropic_reduction(q, c)
     beta_after = brown_invariant(reduced)
@@ -266,6 +272,8 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
 
 def cmd_torsor(args: argparse.Namespace) -> int:
+    from .brown import brown_invariant
+    from .forms import Covector, eval_q, poincare_dual, torsor_act
     q, beta_before, y = _class_argument(args.enhancement, args.covector, "--covector", Covector)
     acted = torsor_act(q, y)
     beta_after = brown_invariant(acted)

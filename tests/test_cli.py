@@ -311,7 +311,7 @@ class TestExitCodes:
     def test_torsor_mismatch_is_reported(self, capsys, monkeypatch):
         # a wrong dual predicts delta 0 where acting by y = 1 on RP^2 shifts beta by 6: a
         # failed self-check is a bug, exit 7 with one line on stderr, in both output modes
-        monkeypatch.setattr(cli, "poincare_dual", lambda form, y: F2Vector(form.dim, 0))
+        monkeypatch.setattr(pinquad.forms, "poincare_dual", lambda form, y: F2Vector(form.dim, 0))
         message = "error: torsor changed beta by 6, predicted 0; this is a bug\n"
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "1", *flags)
@@ -363,8 +363,8 @@ class TestExitCodes:
         def refuse(_n):
             raise AssertionError("form built before the enumeration guard")
 
-        monkeypatch.setattr(cli, "hyperbolic_form", refuse)
-        monkeypatch.setattr(cli, "crosscap_form", refuse)
+        monkeypatch.setattr(pinquad.forms, "hyperbolic_form", refuse)
+        monkeypatch.setattr(pinquad.forms, "crosscap_form", refuse)
         code, out, err = run(capsys, "enumerate", flag, str(10**6))
         assert code == 4
         assert out == ""
@@ -450,14 +450,14 @@ class TestExitCodes:
         monkeypatch.setattr(pinquad.brown, "value_table", counting, raising=False)
 
         drawn = []
-        walk = cli._null_bases
+        walk = pinquad.vanishing._null_bases
 
         def counting_walk(q, d):  # --lagrangian lists nothing: it draws the witness only
             for rows in walk(q, d):
                 drawn.append(rows)
                 yield rows
 
-        monkeypatch.setattr(cli, "_null_bases", counting_walk)
+        monkeypatch.setattr(pinquad.vanishing, "_null_bases", counting_walk)
         code, out, _err = run(capsys, "vanishing", str(DATA / "genus2_v0000.json"), "--lagrangian")
         assert code == 0
         assert out == "yes: [1000, 0010]\n"
@@ -468,7 +468,7 @@ class TestExitCodes:
     def test_internal_error(self, capsys, monkeypatch, command):
         # a consistency check that fails is a bug: exit 7 and one line on stderr
         if command == "surgery":
-            monkeypatch.setattr(cli, "brown_invariant", lambda q: q.form.dim)
+            monkeypatch.setattr(pinquad.brown, "brown_invariant", lambda q: q.form.dim)
             argv = ["surgery", str(DATA / "genus2_v0000.json"), "--class", "1000"]
             message = "error: surgery changed beta: 4 -> 2; this is a bug\n"
         else:
@@ -853,8 +853,11 @@ def test_unwritable_output_is_a_usage_error(argv, buffered):
 
 def test_import_loads_no_decimal_arithmetic():
     # the package computes in integers; a fresh interpreter without site
-    # packages shows what importing the CLI alone pulls in
-    probe = "import sys, pinquad.cli; print(sorted({'decimal', 'fractions'} & set(sys.modules)))"
+    # packages shows what importing the CLI and every module it can load pulls in
+    probe = (
+        "import sys, pinquad.cli; from pinquad import *; "
+        "print(sorted({'decimal', 'fractions'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
@@ -862,31 +865,77 @@ def test_import_loads_no_decimal_arithmetic():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def fresh_python(code, *argv):
+    """(exit code, stdout, stderr) of code run in a fresh interpreter that imports this pinquad."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_import_loads_no_dataclass_machinery():
-    # the value classes are plain slotted classes: importing the CLI builds no
-    # dataclass, so it pulls in neither dataclasses nor inspect (with ast, dis
-    # and tokenize); modules loaded before the import, by site or .pth files,
-    # do not count
+    # the value classes are plain slotted classes: importing the CLI and every
+    # module it can load builds no dataclass, so it pulls in neither dataclasses
+    # nor inspect (with ast, dis and tokenize); modules loaded before the import,
+    # by site or .pth files, do not count
     probe = (
-        "import sys; before = set(sys.modules); import pinquad.cli; "
+        "import sys; before = set(sys.modules); import pinquad.cli; from pinquad import *; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert fresh_python(probe) == (0, "[]\n", "")
 
 
-PUBLIC_API = {
-    "GaussSumResult", "arf_from_brown", "brown_invariant", "gauss_sum",
-    "DegenerateFormError", "DimensionMismatchError", "InternalError", "LimitError",
-    "NotCharacteristicError", "PinquadError", "SurgeryObstructionError", "UnsupportedInputError",
-    "F2Matrix", "F2Vector", "Subspace", "kernel_basis", "rank", "solve",
-    "BilinearForm", "Covector", "Enhancement", "crosscap_form", "enumerate_enhancements",
-    "eval_q", "hyperbolic_form", "isotropic_reduction", "poincare_dual", "torsor_act",
-    "value_table",
-    "FORM_LIBRARY", "UnimodularForm", "gm_check", "gm_required_beta", "is_characteristic",
-    "parse_form_name", "signature", "unimodular_direct_sum",
-    "has_null_lagrangian", "max_vanishing_dim",
+RUN_COMMAND = "import pinquad.cli; pinquad.cli.main(sys.argv[1:])"
+
+
+@pytest.mark.parametrize(
+    "code,argv,loaded",
+    [
+        ("import pinquad", [], []),
+        ("import pinquad.cli", [], ["cli", "errors"]),
+        (RUN_COMMAND, ["brown", str(DATA / "torus_v22.json")], ["brown", "cli", "errors", "f2", "forms"]),
+        (
+            RUN_COMMAND,
+            ["vanishing", str(DATA / "genus2_v0000.json"), "--max"],
+            ["cli", "errors", "f2", "forms", "vanishing"],
+        ),
+        (
+            RUN_COMMAND,
+            ["gm", "--form", "E8", "--char", "0,0,0,0,0,0,0,0", "--beta", "4"],
+            ["brown", "cli", "errors", "f2", "forms", "fourmanifold"],
+        ),
+        (RUN_COMMAND, ["enumerate", "--genus", "1"], ["brown", "cli", "errors", "f2", "forms", "vanishing"]),
+        (RUN_COMMAND, ["enumerate", "--crosscaps", "2"], ["brown", "cli", "errors", "f2", "forms", "vanishing"]),
+    ],
+    ids=["import", "import_cli", "brown", "vanishing_max", "gm", "enumerate_genus", "enumerate_crosscaps"],
+)
+def test_each_command_loads_only_its_modules(code, argv, loaded):
+    # without a bytecode cache every module loaded is compiled at start-up: a command
+    # loads the modules it calls and no others
+    probe = f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('pinquad.')))"
+    status, out, err = fresh_python(probe, *argv)
+    assert (status, err) == (0, "")
+    assert out.splitlines()[-1] == str([f"pinquad.{m}" for m in loaded])
+
+
+PUBLIC_API = {  # each public name, by the module that defines it
+    "brown": {"GaussSumResult", "arf_from_brown", "brown_invariant", "gauss_sum"},
+    "errors": {
+        "DegenerateFormError", "DimensionMismatchError", "InternalError", "LimitError",
+        "NotCharacteristicError", "PinquadError", "SurgeryObstructionError", "UnsupportedInputError",
+    },
+    "f2": {"F2Matrix", "F2Vector", "Subspace", "kernel_basis", "rank", "solve"},
+    "forms": {
+        "BilinearForm", "Covector", "Enhancement", "crosscap_form", "enumerate_enhancements",
+        "eval_q", "hyperbolic_form", "isotropic_reduction", "poincare_dual", "torsor_act",
+        "value_table",
+    },
+    "fourmanifold": {
+        "FORM_LIBRARY", "UnimodularForm", "gm_check", "gm_required_beta", "is_characteristic",
+        "parse_form_name", "signature", "unimodular_direct_sum",
+    },
+    "vanishing": {"has_null_lagrangian", "max_vanishing_dim"},
 }
 
 
@@ -901,10 +950,28 @@ def imported_names(path):
 
 
 def test_public_api_is_pinned():
-    # a public name added to or dropped from the package shows up here as a change
-    names = {name for _module, name in imported_names(pinquad.__file__) if not name.startswith("_")}
-    assert names == PUBLIC_API
-    assert all(hasattr(pinquad, name) for name in names)
+    # a public name added to or dropped from the package shows up here as a change; each
+    # resolves to the object its home module defines, and no other name resolves
+    names = set().union(*PUBLIC_API.values())
+    assert sorted(pinquad.__all__) == sorted(names) and len(names) == 39
+    for module, defined in PUBLIC_API.items():
+        home = sys.modules[f"pinquad.{module}"]
+        for name in defined:
+            assert getattr(pinquad, name) is vars(home)[name], name
+            assert getattr(vars(home)[name], "__module__", home.__name__) == home.__name__, name
+    star = {}
+    exec("from pinquad import *", star)
+    assert set(star) - {"__builtins__"} == names
+    assert names <= set(dir(pinquad))
+    # before first use no name is bound, dir lists every one and another name is an
+    # AttributeError; the first use binds every name and drops the hook, which would
+    # keep CPython from specialising pinquad.X loads
+    probe = (
+        "import pinquad as p; before = set(p.__all__) - set(dir(p)) | set(p.__all__) & set(vars(p)); "
+        "other = getattr(p, 'no_such_name', None), getattr(p, '_null_bases', None); p.F2Vector; "
+        "print(sorted(before), other, sorted(set(p.__all__) - set(vars(p))), '__getattr__' in vars(p))"
+    )
+    assert fresh_python(probe)[:2] == (0, "[] (None, None) [] False\n")
 
 
 def test_oracles_share_little_code_with_the_package():
