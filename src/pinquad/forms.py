@@ -343,24 +343,24 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
 def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     """Algebraic surgery on a class with q(c) = 0: the enhancement on c-perp/c.
 
-    Preconditions, checked in order: c nonzero, c.c = 0, q(c) = 0.  Each
-    failure raises SurgeryObstructionError naming the obstruction.  Because
-    q(x + c) = q(x) for x in c-perp, the enhancement descends to cosets; the
-    coset representatives are fixed by zeroing the pivot coordinate p of c.
+    Checked in order: c nonzero, c.c = 0, q(c) = 0 (each failure raises
+    SurgeryObstructionError naming it), then nondegeneracy, the one check that splits
+    the form.  Because q(x + c) = q(x) for x in c-perp, the enhancement descends to
+    cosets; the coset representatives are fixed by zeroing the pivot coordinate p of c.
     They are e_j + perp_j e_h for j other than p and h, so the reduced Gram rows and
     values are written down from the parent's, one row at a time.
     """
     if c.dim != q.form.dim:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {c.dim}")
-    if not q.form.nondegenerate:
-        raise DegenerateFormError("surgery reduction needs a nondegenerate form")
-    perp = q.form.functional_mask(c.bits)  # c-perp is the kernel of this functional
     if c.bits == 0:
         raise SurgeryObstructionError("zero class")
+    perp = q.form.functional_mask(c.bits)  # c-perp is the kernel of this functional
     if parity(perp & c.bits):
         raise SurgeryObstructionError("c.c != 0")
     if _eval_bits(q, c.bits):
         raise SurgeryObstructionError("q(c) != 0")
+    if not q.form.nondegenerate:
+        raise DegenerateFormError("surgery reduction needs a nondegenerate form")
     n, p = q.form.dim, (c.bits & -c.bits).bit_length() - 1
     # On the representatives x_p = 0, and x.c = 0 fixes x_h, h the top bit of perp: perp is
     # nonzero (nondegenerate form), and h > p if perp has bit p (c.c = 0 needs a second bit).

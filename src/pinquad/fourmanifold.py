@@ -154,8 +154,8 @@ def gm_required_beta(m: UnimodularForm, c: Sequence[int]) -> int:
 
 
 def gm_check(m: UnimodularForm, c: Sequence[int], q: Enhancement) -> bool:
-    """Whether the enhancement's Brown invariant matches the required value."""
-    return brown_invariant(q) == gm_required_beta(m, c)
+    """Whether the enhancement's Brown invariant matches the required value (c checked first)."""
+    return gm_required_beta(m, c) == brown_invariant(q)
 
 
 def _e8_gram() -> tuple[tuple[int, ...], ...]:

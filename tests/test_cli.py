@@ -50,6 +50,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_splits(monkeypatch):
+    """The argument tuples of every orthogonal split, through each module that binds _split."""
+    splits, split = [], pinquad.forms._split
+    for module in (pinquad.forms, pinquad.brown, pinquad.vanishing):
+        monkeypatch.setattr(module, "_split", lambda *a: splits.append(a) or split(*a))
+    return splits
+
+
 GOLDEN_CASES = [
     (["enumerate", "--crosscaps", "1"], "enumerate_crosscaps1.txt", 0),
     (["enumerate", "--genus", "1"], "enumerate_genus1.txt", 0),
@@ -373,14 +381,42 @@ class TestExitCodes:
     def test_enumeration_guard_checked_before_splitting_a_form_file(
         self, capsys, monkeypatch, tmp_path
     ):
-        splits = []
-        split = pinquad.forms._split
-        monkeypatch.setattr(pinquad.forms, "_split", lambda *a: splits.append(a) or split(*a))
+        splits = count_splits(monkeypatch)
         path = tmp_path / "crosscaps13.json"
         path.write_text(json.dumps(crosscap_form(13).to_json()))
         code, out, err = run(capsys, "enumerate", "--form", str(path))
         assert (code, out, err) == (4, "", "error: dim 13 exceeds enhancement enumeration guard 12\n")
         assert splits == []
+
+    @pytest.mark.parametrize(
+        "argv,code,expected",
+        [
+            (["brown", "torus_v22.json"], 0, 2),
+            (["vanishing", "genus5_v0.json", "--max"], 0, 1),
+            (["vanishing", "genus5_v0.json", "--lagrangian"], 0, 1),
+            (["torsor", "torus_v00.json", "--covector", "10"], 0, 3),
+            (["surgery", "genus5_v0.json", "--class", "1010000000"], 0, 3),
+            (["surgery", "degenerate.json", "--class", "0"], 3, 1),
+            (["surgery", "torus_v22.json", "--class", "11"], 6, 1),
+            (["enumerate", "--genus", "2"], 0, 33),
+        ],
+        ids=[
+            "brown",
+            "vanishing-max",
+            "vanishing-lagrangian",
+            "torsor",
+            "surgery-admissible",
+            "surgery-degenerate",
+            "surgery-obstructed",
+            "enumerate-genus2",
+        ],
+    )
+    def test_splits_per_command(self, capsys, monkeypatch, argv, code, expected):
+        # an obstructed class is refused before the reduction splits the form: beta's split only
+        splits = count_splits(monkeypatch)
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        assert run(capsys, *argv)[0] == code
+        assert len(splits) == expected
 
     def test_brown_builds_no_value_table(self, capsys, monkeypatch):
         def refuse(_q):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import pinquad.forms
 from pinquad.errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -56,6 +57,15 @@ def vec(*coords):
 
 def cov(*coords):
     return Covector(len(coords), bits(coords))
+
+
+def obstruction(gram, values, c_bits):
+    """The reason surgery on c is refused, from the oracles; None for an admissible class."""
+    if c_bits == 0:
+        return "zero class"
+    if naive_dot(gram, c_bits, c_bits):
+        return "c.c != 0"
+    return "q(c) != 0" if naive_q(gram, values, c_bits) else None
 
 
 def orthogonal_sum(q1, q2):
@@ -525,11 +535,64 @@ class TestIsotropicReduction:
         assert err.value.reason == "q(c) != 0"
 
     def test_degenerate_rejected(self):
-        # before any obstruction, the zero class included
+        # after the obstructions: the zero class is refused as such, an admissible class for
+        # the degenerate form
         q = Enhancement(BilinearForm.from_rows([[0, 0], [0, 0]]), (0, 0))
-        for c in (vec(1, 0), vec(0, 0)):
-            with pytest.raises(DegenerateFormError):
-                isotropic_reduction(q, c)
+        with pytest.raises(SurgeryObstructionError) as err:
+            isotropic_reduction(q, vec(0, 0))
+        assert err.value.reason == "zero class"
+        with pytest.raises(DegenerateFormError):
+            isotropic_reduction(q, vec(1, 0))
+
+    def test_obstruction_before_degeneracy_on_random_forms(self):
+        # degenerate forms to rank 32 with q 0 or 2 on the radical, in random bases: every
+        # class to rank 6, seeded random ones above; an obstructed class raises the oracle's
+        # reason, an admissible one DegenerateFormError
+        rng = random.Random(29)
+        for radical_q in (0, 2):
+            seen = set()
+            for max_dim in list(range(1, 33)) * 2:
+                gram, values = random_degenerate(rng, max_dim, radical_q)
+                gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+                n = len(gram)
+                q = Enhancement(BilinearForm.from_rows(gram), values)
+                classes = range(1 << n) if n <= 6 else [0] + [rng.getrandbits(n) for _ in range(40)]
+                for c_bits in classes:
+                    reason = obstruction(gram, values, c_bits)
+                    seen.add(reason)
+                    if reason is None:
+                        with pytest.raises(DegenerateFormError):
+                            isotropic_reduction(q, F2Vector(n, c_bits))
+                        continue
+                    with pytest.raises(SurgeryObstructionError) as err:
+                        isotropic_reduction(q, F2Vector(n, c_bits))
+                    assert err.value.reason == reason
+            assert seen == {"zero class", "c.c != 0", "q(c) != 0", None}
+
+    def test_obstructed_class_costs_no_split(self, monkeypatch):
+        # rank 32 in a random basis: each obstruction refused with no split, an admissible
+        # class reduced with exactly one
+        rng = random.Random(32)
+        gram, values = random_nondegenerate(rng, 32)
+        while len(gram) < 32:
+            gram, values = random_nondegenerate(rng, 32)
+        gram, values = rebase(gram, values, random_basis(rng, 32))
+        q = Enhancement(BilinearForm.from_rows(gram), values)
+        splits = []
+        split = pinquad.forms._split
+        monkeypatch.setattr(pinquad.forms, "_split", lambda *a: splits.append(a) or split(*a))
+        classes = {}
+        while len(classes) < 4:
+            c_bits = rng.getrandbits(32) if classes else 0
+            classes.setdefault(obstruction(gram, values, c_bits), c_bits)
+        admissible = classes.pop(None)
+        for reason, c_bits in classes.items():
+            with pytest.raises(SurgeryObstructionError) as err:
+                isotropic_reduction(q, F2Vector(32, c_bits))
+            assert err.value.reason == reason
+        assert splits == []
+        isotropic_reduction(q, F2Vector(32, admissible))
+        assert len(splits) == 1
 
     def test_matches_kernel_elimination(self):
         # every admissible class of every enhancement of the standard forms to rank 6, of the

@@ -5,8 +5,13 @@ from itertools import product
 import pytest
 
 import pinquad.fourmanifold as fourmanifold
-from pinquad.errors import DimensionMismatchError, LimitError, NotCharacteristicError
-from pinquad.forms import Enhancement, crosscap_form, hyperbolic_form
+from pinquad.errors import (
+    DegenerateFormError,
+    DimensionMismatchError,
+    LimitError,
+    NotCharacteristicError,
+)
+from pinquad.forms import BilinearForm, Enhancement, crosscap_form, hyperbolic_form
 from pinquad.fourmanifold import (
     FORM_LIBRARY,
     MAX_FORM_DIM,
@@ -354,6 +359,15 @@ class TestGuillouMarin:
         assert not gm_check(ONE, (1,), rp2)
         assert gm_check(E8, (0,) * 8, torus_odd)
         assert not gm_check(E8, (0,) * 8, genus2)
+
+    def test_check_refuses_a_non_characteristic_vector_before_splitting(self):
+        # a degenerate q would raise DegenerateFormError if beta came first
+        degenerate = Enhancement(BilinearForm.from_rows([[0, 0], [0, 0]]), (0, 0))
+        with pytest.raises(NotCharacteristicError) as err:
+            gm_check(parse_form_name("H+1"), (0, 0, 0), degenerate)
+        assert err.value.index == 2
+        with pytest.raises(DegenerateFormError):
+            gm_check(parse_form_name("H+1"), (0, 0, 1), degenerate)
 
     def test_van_der_blij(self):
         # c.c = signature (mod 8) for every characteristic vector in the box
