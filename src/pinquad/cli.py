@@ -11,7 +11,7 @@ JSON files in, fixed-width text on stdout (or machine-readable JSON with
     4  resource guard exceeded
     5  vector is not characteristic
     6  surgery obstructed
-    7  internal error: a consistency check failed, which is a bug
+    7  internal error: a failed consistency check or any other exception; a bug
 
 A closed output pipe ends the command quietly by SIGPIPE (status 141 in a shell).
 """
@@ -185,17 +185,14 @@ def _render_table(records: Sequence[dict]) -> str:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .brown import brown_invariant
-    from .forms import enumerate_enhancements
-    from .vanishing import MAX_SEARCH_DIM, max_vanishing_dim
+    from .forms import _split, enumerate_enhancements
+    from .vanishing import MAX_SEARCH_DIM, _max_null_dim
     form = _surface_form(args)
-    enhancements = enumerate_enhancements(form)  # its guard comes before the split below
-    nondegenerate = form.nondegenerate
-    records = []
-    for q in enhancements:
-        beta = brown_invariant(q) if nondegenerate else None
-        null_dim = max_vanishing_dim(q) if form.dim <= MAX_SEARCH_DIM else None
-        records.append({"values": list(q.values), "beta": beta, "max_null_dim": null_dim})
+    n, records = form.dim, []
+    for q in enumerate_enhancements(form):  # its guard comes before the first split
+        beta, r, null_radical, _, _ = _split(form, q.values)  # both columns read this split
+        null_dim = _max_null_dim(n, beta, r, null_radical) if n <= MAX_SEARCH_DIM else None
+        records.append({"values": list(q.values), "beta": None if r else beta, "max_null_dim": null_dim})
     _emit(args, lambda: records, lambda: _render_table(records))
     return EXIT_OK
 
@@ -360,6 +357,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PinquadError as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
+    except OSError:  # a failed write: entry() makes it a usage error
+        raise
+    except Exception as e:  # any other exception is a bug, not a FAIL and not a traceback
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

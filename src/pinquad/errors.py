@@ -15,7 +15,7 @@ class LimitError(PinquadError, ValueError):
 
 
 class DegenerateFormError(PinquadError, ValueError):
-    """An operation that needs a nondegenerate form was given a degenerate one."""
+    """A degenerate form where one is needed nondegenerate, or a surgery class in its radical."""
 
 
 class UnsupportedInputError(PinquadError, ValueError):

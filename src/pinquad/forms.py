@@ -14,12 +14,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterator, Sequence
 
-from .errors import (
-    DegenerateFormError,
-    DimensionMismatchError,
-    LimitError,
-    SurgeryObstructionError,
-)
+from .errors import DegenerateFormError, DimensionMismatchError, LimitError, SurgeryObstructionError
 from .f2 import F2Vector, Value, parity
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
@@ -95,10 +90,6 @@ class BilinearForm(_Gram):
         object.__setattr__(self, "gram", cols)
         # row i as a bitmask, bit j is gram[i][j]: bits i*dim to i*dim + dim - 1 of the parse
         object.__setattr__(self, "row_masks", tuple(bits >> i * dim & row for i in range(dim)))
-
-    @property
-    def nondegenerate(self) -> bool:
-        return not _split(self, self._diagonal())[1]
 
     def _diagonal(self) -> tuple[int, ...]:  # e_i.e_i: values of the right parity for _split
         return tuple(row >> i & 1 for i, row in enumerate(self.row_masks))
@@ -344,11 +335,11 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     """Algebraic surgery on a class with q(c) = 0: the enhancement on c-perp/c.
 
     Checked in order: c nonzero, c.c = 0, q(c) = 0 (each failure raises
-    SurgeryObstructionError naming it), then nondegeneracy, the one check that splits
-    the form.  Because q(x + c) = q(x) for x in c-perp, the enhancement descends to
-    cosets; the coset representatives are fixed by zeroing the pivot coordinate p of c.
-    They are e_j + perp_j e_h for j other than p and h, so the reduced Gram rows and
-    values are written down from the parent's, one row at a time.
+    SurgeryObstructionError naming it), then c off the radical; no check splits the form,
+    so a degenerate form reduces too.  Because q(x + c) = q(x) for x in c-perp, the
+    enhancement descends to cosets; the coset representatives are fixed by zeroing the
+    pivot coordinate p of c.  They are e_j + perp_j e_h for j other than p and h, so the
+    reduced Gram rows and values are written down from the parent's, one row at a time.
     """
     if c.dim != q.form.dim:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {c.dim}")
@@ -359,11 +350,11 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
         raise SurgeryObstructionError("c.c != 0")
     if _eval_bits(q, c.bits):
         raise SurgeryObstructionError("q(c) != 0")
-    if not q.form.nondegenerate:
-        raise DegenerateFormError("surgery reduction needs a nondegenerate form")
+    if not perp:
+        raise DegenerateFormError("surgery class lies in the radical of the form")
     n, p = q.form.dim, (c.bits & -c.bits).bit_length() - 1
     # On the representatives x_p = 0, and x.c = 0 fixes x_h, h the top bit of perp: perp is
-    # nonzero (nondegenerate form), and h > p if perp has bit p (c.c = 0 needs a second bit).
+    # nonzero (c is off the radical), and h > p if perp has bit p (c.c = 0 needs a second bit).
     h = perp.bit_length() - 1
     rows, values = q.form.row_masks, q.values
     gh, qh = rows[h], values[h]

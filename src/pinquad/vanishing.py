@@ -113,7 +113,11 @@ def max_vanishing_dim(q: Enhancement) -> int:
     """
     _check_search_guard(q)
     beta, r, null_radical, _, _ = _split(q.form, q.values)
-    m = q.form.dim - r
+    return _max_null_dim(q.form.dim, beta, r, null_radical)
+
+
+def _max_null_dim(n: int, beta: int, r: int, null_radical: bool) -> int:
+    m = n - r  # the closed form above, from a rank-n form's split; enumerate reads it too
     return r + (m - _ANISOTROPIC_RANK[beta]) // 2 if null_radical else r - 1 + m // 2
 
 

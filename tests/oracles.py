@@ -150,6 +150,11 @@ def naive_rank(row_masks):
     return len(basis)
 
 
+def naive_nondegenerate(gram):
+    """Whether a Gram matrix of bits has full rank over F2, by ``naive_rank`` of its rows."""
+    return naive_rank([sum(bit << j for j, bit in enumerate(row)) for row in gram]) == len(gram)
+
+
 def naive_radical(gram):
     """Every class x with x.e_i = 0 for each basis vector e_i, found by trying all 2^n."""
     n = len(gram)

@@ -33,6 +33,7 @@ from oracles import (
     naive_counts,
     naive_dot,
     naive_gauss,
+    naive_nondegenerate,
     naive_q,
     naive_radical,
     naive_rank,
@@ -106,7 +107,7 @@ class TestGaussSumCounts:
         for gram, values in count_cases(kind):
             q = Enhancement(BilinearForm.from_rows(gram), values)
             if kind == "degenerate":
-                assert not q.form.nondegenerate
+                assert not naive_nondegenerate(gram)
             assert gauss_sum(q).counts == naive_counts(gram, values), (gram, values)
 
 
@@ -356,9 +357,9 @@ class TestTorsorChange:
 class TestSurgeryInvariance:
     def test_beta_preserved(self):
         for gram in standard_grams(6):
-            form = BilinearForm.from_rows(gram)
-            if not form.nondegenerate:
+            if not naive_nondegenerate(gram):
                 continue
+            form = BilinearForm.from_rows(gram)
             n = form.dim
             for q in enumerate_enhancements(form):
                 base = brown_invariant(q)
