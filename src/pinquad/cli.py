@@ -142,7 +142,7 @@ def _surface_form(args: argparse.Namespace) -> BilinearForm:
     if args.genus is not None:
         if args.genus < 0:
             raise UsageError("--genus must be >= 0")
-        # checked before the form is built: its Gram matrix is quadratic in the genus
+        # checked before the form is built: its row masks hold bits quadratic in the genus
         _check_enumeration_guard(2 * args.genus)
         return hyperbolic_form(args.genus)
     if args.crosscaps is not None:

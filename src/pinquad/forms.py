@@ -23,6 +23,7 @@ MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the libr
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
 _BITS = bytes.maketrans(b"01", b"\0\1")  # the inverse: a binary digit to its byte
+_PARITY = bytes([0, 1, 0, 1]) + b"\xff" * 252  # a value of Z/4 to its parity; 255 past 3
 
 
 def _json_int(x: object) -> int:
@@ -50,7 +51,7 @@ class _Gram(Value):
         return cls(len(rows), rows)
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "gram": [list(map(int, row)) for row in self.gram]}
+        return {"dim": self.dim, "gram": [list(row) for row in self.gram]}
 
     @classmethod
     def from_json(cls, data: dict) -> "_Gram":
@@ -62,14 +63,16 @@ class _Gram(Value):
 
 
 class BilinearForm(_Gram):
-    """Symmetric bilinear form on F2^dim given by its Gram matrix."""
+    """Symmetric bilinear form on F2^dim: its row masks (bit j of row i is gram[i][j]) alone
+    compare, hash and pickle, and ``gram`` is a view built from them when read."""
 
-    __slots__ = ("dim", "gram", "row_masks")
+    __slots__ = ("dim", "row_masks", "_diag")  # _diag: the diagonal, bytes of e_i.e_i
 
     def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
-        try:  # one parse of the joined columns: bytes() takes only 0-255, int() only bits
+        try:  # one parse of the joined columns: bytearray() takes only 0-255, int() only bits
             cols = tuple(zip(*gram))  # tuples whatever the rows are; gram if it is symmetric
-            bits = int(b"".join(map(bytes, cols))[::-1].translate(_BIT_DIGITS) or b"0", 2)
+            joined = b"".join(map(bytearray, cols))  # bytearray reads a tuple faster than bytes
+            bits = int(joined[::-1].translate(_BIT_DIGITS) or b"0", 2)
             # True only for a square symmetric tuple of tuples: an array compares elementwise
             valid = len(gram) == dim and cols == gram
         except (TypeError, ValueError):
@@ -85,14 +88,31 @@ class BilinearForm(_Gram):
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
             # numpy ints and bools as ints, rows as tuples: the parse above then holds
             return BilinearForm.__init__(self, dim, tuple(tuple(map(index, row)) for row in gram))
-        row = (1 << dim) - 1
+        row = (1 << dim) - 1  # row i is bits i*dim to i*dim + dim - 1 of the parse
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "gram", cols)
-        # row i as a bitmask, bit j is gram[i][j]: bits i*dim to i*dim + dim - 1 of the parse
         object.__setattr__(self, "row_masks", tuple(bits >> i * dim & row for i in range(dim)))
+        object.__setattr__(self, "_diag", joined[:: dim + 1])
 
-    def _diagonal(self) -> tuple[int, ...]:  # e_i.e_i: values of the right parity for _split
-        return tuple(row >> i & 1 for i, row in enumerate(self.row_masks))
+    @classmethod
+    def _from_masks(cls, row_masks: tuple[int, ...]) -> "BilinearForm":
+        """The form of trusted row masks, symmetric and within len(row_masks) bits: no checks."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", len(row_masks))
+        object.__setattr__(form, "row_masks", row_masks)
+        object.__setattr__(form, "_diag", bytes(r >> i & 1 for i, r in enumerate(row_masks)))
+        return form
+
+    def _key(self) -> tuple:
+        return self.dim, self.row_masks
+
+    def __reduce__(self) -> tuple:
+        return self._from_masks, (self.row_masks,)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        n, rows = self.dim, reversed(self.row_masks)  # one format of all rows, read backwards
+        bits = "".join([f"{f:0{n}b}" for f in rows])[::-1].encode().translate(_BITS)
+        return tuple([tuple(bits[i * n : i * n + n]) for i in range(n)])
 
     def functional_mask(self, x_bits: int) -> int:
         """Bitmask of the linear functional y -> x.y (the row gram.x)."""
@@ -105,29 +125,18 @@ class BilinearForm(_Gram):
         return acc
 
 
-def _block_diagonal(blocks: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
-    """The Gram matrix of an orthogonal sum: square blocks down the diagonal, 0 elsewhere."""
-    n = sum(map(len, blocks))
-    rows, off = [], 0
-    for block in blocks:
-        k = len(block)
-        rows += [(0,) * off + tuple(r) + (0,) * (n - off - k) for r in block]
-        off += k
-    return tuple(rows)
-
-
 def hyperbolic_form(genus: int) -> BilinearForm:
     """Orthogonal sum of ``genus`` hyperbolic planes [[0,1],[1,0]]."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    return BilinearForm(2 * genus, _block_diagonal([((0, 1), (1, 0))] * genus))
+    return BilinearForm._from_masks(tuple(1 << (i ^ 1) for i in range(2 * genus)))
 
 
 def crosscap_form(crosscaps: int) -> BilinearForm:
     """Identity form of rank ``crosscaps`` (one crosscap class per generator)."""
     if crosscaps < 1:
         raise ValueError("need at least one crosscap")
-    return BilinearForm(crosscaps, _block_diagonal([((1,),)] * crosscaps))
+    return BilinearForm._from_masks(tuple(1 << i for i in range(crosscaps)))
 
 
 class Covector(F2Vector):
@@ -142,22 +151,27 @@ class Enhancement(Value):
     __slots__ = _fields = ("form", "values")
 
     def __init__(self, form: BilinearForm, values: Sequence[int]):
-        values = tuple(values)
+        values = tuple(values)  # iterated: bytes() would read an array's buffer, not its values
         if len(values) != form.dim:
             raise DimensionMismatchError(f"form has dim {form.dim}, got {len(values)} basis values")
-        for i, v in enumerate(values):
-            if not 0 <= v <= 3:
-                raise ValueError(f"basis value {v} at index {i} is not in Z/4")
-            if (v & 1) != form.gram[i][i]:
-                raise ValueError(
-                    f"parity constraint violated at index {i}: "
-                    f"q(e{i}) = {v} but e{i}.e{i} = {form.gram[i][i]}"
-                )
+        try:  # one comparison of each value's parity, 255 past 3, with the form's diagonal
+            raw = bytes(values)
+        except (TypeError, ValueError):  # not all ints in 0-255; "?" has no parity
+            raw = b"?"
+        if raw.translate(_PARITY) != form._diag:  # the loop names it; bytes() reads index() too
+            for i, v in enumerate(values):
+                if not 0 <= index(v) <= 3:  # floats, strings and numpy bools raise TypeError
+                    raise ValueError(f"basis value {v} at index {i} is not in Z/4")
+                if (v & 1) != form._diag[i]:
+                    raise ValueError(
+                        f"parity constraint violated at index {i}: "
+                        f"q(e{i}) = {v} but e{i}.e{i} = {form._diag[i]}"
+                    )
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", tuple(raw))
 
     def to_json(self) -> dict:
-        return {"form": self.form.to_json(), "values": list(map(int, self.values))}
+        return {"form": self.form.to_json(), "values": list(self.values)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Enhancement":
@@ -301,10 +315,9 @@ def enumerate_enhancements(form: BilinearForm) -> Iterator[Enhancement]:
     checked at the call, before the first enhancement is asked for.
     """
     _check_enumeration_guard(form.dim)
-    diag, n = form._diagonal(), form.dim
     return (
-        Enhancement(form, tuple((diag[i] + 2 * ((choice >> i) & 1)) % 4 for i in range(n)))
-        for choice in range(1 << n)
+        Enhancement(form, tuple(d + 2 * (choice >> i & 1) for i, d in enumerate(form._diag)))
+        for choice in range(1 << form.dim)
     )
 
 
@@ -320,7 +333,7 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
     """The unique class y_hat with <y, x> = y_hat.x for all x, from the form's orthogonal split."""
     if y.dim != form.dim:
         raise DimensionMismatchError(f"form dim {form.dim}, covector dim {y.dim}")
-    _beta, r, _null, odd, planes = _split(form, form._diagonal())
+    _beta, r, _null, odd, planes = _split(form, form._diag)
     if r:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")
     dual, yb = 0, y.bits
@@ -373,7 +386,4 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
             f ^= perp
         reduced.append(f & below | f >> 1 & between | f >> 2 & above)
         reduced_values.append(v & 3)
-    k = n - 2
-    bits = "".join([f"{f:0{k}b}" for f in reversed(reduced)])[::-1].encode().translate(_BITS)
-    gram = tuple([tuple(bits[i * k : i * k + k]) for i in range(k)])
-    return Enhancement(BilinearForm(k, gram), reduced_values)
+    return Enhancement(BilinearForm._from_masks(tuple(reduced)), reduced_values)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError
-from .forms import BilinearForm, Enhancement, _Gram, _block_diagonal
+from .forms import BilinearForm, Enhancement, _Gram
 
 MAX_FORM_DIM = 12
 
@@ -29,41 +29,36 @@ def _check_form_cap(dim: int) -> None:
 def _leading_minors(gram: Sequence[Sequence[int]]) -> list[int]:
     """Leading principal minors D_1..D_n of a symmetric integer matrix, up to congruence.
 
-    Symmetric elimination in integers (Bareiss 1968): step k takes the
-    diagonal entry d = a[k][k] as its pivot and updates the trailing block by
-    a[r][t] = (d * a[r][t] - a[r][k] * a[k][t]) // prev, with prev the previous
-    pivot (1 at the start).  The division is exact because every active entry
-    is a bordered minor: the determinant of the leading block bordered by one
-    more row and column.  When a[k][k] = 0, the first partner j > k with
-    a[k][j] != 0 is folded in, e_k <- e_k + s*e_j, by adding s times row and
-    column j to row and column k.  A bordered minor is linear in its border
-    row and column, so the active entries stay bordered minors of the folded
-    basis, and the new pivot is 2*s*a[k][j] + a[j][j].  The two signs of s give
-    pivots that differ by 4*a[k][j] != 0, so at least one is nonzero.  With no
-    partner, row k of the active block is zero; the form is singular and the
-    remaining minors are 0.  Every basis change has determinant 1, so D_n is
-    the determinant of ``gram``.
+    Symmetric elimination in integers (Bareiss 1968) on the upper triangle, as the active
+    block stays symmetric: step k pivots on d = a[k][k] and sets a[r][t], k < r <= t, to
+    (d * a[r][t] - a[k][r] * a[k][t]) // prev, prev the previous pivot (1 at first).  It
+    divides exactly, as each active entry is a bordered minor (of the leading block bordered
+    by one more row and column), linear in its border.  When a[k][k] = 0, the first j > k
+    with a[k][j] != 0 is folded in, e_k <- e_k + s*e_j: row k gains s times row j, read as
+    a[t][j] for t < j, and the pivot becomes 2*s*a[k][j] + a[j][j], nonzero for one sign of
+    s (the two differ by 4*a[k][j]); the entries stay bordered minors of the folded basis.
+    With no such j, row k of the active block is zero: the form is singular and the rest of
+    the minors are 0.  Each basis change has determinant 1, so D_n is the determinant.
     """
     n = len(gram)
     a = [list(row) for row in gram]
     minors: list[int] = []
     prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+        pivot_row = a[k]
+        if pivot_row[k] == 0:
+            j = next((j for j in range(k + 1, n) if pivot_row[j] != 0), None)
             if j is None:
                 return minors + [0] * (n - k)
-            s = 1 if 2 * a[k][j] + a[j][j] else -1
-            for t in range(k, n):
-                a[k][t] += s * a[j][t]
-            for t in range(k, n):
-                a[t][k] += s * a[t][j]
-        d = a[k][k]
-        minors.append(d)
-        pivot_row = a[k]
-        for r in range(k + 1, n):
-            f, target = a[r][k], a[r]
+            s = 1 if 2 * pivot_row[j] + a[j][j] else -1
+            pivot_row[k] = 2 * s * pivot_row[j] + a[j][j]
             for t in range(k + 1, n):
+                pivot_row[t] += s * (a[t][j] if t < j else a[j][t])
+        d = pivot_row[k]
+        minors.append(d)
+        for r in range(k + 1, n):
+            f, target = pivot_row[r], a[r]
+            for t in range(r, n):
                 target[t] = (d * target[t] - f * pivot_row[t]) // prev
         prev = d
     return minors
@@ -80,10 +75,9 @@ class UnimodularForm(_Gram):
             raise ValueError(f"Gram matrix is not {dim}x{dim}")
         # floats and strings are refused, not truncated; numpy ints and bools become ints
         gram = tuple(tuple(map(index, r)) for r in gram)
-        for i in range(dim):
-            for j in range(i, dim):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
+        if tuple(zip(*gram)) != gram:  # one transpose compare, then the first fault is named
+            i, j = next((i, j) for i in range(dim) for j in range(dim) if gram[i][j] != gram[j][i])
+            raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
         minors = _leading_minors(gram)
         d = minors[-1] if minors else 1
         if d not in (1, -1):
@@ -106,7 +100,8 @@ class UnimodularForm(_Gram):
 
     def mod2(self) -> BilinearForm:
         """Reduction mod 2; nondegenerate because the form is unimodular."""
-        return BilinearForm.from_rows([[x & 1 for x in row] for row in self.gram])
+        masks = tuple(sum((x & 1) << j for j, x in enumerate(row)) for row in self.gram)
+        return BilinearForm._from_masks(masks)
 
 
 def _characteristic_square(m: UnimodularForm, c: Sequence[int]) -> int:
@@ -182,7 +177,11 @@ def unimodular_direct_sum(*forms: UnimodularForm) -> UnimodularForm:
     """Block-diagonal sum of unimodular forms."""
     n = sum(f.dim for f in forms)
     _check_form_cap(n)  # before the n x n Gram matrix is built
-    return UnimodularForm(n, _block_diagonal([f.gram for f in forms]))
+    rows, off = [], 0
+    for f in forms:
+        rows += [(0,) * off + row + (0,) * (n - off - f.dim) for row in f.gram]
+        off += f.dim
+    return UnimodularForm(n, rows)
 
 
 def parse_form_name(expr: str) -> UnimodularForm:

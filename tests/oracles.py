@@ -125,6 +125,39 @@ def characteristic_class_mod2(m):
     return tuple((wu[0] >> i) & 1 for i in range(n))
 
 
+def naive_leading_minors(gram):
+    """Leading principal minors D_1..D_n of a symmetric integer matrix, up to congruence:
+    Bareiss's exact-division elimination (1968) on the whole trailing block.
+
+    Step k pivots on a[k][k]; when that is 0 it folds in the first j > k with
+    a[k][j] != 0 (e_k <- e_k + s*e_j, s = 1 unless 2*a[k][j] + a[j][j] = 0, then -1)
+    by adding s times row and column j to row and column k, and with no such j the
+    remaining minors are 0.  Every entry of the block is updated, both triangles.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    minors = []
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if j is None:
+                return minors + [0] * (n - k)
+            s = 1 if 2 * a[k][j] + a[j][j] else -1
+            for t in range(k, n):
+                a[k][t] += s * a[j][t]
+            for t in range(k, n):
+                a[t][k] += s * a[t][j]
+        d = a[k][k]
+        minors.append(d)
+        for r in range(k + 1, n):
+            f = a[r][k]
+            for t in range(k + 1, n):
+                a[r][t] = (d * a[r][t] - f * a[k][t]) // prev
+        prev = d
+    return minors
+
+
 def gaussian_binomial(n, k):
     """Number of k-dimensional subspaces of F2^n, by the product formula."""
     if k < 0 or k > n:

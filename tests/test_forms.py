@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -212,6 +214,58 @@ CONTAINERS = pytest.mark.parametrize(
 )
 
 
+def seeded_forms(seed, count=40, max_dim=64):
+    """Gram tuples of random forms of rank up to max_dim, moved by a random basis; every
+    other one degenerate, q on its radical alternately 0 and not."""
+    rng = random.Random(seed)
+    for k in range(count):
+        top = rng.randint(2, max_dim)
+        if k % 2:
+            gram, values = random_degenerate(rng, top, 2 * (k % 4 == 1))
+        else:
+            gram, values = random_nondegenerate(rng, top)
+        gram, _ = rebase(gram, values, random_basis(rng, len(gram)))
+        yield as_tuples(gram)
+
+
+class TestMaskConstructor:
+    """A form built from trusted row masks is the form built from its Gram tuple."""
+
+    def test_equals_the_form_of_its_gram_tuple(self):
+        clones = (lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy)
+        for gram in seeded_forms(31):
+            parsed = BilinearForm(len(gram), gram)
+            built = BilinearForm._from_masks(parsed.row_masks)
+            assert type(built) is BilinearForm and built.dim == len(gram)
+            assert built == parsed and hash(built) == hash(parsed)
+            assert built.gram == parsed.gram == gram and built.to_json() == parsed.to_json()
+            assert built._diag == parsed._diag == bytes(gram[i][i] for i in range(len(gram)))
+            for clone in clones:
+                for form in (parsed, built):
+                    back = clone(form)
+                    assert type(back) is BilinearForm and back == parsed
+                    assert hash(back) == hash(parsed) and back._diag == parsed._diag
+
+    def test_equality_and_hashing_never_build_the_gram_view(self, monkeypatch):
+        # a form compares by its masks: rebuilding Gram tuples on == cost the benchmark 12%
+        forms = [BilinearForm(len(g), g) for g in seeded_forms(32, count=10, max_dim=24)]
+        qs = [Enhancement(f, f._diag) for f in forms]
+
+        def no_view(self):
+            raise AssertionError("the Gram view was built")
+
+        monkeypatch.setattr(BilinearForm, "gram", property(no_view))
+        for f, q in zip(forms, qs):
+            twin = BilinearForm._from_masks(f.row_masks)
+            assert f == twin and hash(f) == hash(twin) and not f != twin
+            assert q == Enhancement(twin, q.values) and hash(q) == hash(Enhancement(twin, q.values))
+            assert pickle.loads(pickle.dumps(q)) == q and copy.deepcopy(f) == f
+        twins = {BilinearForm._from_masks(f.row_masks) for f in forms}
+        assert len(set(forms) | twins) == len({f.row_masks for f in forms})
+        with pytest.raises(AssertionError, match="Gram view"):
+            repr(forms[0])
+
+
 class TestGramCheck:
     """The one-parse check against a per-entry loop, for rows as tuples, lists and arrays."""
 
@@ -273,6 +327,40 @@ class TestEnhancementConstruction:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             Enhancement(TORUS, (0,))
+
+    @pytest.mark.parametrize(
+        "form,values,kind,message",
+        [
+            (TORUS, (0, 4), ValueError, "basis value 4 at index 1 is not in Z/4"),
+            (TORUS, (-1, 0), ValueError, "basis value -1 at index 0 is not in Z/4"),
+            (TORUS, (0, 256), ValueError, "basis value 256 at index 1 is not in Z/4"),
+            (TORUS, (2, 1), ValueError, "parity constraint violated at index 1: q(e1) = 1 but e1.e1 = 0"),
+            (KLEIN, (1, 2), ValueError, "parity constraint violated at index 1: q(e1) = 2 but e1.e1 = 1"),
+            (TORUS, (2.0, 0), TypeError, None),
+            (TORUS, ("0", 0), TypeError, None),
+            (TORUS, (0, None), TypeError, None),
+            (TORUS, (0,), DimensionMismatchError, "form has dim 2, got 1 basis values"),
+            (TORUS, (0, 0, 5), DimensionMismatchError, "form has dim 2, got 3 basis values"),
+            (TORUS, (2.0,), DimensionMismatchError, "form has dim 2, got 1 basis values"),
+        ],
+        ids=["4", "-1", "256", "parity-even", "parity-odd", "float", "str", "None", "short", "long",
+             "short-float"],
+    )
+    def test_faults_are_named(self, form, values, kind, message):
+        # the length first, then each value in order: its range, then its parity
+        with pytest.raises(kind) as info:
+            Enhancement(form, values)
+        if message is not None:
+            assert str(info.value) == message
+
+    def test_values_are_stored_as_ints(self):
+        np = pytest.importorskip("numpy")
+        for values in ((np.int64(2), 0), np.array([2, 0]), (2, False), iter((2, 0)), b"\2\0"):
+            q = Enhancement(TORUS, values)
+            assert q == Enhancement(TORUS, (2, 0)) and [type(v) for v in q.values] == [int, int]
+            assert repr(q) == repr(Enhancement(TORUS, (2, 0)))
+        with pytest.raises(TypeError):  # refused like a Gram entry: a numpy bool has no __index__
+            Enhancement(RP2, (np.True_,))
 
     def test_json_roundtrip(self):
         q = Enhancement(KLEIN, (1, 3))
@@ -479,10 +567,15 @@ class TestRestrict:
 
 class TestDirectSum:
     def test_block_diagonal_layout(self):
-        # the surface forms and unimodular sums share one builder: pin its Gram matrices outright
+        # the surface forms are built from row masks: pin their Gram matrices outright, and
+        # that each equals the form parsed from its Gram tuple
         assert hyperbolic_form(0).gram == ()
         assert hyperbolic_form(2).gram == ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
         assert crosscap_form(3).gram == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for form in [hyperbolic_form(g) for g in range(5)] + [crosscap_form(k) for k in range(1, 5)]:
+            assert form == BilinearForm(form.dim, form.gram) and form._diag == bytes(
+                form.gram[i][i] for i in range(form.dim)
+            )
 
     def test_eval_splits(self):
         # q on an orthogonal sum is the sum of q on the summands

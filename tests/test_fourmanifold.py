@@ -24,7 +24,12 @@ from pinquad.fourmanifold import (
     unimodular_direct_sum,
 )
 
-from oracles import characteristic_class_mod2, naive_nondegenerate, naive_pair
+from oracles import (
+    characteristic_class_mod2,
+    naive_leading_minors,
+    naive_nondegenerate,
+    naive_pair,
+)
 
 ONE = FORM_LIBRARY["1"]
 MINUS_ONE = FORM_LIBRARY["-1"]
@@ -109,6 +114,45 @@ def descartes_signature(sympy, gram):
     negative = sign_changes([c * (-1) ** (n - i) for i, c in enumerate(coeffs)])
     assert positive + negative == n
     return positive - negative
+
+
+class TestLeadingMinors:
+    """The upper-triangle elimination against the full-block one it replaced."""
+
+    def test_matches_the_full_block_on_small_matrices(self):
+        # zero diagonal entries are common, so the fold runs often; singular matrices included
+        rng = random.Random(3131)
+        singular = folded = 0
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            g = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = rng.choice((0, 0, 1, -1, 2))
+            minors = fourmanifold._leading_minors(g)
+            assert minors == naive_leading_minors(g)
+            singular += minors[-1] == 0
+            folded += g[0][0] == 0 and minors[0] != 0
+        assert singular > 300 and folded > 300
+
+    @pytest.mark.parametrize(
+        "expr", ["E8+H+H", "E8+1+1+1+-1", "H+H+H+H+H+H", "1+1+1+1+1+1+1+1+-1+-1+-1+-1", "E8+H+1+-1"]
+    )
+    def test_matches_the_full_block_on_rank_12_sums(self, expr):
+        rng = random.Random(expr)
+        m = parse_form_name(expr)
+        for steps in (0, 6, 24, 60):
+            g = random_congruence(m.gram, rng, steps=steps)
+            minors = fourmanifold._leading_minors(g)
+            assert minors == naive_leading_minors(g) and minors[-1] in (1, -1)
+
+    def test_reads_only_the_upper_triangle(self):
+        rng = random.Random(3132)
+        for _ in range(200):
+            g = random_congruence(random_library_sum(rng).gram, rng, steps=12)
+            # an entry below the diagonal is None, so reading one raises TypeError
+            upper = [[x if i <= j else None for j, x in enumerate(row)] for i, row in enumerate(g)]
+            assert fourmanifold._leading_minors(upper) == naive_leading_minors(g)
 
 
 class TestUnimodularForm:
