@@ -45,10 +45,10 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
     n = q.form.dim
     if n > MAX_GAUSS_DIM:
         raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
-    beta, r, null_radical, odd, planes = _split(q.form, q.values)
-    # |1 + i^q(u)| = sqrt 2 for an odd class, and beta is odd exactly when their number is;
-    # a plane and a radical class with q = 0 double the sum, a radical class with q = 2 kills it
-    shift = len(odd) // 2 + len(planes) + r
+    beta, r, null_radical, odd, _ = _split(q.form.row_masks, q.values)
+    # |G| = 2^((n + r)/2) unless a radical class with q = 2 kills G: an odd class gives sqrt 2,
+    # a plane and a radical class 2.  n + r is odd when beta is, and then the ray has a sqrt 2
+    shift = (n + r) // 2
     a, b = _RAYS[beta]
     a, b = (a << shift, b << shift) if null_radical else (0, 0)
     # x -> x.x is linear: every class is even when the split has no odd piece, else half are
@@ -65,7 +65,7 @@ def brown_invariant(q: Enhancement) -> int:
     Raises DegenerateFormError when the form is degenerate (no convention is
     chosen for that case).
     """
-    beta, r, _, _, _ = _split(q.form, q.values)
+    beta, r, _, _, _ = _split(q.form.row_masks, q.values)
     if r:
         raise DegenerateFormError("Brown invariant undefined: degenerate form")
     return beta

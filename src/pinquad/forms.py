@@ -205,7 +205,7 @@ def _eval_bits(q: Enhancement, bits: int) -> int:
     return (total + 2 * pairs) & 3
 
 
-def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
+def _split(rows: Sequence[int], values: Sequence[int]) -> tuple:
     """(beta, r, null_radical, odd, planes): the form's one orthogonal split, q on its pieces.
 
     A symmetric form over F2 is an orthogonal sum of classes u with u.u = 1, planes (u, w)
@@ -213,22 +213,21 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
     1990).  One loop takes the pieces off one at a time, the rest of the basis moving into
     their complement: the lowest odd class while any is left, else the lowest class, which
     leaves with its lowest partner as a plane, or alone as a radical class if it has none.
-    ``odd`` and ``planes`` are class bitmasks, r the radical's dimension, null_radical
-    whether q is 0 there, and beta the Brown invariant of q on the pieces, which adds up
-    over them (Brown 1972): 2 - q(u) for an odd class, 4 for a plane with q = 2 on both
-    classes, else 0.  The pieces depend on the order they come off in, but what callers read
-    from them does not: beta, r, null_radical, how many odd classes and planes there are,
-    and the Poincare duals they give.  q is ``values`` on the basis, but only its parities
-    steer, so the Gram diagonal gives the same pieces.
+    The radical has dimension r, null_radical is whether q is 0 there, and beta is the Brown
+    invariant of q on the pieces, which adds up over them (Brown 1972): 2 - q(u) for an odd
+    class, 4 for a plane with q = 2 on both classes, else 0.  The pieces depend on the order
+    they come off in, but what callers read from them does not: beta, r, null_radical, how
+    many odd classes and planes there are, and the Poincare duals they give.  q is ``values``
+    on the basis, but only its parities steer, so the Gram diagonal gives the same pieces.
 
-    The work is done on the Gram matrix of the current basis: bit x of ``gram[v]`` is v.x,
-    ``cls[v]`` is v's class, and q is two bitmasks over the basis, its bits 0 and 1.  Moving
-    the vectors that pair with a piece changes no other vector's pairings, so each step
-    rewrites only their rows; ``alive`` marks the vectors not yet split off.
+    The work is done on ``rows``, the Gram row masks (bit j of row i is e_i.e_j), with q as
+    two bitmasks, its bits 0 and 1.  Moving the vectors that pair with a piece changes no
+    other vector's pairings, so a step adds whole rows to theirs alone: what a caller puts
+    above bit n rides along, and ``odd`` and ``planes`` give each piece's row above bit n,
+    its class when row i has bit n + i.  Only pairings with ``alive`` vectors are read.
     """
-    n = form.dim
-    gram = list(form.row_masks)
-    cls = [1 << i for i in range(n)]
+    n = len(rows)
+    gram = list(rows)
     q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
     for i, v in enumerate(values):
         if v & 1:
@@ -242,10 +241,10 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
         bu = pick & -pick
         alive ^= bu
         u = bu.bit_length() - 1
-        s = gram[u] & alive
+        gu = gram[u]
+        s = gu & alive
         if q0 & bu:
-            cu = cls[u]
-            odd.append(cu)
+            odd.append(gu >> n)
             # v + u for each v in s: (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal
             # too, and q(v + u) = q(v) + q(u) + 2
             if q1 & bu:  # q(u) = 3: add 1 on s
@@ -258,34 +257,29 @@ def _split(form: BilinearForm, values: Sequence[int]) -> tuple:
             m = s
             while m:
                 bv = m & -m
-                v = bv.bit_length() - 1
-                gram[v] ^= s
-                cls[v] ^= cu
+                gram[bv.bit_length() - 1] ^= gu
                 m ^= bv
         elif s:  # every live class is even: q is q1 twice
             bw = s & -s
             alive ^= bw
-            w = bw.bit_length() - 1
-            cu, cw = cls[u], cls[w]
-            su, sw = s ^ bw, gram[w] & alive
+            gw = gram[bw.bit_length() - 1]
+            su, sw = s ^ bw, gw & alive
             qu, qw = q1 & bu, q1 & bw
-            planes.append((cu, cw))
+            planes.append((gu >> n, gw >> n))
             if qu and qw:
                 beta += 4
             # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
             # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
-            # by q(w) on su, and by 2 more on both.  Each v in m gets row and class c added.
+            # by q(w) on su, and by 2 more on both.  Each v in m gets the row g added.
             q1 ^= su & sw
             if qu:
                 q1 ^= sw
             if qw:
                 q1 ^= su
-            for m, row, c in ((sw, su, cu), (su, sw, cw)):
+            for m, g in ((sw, gu), (su, gw)):
                 while m:
                     bv = m & -m
-                    v = bv.bit_length() - 1
-                    gram[v] ^= row
-                    cls[v] ^= c
+                    gram[bv.bit_length() - 1] ^= g
                     m ^= bv
         else:  # a radical class: q(u) is 0 or 2
             r += 1
@@ -330,10 +324,12 @@ def torsor_act(q: Enhancement, y: Covector) -> Enhancement:
 
 
 def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
-    """The unique class y_hat with <y, x> = y_hat.x for all x, from the form's orthogonal split."""
-    if y.dim != form.dim:
-        raise DimensionMismatchError(f"form dim {form.dim}, covector dim {y.dim}")
-    _beta, r, _null, odd, planes = _split(form, form._diag)
+    """The Poincare dual of Theorem 2.1: the class y_hat with <y, x> = y_hat.x for all x."""
+    n = form.dim
+    if y.dim != n:
+        raise DimensionMismatchError(f"form dim {n}, covector dim {y.dim}")
+    rows = [g | 1 << n + i for i, g in enumerate(form.row_masks)]  # split, row i carrying e_i
+    _beta, r, _null, odd, planes = _split(rows, form._diag)
     if r:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")
     dual, yb = 0, y.bits

@@ -112,7 +112,7 @@ def max_vanishing_dim(q: Enhancement) -> int:
     form can exceed n / 2.
     """
     _check_search_guard(q)
-    beta, r, null_radical, _, _ = _split(q.form, q.values)
+    beta, r, null_radical, _, _ = _split(q.form.row_masks, q.values)
     return _max_null_dim(q.form.dim, beta, r, null_radical)
 
 
@@ -128,7 +128,7 @@ def has_null_lagrangian(q: Enhancement) -> bool:
     part must vanish; Brown, Kirby-Taylor); beta = n (mod 2), so the rank is
     then even.
     """
-    beta, r, _, _, _ = _split(q.form, q.values)
+    beta, r, _, _, _ = _split(q.form.row_masks, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
     return beta == 0

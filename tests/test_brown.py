@@ -156,7 +156,9 @@ class TestSplit:
         # of <1> per odd class and H per plane; beta adds up over it, r fills the rank
         for gram, values in piece_cases(kind):
             n = len(gram)
-            beta, r, _null, odd, planes = pinquad.forms._split(BilinearForm.from_rows(gram), values)
+            # row i carries e_i above bit n, so the pieces come back as classes
+            rows = [g | 1 << n + i for i, g in enumerate(BilinearForm.from_rows(gram).row_masks)]
+            beta, r, _null, odd, planes = pinquad.forms._split(rows, values)
             for u in odd:
                 assert naive_dot(gram, u, u) == 1
             for u, w in planes:
@@ -179,7 +181,7 @@ class TestSplit:
             n = q.form.dim
             degenerate = naive_rank([sum(b << j for j, b in enumerate(r)) for r in gram]) < n
             radical = naive_radical(gram)
-            _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form, q.values)
+            _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form.row_masks, q.values)
             assert len(radical) == 1 << r, (gram, values)
             assert len(odd) + 2 * len(planes) + r == n
             assert (r > 0) == degenerate == (kind != "rebased")
@@ -191,6 +193,42 @@ class TestSplit:
                         answer(q)
                 else:
                     answer(q)
+
+
+def contract_cases():
+    """Seeded forms of rank 1 to 64 in a random basis, every other one degenerate."""
+    rng = random.Random("split-contract")
+    cases = []
+    for k in range(24):
+        n = rng.randint(1, 64)
+        if k % 2:
+            gram, values = random_degenerate(rng, n, rng.choice((0, 2)))
+        else:
+            gram, values = random_nondegenerate(rng, n)
+        gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+        cases.append((BilinearForm.from_rows(gram).row_masks, values))
+    return cases
+
+
+class TestSplitContract:
+    """What a caller puts above bit n of a row rides along and steers nothing."""
+
+    def test_bits_above_n_change_nothing(self):
+        rng = random.Random("split-noise")
+        for rows, values in contract_cases():
+            n = len(rows)
+            noisy = [g | rng.getrandbits(2 * n) << n for g in rows]
+            plain, loaded = pinquad.forms._split(rows, values), pinquad.forms._split(noisy, values)
+            assert plain[:3] == loaded[:3], (rows, values)
+            assert (len(plain[3]), len(plain[4])) == (len(loaded[3]), len(loaded[4]))
+
+    def test_pieces_are_zeros_without_bits_above_n(self):
+        seen = set()
+        for rows, values in contract_cases():
+            _beta, r, _null, odd, planes = pinquad.forms._split(rows, values)
+            assert set(odd) <= {0} and set(planes) <= {(0, 0)}
+            seen.add((bool(odd), bool(planes), bool(r)))
+        assert (True, True, False) in seen and (True, True, True) in seen
 
 
 class TestBrownInvariant:

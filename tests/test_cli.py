@@ -1081,6 +1081,16 @@ def test_public_api_is_pinned():
     assert fresh_python(probe)[:2] == (0, "[] (None, None) [] False\n")
 
 
+def test_readme_library_example(capsys):
+    # the README's example runs as written and prints what its comments say it prints
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.split("#")[1].strip() for line in block.splitlines() if "#" in line]
+    assert comments == ["4", "[0, 0, 0, 4]", "4"]
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == comments
+
+
 def test_oracles_share_little_code_with_the_package():
     # the references check the package, so they borrow from it only these; the names the
     # benchmark's tests import from them stay

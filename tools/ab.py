@@ -39,6 +39,8 @@ def load(tree: str, workloads: list[str]) -> dict[str, list]:
         W = importlib.import_module("workloads")
         if not os.path.realpath(W.P.__file__).startswith(src + os.sep):
             sys.exit(f"error: {tree}: imported pinquad from {W.P.__file__}, not from {src}")
+        for name in W.P.__all__:  # the lazy package binds its names here, while src is on the path
+            getattr(W.P, name)
         return {w: getattr(W, f"{w}_ops")(getattr(W, f"{w}_inputs")(1)) for w in workloads}
     finally:
         del sys.path[:2]
