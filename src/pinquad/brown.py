@@ -45,7 +45,7 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
     n = q.form.dim
     if n > MAX_GAUSS_DIM:
         raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
-    beta, r, null_radical, odd, _ = _split(q.form.row_masks, q.values)
+    beta, r, null_radical, odd, _ = _split(q.form._bits, q.values)
     # |G| = 2^((n + r)/2) unless a radical class with q = 2 kills G: an odd class gives sqrt 2,
     # a plane and a radical class 2.  n + r is odd when beta is, and then the ray has a sqrt 2
     shift = (n + r) // 2
@@ -65,7 +65,7 @@ def brown_invariant(q: Enhancement) -> int:
     Raises DegenerateFormError when the form is degenerate (no convention is
     chosen for that case).
     """
-    beta, r, _, _, _ = _split(q.form.row_masks, q.values)
+    beta, r, _, _, _ = _split(q.form._bits, q.values)
     if r:
         raise DegenerateFormError("Brown invariant undefined: degenerate form")
     return beta
@@ -76,8 +76,8 @@ def arf_from_brown(q: Enhancement) -> int:
 
     Even enhancements have beta in {0, 4}; the Arf invariant is beta / 4.
     """
-    odd = [i for i, v in enumerate(q.values) if v & 1]
-    if odd:
+    if 1 in q.form._diag:  # a value is odd exactly where the diagonal is 1
+        odd = [i for i, v in enumerate(q.values) if v & 1]
         raise UnsupportedInputError(
             f"Arf invariant needs all basis values even; odd at indices {odd}"
         )

@@ -190,7 +190,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     form = _surface_form(args)
     n, records = form.dim, []
     for q in enumerate_enhancements(form):  # its guard comes before the first split
-        beta, r, null_radical, _, _ = _split(form.row_masks, q.values)  # both columns read it
+        beta, r, null_radical, _, _ = _split(form._bits, q.values)  # both columns read it
         null_dim = _max_null_dim(n, beta, r, null_radical) if n <= MAX_SEARCH_DIM else None
         records.append({"values": list(q.values), "beta": None if r else beta, "max_null_dim": null_dim})
     _emit(args, lambda: records, lambda: _render_table(records))

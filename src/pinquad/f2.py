@@ -22,7 +22,7 @@ class Value:
 
     A subclass names its fields in ``_fields``, in constructor order, and sets its slots in a
     validating ``__init__``, which copies and pickles run again; other slots do not compare.
-    ``BilinearForm`` compares by its row masks, and pickles through its mask constructor unchecked.
+    ``BilinearForm`` compares by its packed rows, and pickles through its mask constructor unchecked.
     """
 
     __slots__ = ()

@@ -24,6 +24,7 @@ MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the libr
 _BIT_DIGITS = b"01" + b"x" * 254
 _BITS = bytes.maketrans(b"01", b"\0\1")  # the inverse: a binary digit to its byte
 _PARITY = bytes([0, 1, 0, 1]) + b"\xff" * 252  # a value of Z/4 to its parity; 255 past 3
+_BIT0, _BIT1 = b"01" * 128, b"0011" * 64  # a value of Z/4 to its bit 0, its bit 1, as a digit
 
 
 def _json_int(x: object) -> int:
@@ -63,15 +64,17 @@ class _Gram(Value):
 
 
 class BilinearForm(_Gram):
-    """Symmetric bilinear form on F2^dim: its row masks (bit j of row i is gram[i][j]) alone
-    compare, hash and pickle, and ``gram`` is a view built from them when read."""
+    """Symmetric bilinear form on F2^dim, packed into one integer: row i of the Gram matrix is
+    bits i*(dim + 1) to i*(dim + 1) + dim - 1 of ``_bits`` (its bit j is gram[i][j]), and bit
+    dim of every row is clear.  That integer alone compares and hashes; ``row_masks`` and
+    ``gram`` are views built from it when read, and a pickle carries the row masks."""
 
-    __slots__ = ("dim", "row_masks", "_diag")  # _diag: the diagonal, bytes of e_i.e_i
+    __slots__ = ("dim", "_bits", "_diag")  # _diag: the diagonal, bytes of e_i.e_i
 
     def __init__(self, dim: int, gram: Sequence[Sequence[int]]):
         try:  # one parse of the joined columns: bytearray() takes only 0-255, int() only bits
             cols = tuple(zip(*gram))  # tuples whatever the rows are; gram if it is symmetric
-            joined = b"".join(map(bytearray, cols))  # bytearray reads a tuple faster than bytes
+            joined = b"\0".join(map(bytearray, cols))  # bytearray reads a tuple faster than bytes
             bits = int(joined[::-1].translate(_BIT_DIGITS) or b"0", 2)
             # True only for a square symmetric tuple of tuples: an array compares elementwise
             valid = len(gram) == dim and cols == gram
@@ -88,41 +91,51 @@ class BilinearForm(_Gram):
                         raise ValueError(f"Gram matrix not symmetric at ({i},{j})")
             # numpy ints and bools as ints, rows as tuples: the parse above then holds
             return BilinearForm.__init__(self, dim, tuple(tuple(map(index, row)) for row in gram))
-        row = (1 << dim) - 1  # row i is bits i*dim to i*dim + dim - 1 of the parse
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "row_masks", tuple(bits >> i * dim & row for i in range(dim)))
-        object.__setattr__(self, "_diag", joined[:: dim + 1])
+        object.__setattr__(self, "_bits", bits)  # a zero byte joins two columns: bit dim of a row
+        object.__setattr__(self, "_diag", joined[:: dim + 2])
 
     @classmethod
     def _from_masks(cls, row_masks: tuple[int, ...]) -> "BilinearForm":
         """The form of trusted row masks, symmetric and within len(row_masks) bits: no checks."""
-        form = object.__new__(cls)
-        object.__setattr__(form, "dim", len(row_masks))
-        object.__setattr__(form, "row_masks", row_masks)
+        form, n = object.__new__(cls), len(row_masks)
+        object.__setattr__(form, "dim", n)
+        object.__setattr__(form, "_bits", sum(r << i * (n + 1) for i, r in enumerate(row_masks)))
         object.__setattr__(form, "_diag", bytes(r >> i & 1 for i, r in enumerate(row_masks)))
         return form
 
     def _key(self) -> tuple:
-        return self.dim, self.row_masks
+        return self.dim, self._bits
 
     def __reduce__(self) -> tuple:
         return self._from_masks, (self.row_masks,)
 
     @property
+    def row_masks(self) -> tuple[int, ...]:
+        """Row i of the Gram matrix as a bitmask: bit j is gram[i][j]."""
+        n, bits = self.dim, self._bits
+        row = (1 << n) - 1
+        return tuple([bits >> i * (n + 1) & row for i in range(n)])
+
+    @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        n, rows = self.dim, reversed(self.row_masks)  # one format of all rows, read backwards
-        bits = "".join([f"{f:0{n}b}" for f in rows])[::-1].encode().translate(_BITS)
-        return tuple([tuple(bits[i * n : i * n + n]) for i in range(n)])
+        n, w = self.dim, self.dim + 1  # one format of the whole integer, read backwards
+        bits = f"{self._bits:0{n * w}b}"[::-1].encode().translate(_BITS)
+        return tuple([tuple(bits[i * w : i * w + n]) for i in range(n)])
 
     def functional_mask(self, x_bits: int) -> int:
         """Bitmask of the linear functional y -> x.y (the row gram.x)."""
-        acc = 0
-        m = x_bits
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc ^= self.row_masks[i]
-        return acc
+        return _functional(self.row_masks, x_bits)
+
+
+def _functional(rows: Sequence[int], x_bits: int) -> int:
+    acc = 0
+    m = x_bits
+    while m:
+        i = (m & -m).bit_length() - 1
+        m &= m - 1
+        acc ^= rows[i]
+    return acc
 
 
 def hyperbolic_form(genus: int) -> BilinearForm:
@@ -189,23 +202,22 @@ def eval_q(q: Enhancement, x: F2Vector) -> int:
     """
     if x.dim != q.form.dim:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {x.dim}")
-    return _eval_bits(q, x.bits)
+    return _eval_bits(q.form.row_masks, q.values, x.bits)
 
 
-def _eval_bits(q: Enhancement, bits: int) -> int:
+def _eval_bits(rows: Sequence[int], values: Sequence[int], bits: int) -> int:
     total = 0
     pairs = 0
-    rows = q.form.row_masks
     m = bits
     while m:
         i = (m & -m).bit_length() - 1
         m &= m - 1
-        total += q.values[i]
+        total += values[i]
         pairs += (rows[i] & m).bit_count()  # partners j > i within the support
     return (total + 2 * pairs) & 3
 
 
-def _split(rows: Sequence[int], values: Sequence[int]) -> tuple:
+def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
     """(beta, r, null_radical, odd, planes): the form's one orthogonal split, q on its pieces.
 
     A symmetric form over F2 is an orthogonal sum of classes u with u.u = 1, planes (u, w)
@@ -220,28 +232,31 @@ def _split(rows: Sequence[int], values: Sequence[int]) -> tuple:
     many odd classes and planes there are, and the Poincare duals they give.  q is ``values``
     on the basis, but only its parities steer, so the Gram diagonal gives the same pieces.
 
-    The work is done on ``rows``, the Gram row masks (bit j of row i is e_i.e_j), with q as
-    two bitmasks, its bits 0 and 1.  Moving the vectors that pair with a piece changes no
-    other vector's pairings, so a step adds whole rows to theirs alone: what a caller puts
-    above bit n rides along, and ``odd`` and ``planes`` give each piece's row above bit n,
-    its class when row i has bit n + i.  Only pairings with ``alive`` vectors are read.
+    The work is done on ``packed``, the Gram rows packed into one integer, row i at bits
+    i*w to i*w + w - 1 (bit j of it is e_i.e_j), w = ``stride`` or else n + 1 as a
+    ``BilinearForm`` packs them; q is two bitmasks, its bits 0 and 1.  Moving the vectors that
+    pair with a piece changes no other vector's pairings, so a step adds whole rows to theirs
+    alone: what a caller puts at bits n to w - 1 of a row rides along, and ``odd`` and
+    ``planes`` give each piece's row above bit n, its class when row i has bit n + i.  Only
+    pairings with ``alive`` vectors are read.  A step adds row g to each row v of a set s by
+    one multiply, g * (s * fan & ones), where s * fan is a copy of s every w - 1 bits, whose
+    copy v has bit v at bit v*w, and neither product carries, as the copies of s lie
+    w - 1 >= n bits apart and those of g w apart.
     """
-    n = len(rows)
-    gram = list(rows)
-    q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
-    for i, v in enumerate(values):
-        if v & 1:
-            q0 |= 1 << i
-        if v & 2:
-            q1 |= 1 << i
+    n = len(values)
+    w = stride or n + 1
+    row = (1 << w) - 1
+    ones = ((1 << n * w) - 1) // row  # bit v*w for each v < n
+    fan = ((1 << n * (w - 1)) - 1) // ((1 << w - 1) - 1 or 1)  # bit k*(w - 1), k < n; 0 at n = 0
+    raw = bytes(values)[::-1]  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
+    q0, q1 = int(raw.translate(_BIT0) or b"0", 2), int(raw.translate(_BIT1) or b"0", 2)
     alive = (1 << n) - 1
     beta, r, null_radical, odd, planes = 0, 0, True, [], []
     while alive:
         pick = q0 & alive or alive  # u.u = q(u) mod 2; once no live class is odd, none becomes so
         bu = pick & -pick
         alive ^= bu
-        u = bu.bit_length() - 1
-        gu = gram[u]
+        gu = packed >> (bu.bit_length() - 1) * w & row
         s = gu & alive
         if q0 & bu:
             odd.append(gu >> n)
@@ -254,15 +269,11 @@ def _split(rows: Sequence[int], values: Sequence[int]) -> tuple:
                 beta += 1
                 q1 ^= s & ~q0
             q0 ^= s
-            m = s
-            while m:
-                bv = m & -m
-                gram[bv.bit_length() - 1] ^= gu
-                m ^= bv
+            packed ^= gu * (s * fan & ones)
         elif s:  # every live class is even: q is q1 twice
             bw = s & -s
             alive ^= bw
-            gw = gram[bw.bit_length() - 1]
+            gw = packed >> (bw.bit_length() - 1) * w & row
             su, sw = s ^ bw, gw & alive
             qu, qw = q1 & bu, q1 & bw
             planes.append((gu >> n, gw >> n))
@@ -270,17 +281,13 @@ def _split(rows: Sequence[int], values: Sequence[int]) -> tuple:
                 beta += 4
             # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
             # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
-            # by q(w) on su, and by 2 more on both.  Each v in m gets the row g added.
+            # by q(w) on su, and by 2 more on both.  Row u goes to sw, row w to su.
             q1 ^= su & sw
             if qu:
                 q1 ^= sw
             if qw:
                 q1 ^= su
-            for m, g in ((sw, gu), (su, gw)):
-                while m:
-                    bv = m & -m
-                    gram[bv.bit_length() - 1] ^= g
-                    m ^= bv
+            packed ^= gu * (sw * fan & ones) ^ gw * (su * fan & ones)
         else:  # a radical class: q(u) is 0 or 2
             r += 1
             null_radical = null_radical and not q1 & bu
@@ -328,8 +335,9 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
     n = form.dim
     if y.dim != n:
         raise DimensionMismatchError(f"form dim {n}, covector dim {y.dim}")
-    rows = [g | 1 << n + i for i, g in enumerate(form.row_masks)]  # split, row i carrying e_i
-    _beta, r, _null, odd, planes = _split(rows, form._diag)
+    w = 2 * n + 1  # split, row i carrying e_i at bit n + i
+    packed = sum((g | 1 << n + i) << i * w for i, g in enumerate(form.row_masks))
+    _beta, r, _null, odd, planes = _split(packed, form._diag, w)
     if r:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")
     dual, yb = 0, y.bits
@@ -354,10 +362,11 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
         raise DimensionMismatchError(f"enhancement dim {q.form.dim}, class dim {c.dim}")
     if c.bits == 0:
         raise SurgeryObstructionError("zero class")
-    perp = q.form.functional_mask(c.bits)  # c-perp is the kernel of this functional
+    rows, values = q.form.row_masks, q.values
+    perp = _functional(rows, c.bits)  # c-perp is the kernel of this functional
     if parity(perp & c.bits):
         raise SurgeryObstructionError("c.c != 0")
-    if _eval_bits(q, c.bits):
+    if _eval_bits(rows, values, c.bits):
         raise SurgeryObstructionError("q(c) != 0")
     if not perp:
         raise DegenerateFormError("surgery class lies in the radical of the form")
@@ -365,7 +374,6 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
     # On the representatives x_p = 0, and x.c = 0 fixes x_h, h the top bit of perp: perp is
     # nonzero (c is off the radical), and h > p if perp has bit p (c.c = 0 needs a second bit).
     h = perp.bit_length() - 1
-    rows, values = q.form.row_masks, q.values
     gh, qh = rows[h], values[h]
     lo, hi = min(p, h), max(p, h)
     # dropping coordinates lo < hi: bits below lo stay, those between move down 1, above 2

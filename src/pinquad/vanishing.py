@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import DegenerateFormError, LimitError
-from .forms import Enhancement, _split, value_table
+from .forms import Enhancement, _functional, _split, value_table
 
 MAX_SEARCH_DIM = 10
 
@@ -61,7 +61,7 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
     for x, v in enumerate(value_table(q)):
         if v == 0 and x:
             zero_at_pivot[(x & -x).bit_length() - 1] |= 1 << x
-    functional = q.form.functional_mask
+    rows = q.form.row_masks
     # ones[j]: the classes with bit j set; those pairing to 1 with x are the XOR of ones[j]
     # over the bits j of x's functional.  With w = 2^j, (2^(2^n) - 1) / (2^w + 1) is w ones
     # at the bottom of every 2w bits, the classes with bit j clear.
@@ -74,7 +74,7 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
         if s is None:
             above = range((x & -x).bit_length(), n)
             s = sum(zero_at_pivot[k] for k in above if not (x >> k) & 1)  # disjoint sets
-            f, paired = functional(x), 0
+            f, paired = _functional(rows, x), 0
             for j in range(n):
                 if f >> j & 1:
                     paired ^= ones[j]
@@ -112,7 +112,7 @@ def max_vanishing_dim(q: Enhancement) -> int:
     form can exceed n / 2.
     """
     _check_search_guard(q)
-    beta, r, null_radical, _, _ = _split(q.form.row_masks, q.values)
+    beta, r, null_radical, _, _ = _split(q.form._bits, q.values)
     return _max_null_dim(q.form.dim, beta, r, null_radical)
 
 
@@ -128,7 +128,7 @@ def has_null_lagrangian(q: Enhancement) -> bool:
     part must vanish; Brown, Kirby-Taylor); beta = n (mod 2), so the rank is
     then even.
     """
-    beta, r, _, _, _ = _split(q.form.row_masks, q.values)
+    beta, r, _, _, _ = _split(q.form._bits, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
     return beta == 0

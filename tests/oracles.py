@@ -379,3 +379,71 @@ def random_degenerate(rng, max_dim, radical_q):
         radical_values = [2 * rng.randrange(2) for _ in range(r)]
         radical_values[rng.randrange(r)] = 2
     return block_sum([gram, [[0] * r for _ in range(r)]]), values + tuple(radical_values)
+
+
+def rowwise_split(rows, values):
+    """(beta, r, null_radical, odd, planes) of ``forms._split``, one row at a time.
+
+    The same pieces, taken off in the same order, with the Gram matrix as a list of row masks
+    (bit j of row i is e_i.e_j) and each step adding a row to every row it moves, one by one.
+    What a caller puts above bit n rides along, as in the packed split.
+    """
+    n = len(rows)
+    gram = list(rows)
+    q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
+    for i, v in enumerate(values):
+        if v & 1:
+            q0 |= 1 << i
+        if v & 2:
+            q1 |= 1 << i
+    alive = (1 << n) - 1
+    beta, r, null_radical, odd, planes = 0, 0, True, [], []
+    while alive:
+        pick = q0 & alive or alive  # u.u = q(u) mod 2; once no live class is odd, none becomes so
+        bu = pick & -pick
+        alive ^= bu
+        u = bu.bit_length() - 1
+        gu = gram[u]
+        s = gu & alive
+        if q0 & bu:
+            odd.append(gu >> n)
+            # v + u for each v in s: (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal
+            # too, and q(v + u) = q(v) + q(u) + 2
+            if q1 & bu:  # q(u) = 3: add 1 on s
+                beta -= 1
+                q1 ^= q0 & s
+            else:  # q(u) = 1: add 3 on s
+                beta += 1
+                q1 ^= s & ~q0
+            q0 ^= s
+            m = s
+            while m:
+                bv = m & -m
+                gram[bv.bit_length() - 1] ^= gu
+                m ^= bv
+        elif s:  # every live class is even: q is q1 twice
+            bw = s & -s
+            alive ^= bw
+            gw = gram[bw.bit_length() - 1]
+            su, sw = s ^ bw, gw & alive
+            qu, qw = q1 & bu, q1 & bw
+            planes.append((gu >> n, gw >> n))
+            if qu and qw:
+                beta += 4
+            # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
+            # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
+            # by q(w) on su, and by 2 more on both.  Each v in m gets the row g added.
+            q1 ^= su & sw
+            if qu:
+                q1 ^= sw
+            if qw:
+                q1 ^= su
+            for m, g in ((sw, gu), (su, gw)):
+                while m:
+                    bv = m & -m
+                    gram[bv.bit_length() - 1] ^= g
+                    m ^= bv
+        else:  # a radical class: q(u) is 0 or 2
+            r += 1
+            null_radical = null_radical and not q1 & bu
+    return beta & 7, r, null_radical, odd, planes

@@ -42,6 +42,7 @@ from oracles import (
     random_degenerate,
     random_nondegenerate,
     rebase,
+    rowwise_split,
     standard_grams,
 )
 from test_forms import orthogonal_sum
@@ -50,6 +51,11 @@ TORUS = hyperbolic_form(1)
 RP2 = crosscap_form(1)
 KLEIN = crosscap_form(2)
 EMPTY = Enhancement(BilinearForm(0, ()), ())
+
+
+def pack(rows, stride):
+    """Row masks packed into one integer for ``forms._split``, row i at bit i * stride."""
+    return sum(g << i * stride for i, g in enumerate(rows))
 
 
 class TestGaussSum:
@@ -158,7 +164,8 @@ class TestSplit:
             n = len(gram)
             # row i carries e_i above bit n, so the pieces come back as classes
             rows = [g | 1 << n + i for i, g in enumerate(BilinearForm.from_rows(gram).row_masks)]
-            beta, r, _null, odd, planes = pinquad.forms._split(rows, values)
+            stride = 2 * n + 1
+            beta, r, _null, odd, planes = pinquad.forms._split(pack(rows, stride), values, stride)
             for u in odd:
                 assert naive_dot(gram, u, u) == 1
             for u, w in planes:
@@ -181,7 +188,7 @@ class TestSplit:
             n = q.form.dim
             degenerate = naive_rank([sum(b << j for j, b in enumerate(r)) for r in gram]) < n
             radical = naive_radical(gram)
-            _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form.row_masks, q.values)
+            _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form._bits, q.values)
             assert len(radical) == 1 << r, (gram, values)
             assert len(odd) + 2 * len(planes) + r == n
             assert (r > 0) == degenerate == (kind != "rebased")
@@ -218,17 +225,66 @@ class TestSplitContract:
         for rows, values in contract_cases():
             n = len(rows)
             noisy = [g | rng.getrandbits(2 * n) << n for g in rows]
-            plain, loaded = pinquad.forms._split(rows, values), pinquad.forms._split(noisy, values)
+            plain = pinquad.forms._split(pack(rows, n + 1), values)
+            loaded = pinquad.forms._split(pack(noisy, 3 * n + 1), values, 3 * n + 1)
             assert plain[:3] == loaded[:3], (rows, values)
             assert (len(plain[3]), len(plain[4])) == (len(loaded[3]), len(loaded[4]))
 
     def test_pieces_are_zeros_without_bits_above_n(self):
         seen = set()
         for rows, values in contract_cases():
-            _beta, r, _null, odd, planes = pinquad.forms._split(rows, values)
+            _beta, r, _null, odd, planes = pinquad.forms._split(pack(rows, len(rows) + 1), values)
             assert set(odd) <= {0} and set(planes) <= {(0, 0)}
             seen.add((bool(odd), bool(planes), bool(r)))
         assert (True, True, False) in seen and (True, True, True) in seen
+
+
+def xor_of(vectors, mask):
+    """The sum of vectors[j] over the bits j of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        acc ^= vectors[low.bit_length() - 1]
+    return acc
+
+
+def oracle_cases():
+    """Seeded forms of rank 0 to 64 and one of rank 720, each in a random basis, every other
+    one degenerate, with random values of the right parities.  The basis is a random unit
+    lower triangular matrix times a unit upper triangular one, so rank 720 takes no n^2
+    elementary moves."""
+    rng = random.Random("split-oracle")
+    for k, n in enumerate([*range(65), 720]):
+        if k % 2:  # padded to rank n by radical classes, or by classes with u.u = 1
+            gram, _ = random_degenerate(rng, n, 0)
+        else:
+            gram, _ = random_nondegenerate(rng, n)
+        gram = block_sum([gram] + [[[1 - k % 2]]] * (n - len(gram)))
+        masks = [sum(b << j for j, b in enumerate(row)) for row in gram]
+        lower = [1 << i | rng.getrandbits(i) for i in range(n)]
+        basis = [xor_of(lower, 1 << i | rng.getrandbits(n) >> i + 1 << i + 1) for i in range(n)]
+        rng.shuffle(basis)
+        pairings = [xor_of(masks, a) for a in basis]
+        rows = [sum(((p & b).bit_count() & 1) << j for j, b in enumerate(basis)) for p in pairings]
+        yield rows, [(g >> i & 1) + 2 * rng.getrandbits(1) for i, g in enumerate(rows)]
+
+
+class TestSplitOracle:
+    """The packed split against ``oracles.rowwise_split``, the row-at-a-time loop."""
+
+    def test_all_five_outputs_match(self):
+        ranks = set()
+        for rows, values in oracle_cases():
+            n = len(rows)
+            ranks.add(n)
+            assert pinquad.forms._split(pack(rows, n + 1), values) == rowwise_split(rows, values)
+            assert BilinearForm._from_masks(tuple(rows))._bits == pack(rows, n + 1)
+            # as poincare_dual passes it: row i carries e_i at bit n + i, rows 2n + 1 apart
+            carried = [g | 1 << n + i for i, g in enumerate(rows)]
+            got = pinquad.forms._split(pack(carried, 2 * n + 1), values, 2 * n + 1)
+            assert got == rowwise_split(carried, values), n
+        assert ranks == {*range(65), 720}
 
 
 class TestBrownInvariant:
