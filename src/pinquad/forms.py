@@ -19,6 +19,7 @@ from .f2 import F2Vector, Value, parity
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
+_MAX_PACKED_STRIDE = 160  # _split's rows are packed up to this width; the costs cross near 150
 
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
@@ -100,7 +101,7 @@ class BilinearForm(_Gram):
         """The form of trusted row masks, symmetric and within len(row_masks) bits: no checks."""
         form, n = object.__new__(cls), len(row_masks)
         object.__setattr__(form, "dim", n)
-        object.__setattr__(form, "_bits", sum(r << i * (n + 1) for i, r in enumerate(row_masks)))
+        object.__setattr__(form, "_bits", _pack(row_masks, n + 1))
         object.__setattr__(form, "_diag", bytes(r >> i & 1 for i, r in enumerate(row_masks)))
         return form
 
@@ -113,9 +114,7 @@ class BilinearForm(_Gram):
     @property
     def row_masks(self) -> tuple[int, ...]:
         """Row i of the Gram matrix as a bitmask: bit j is gram[i][j]."""
-        n, bits = self.dim, self._bits
-        row = (1 << n) - 1
-        return tuple([bits >> i * (n + 1) & row for i in range(n)])
+        return tuple(_unpack(self._bits, self.dim, self.dim + 1))
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -125,7 +124,28 @@ class BilinearForm(_Gram):
 
     def functional_mask(self, x_bits: int) -> int:
         """Bitmask of the linear functional y -> x.y (the row gram.x)."""
-        return _functional(self.row_masks, x_bits)
+        w, acc, m = self.dim + 1, 0, x_bits
+        while m:  # only the rows of x's support are read
+            acc ^= self._bits >> ((m & -m).bit_length() - 1) * w & (1 << w) - 1
+            m &= m - 1
+        return acc
+
+
+def _pack(rows: Sequence[int], w: int) -> int:
+    """Rows into one integer, row i at bit i*w; halved down to 32 rows, so no shift is long."""
+    if len(rows) > 32:
+        h = len(rows) // 2
+        return _pack(rows[:h], w) | _pack(rows[h:], w) << h * w
+    return sum(r << i * w for i, r in enumerate(rows))
+
+
+def _unpack(bits: int, n: int, w: int) -> list[int]:
+    """The n rows of w bits that ``_pack`` packed, cut apart by halves the same way."""
+    if n > 32:
+        h = n // 2
+        return _unpack(bits & (1 << h * w) - 1, h, w) + _unpack(bits >> h * w, n - h, w)
+    row = (1 << w) - 1
+    return [bits >> i * w & row for i in range(n)]
 
 
 def _functional(rows: Sequence[int], x_bits: int) -> int:
@@ -241,13 +261,18 @@ def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
     pairings with ``alive`` vectors are read.  A step adds row g to each row v of a set s by
     one multiply, g * (s * fan & ones), where s * fan is a copy of s every w - 1 bits, whose
     copy v has bit v at bit v*w, and neither product carries, as the copies of s lie
-    w - 1 >= n bits apart and those of g w apart.
+    w - 1 >= n bits apart and those of g w apart.  That multiply reads every digit of g once
+    per digit of the rows, so past rows of ``_MAX_PACKED_STRIDE`` bits a step adds row g to
+    each row of s by itself, on the rows unpacked into a list.
     """
     n = len(values)
     w = stride or n + 1
-    row = (1 << w) - 1
-    ones = ((1 << n * w) - 1) // row  # bit v*w for each v < n
-    fan = ((1 << n * (w - 1)) - 1) // ((1 << w - 1) - 1 or 1)  # bit k*(w - 1), k < n; 0 at n = 0
+    row, rows = (1 << w) - 1, None
+    if w > _MAX_PACKED_STRIDE:  # one multiply would cost more than adding the rows one by one
+        rows = _unpack(packed, n, w)
+    else:
+        ones = ((1 << n * w) - 1) // row  # bit v*w for each v < n
+        fan = ((1 << n * (w - 1)) - 1) // ((1 << w - 1) - 1 or 1)  # bit k*(w - 1), k < n; 0 at 0
     raw = bytes(values)[::-1]  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
     q0, q1 = int(raw.translate(_BIT0) or b"0", 2), int(raw.translate(_BIT1) or b"0", 2)
     alive = (1 << n) - 1
@@ -256,7 +281,7 @@ def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
         pick = q0 & alive or alive  # u.u = q(u) mod 2; once no live class is odd, none becomes so
         bu = pick & -pick
         alive ^= bu
-        gu = packed >> (bu.bit_length() - 1) * w & row
+        gu = rows[bu.bit_length() - 1] if rows else packed >> (bu.bit_length() - 1) * w & row
         s = gu & alive
         if q0 & bu:
             odd.append(gu >> n)
@@ -269,11 +294,14 @@ def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
                 beta += 1
                 q1 ^= s & ~q0
             q0 ^= s
-            packed ^= gu * (s * fan & ones)
+            if rows:
+                _add_rows(rows, gu, s)
+            else:
+                packed ^= gu * (s * fan & ones)
         elif s:  # every live class is even: q is q1 twice
             bw = s & -s
             alive ^= bw
-            gw = packed >> (bw.bit_length() - 1) * w & row
+            gw = rows[bw.bit_length() - 1] if rows else packed >> (bw.bit_length() - 1) * w & row
             su, sw = s ^ bw, gw & alive
             qu, qw = q1 & bu, q1 & bw
             planes.append((gu >> n, gw >> n))
@@ -287,11 +315,22 @@ def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
                 q1 ^= sw
             if qw:
                 q1 ^= su
-            packed ^= gu * (sw * fan & ones) ^ gw * (su * fan & ones)
+            if rows:
+                _add_rows(rows, gu, sw)
+                _add_rows(rows, gw, su)
+            else:
+                packed ^= gu * (sw * fan & ones) ^ gw * (su * fan & ones)
         else:  # a radical class: q(u) is 0 or 2
             r += 1
             null_radical = null_radical and not q1 & bu
     return beta & 7, r, null_radical, odd, planes
+
+
+def _add_rows(rows: list[int], g: int, s: int) -> None:
+    while s:  # row g added to each row of the set s
+        b = s & -s
+        rows[b.bit_length() - 1] ^= g
+        s ^= b
 
 
 def value_table(q: Enhancement) -> list[int]:
@@ -336,7 +375,7 @@ def poincare_dual(form: BilinearForm, y: Covector) -> F2Vector:
     if y.dim != n:
         raise DimensionMismatchError(f"form dim {n}, covector dim {y.dim}")
     w = 2 * n + 1  # split, row i carrying e_i at bit n + i
-    packed = sum((g | 1 << n + i) << i * w for i, g in enumerate(form.row_masks))
+    packed = _pack([g | 1 << n + i for i, g in enumerate(form.row_masks)], w)
     _beta, r, _null, odd, planes = _split(packed, form._diag, w)
     if r:
         raise DegenerateFormError("Poincare dual undefined: degenerate form")

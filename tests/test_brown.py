@@ -249,13 +249,18 @@ def xor_of(vectors, mask):
     return acc
 
 
+CUT = pinquad.forms._MAX_PACKED_STRIDE  # rows this wide are packed; wider rows are not
+ORACLE_RANKS = [*range(65), CUT // 2 - 1, CUT // 2, CUT - 1, CUT, 720]
+
+
 def oracle_cases():
-    """Seeded forms of rank 0 to 64 and one of rank 720, each in a random basis, every other
-    one degenerate, with random values of the right parities.  The basis is a random unit
-    lower triangular matrix times a unit upper triangular one, so rank 720 takes no n^2
+    """Seeded forms of rank 0 to 64, on each side of the width where the split stops packing
+    its rows (plain and carrying the identity), and of rank 720, each in a random basis, every
+    other one degenerate, with random values of the right parities.  The basis is a random
+    unit lower triangular matrix times a unit upper triangular one, so rank 720 takes no n^2
     elementary moves."""
     rng = random.Random("split-oracle")
-    for k, n in enumerate([*range(65), 720]):
+    for k, n in enumerate(ORACLE_RANKS):
         if k % 2:  # padded to rank n by radical classes, or by classes with u.u = 1
             gram, _ = random_degenerate(rng, n, 0)
         else:
@@ -271,7 +276,8 @@ def oracle_cases():
 
 
 class TestSplitOracle:
-    """The packed split against ``oracles.rowwise_split``, the row-at-a-time loop."""
+    """The split, packed and row by row on either side of ``CUT``, against
+    ``oracles.rowwise_split``, the row-at-a-time loop."""
 
     def test_all_five_outputs_match(self):
         ranks = set()
@@ -284,7 +290,7 @@ class TestSplitOracle:
             carried = [g | 1 << n + i for i, g in enumerate(rows)]
             got = pinquad.forms._split(pack(carried, 2 * n + 1), values, 2 * n + 1)
             assert got == rowwise_split(carried, values), n
-        assert ranks == {*range(65), 720}
+        assert ranks == set(ORACLE_RANKS)
 
 
 class TestBrownInvariant:
