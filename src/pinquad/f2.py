@@ -12,11 +12,6 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError
 
 
-def parity(mask: int) -> int:
-    """Parity of the number of set bits."""
-    return mask.bit_count() & 1
-
-
 class Value:
     """An immutable value, equal only to an object of exactly its class with equal fields.
 

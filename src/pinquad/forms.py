@@ -15,7 +15,7 @@ from operator import index
 from typing import Iterator, Sequence
 
 from .errors import DegenerateFormError, DimensionMismatchError, LimitError, SurgeryObstructionError
-from .f2 import F2Vector, Value, parity
+from .f2 import F2Vector, Value
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
@@ -121,14 +121,6 @@ class BilinearForm(_Gram):
         n, w = self.dim, self.dim + 1  # one format of the whole integer, read backwards
         bits = f"{self._bits:0{n * w}b}"[::-1].encode().translate(_BITS)
         return tuple([tuple(bits[i * w : i * w + n]) for i in range(n)])
-
-    def functional_mask(self, x_bits: int) -> int:
-        """Bitmask of the linear functional y -> x.y (the row gram.x)."""
-        w, acc, m = self.dim + 1, 0, x_bits
-        while m:  # only the rows of x's support are read
-            acc ^= self._bits >> ((m & -m).bit_length() - 1) * w & (1 << w) - 1
-            m &= m - 1
-        return acc
 
 
 def _pack(rows: Sequence[int], w: int) -> int:
@@ -403,7 +395,7 @@ def isotropic_reduction(q: Enhancement, c: F2Vector) -> Enhancement:
         raise SurgeryObstructionError("zero class")
     rows, values = q.form.row_masks, q.values
     perp = _functional(rows, c.bits)  # c-perp is the kernel of this functional
-    if parity(perp & c.bits):
+    if (perp & c.bits).bit_count() & 1:
         raise SurgeryObstructionError("c.c != 0")
     if _eval_bits(rows, values, c.bits):
         raise SurgeryObstructionError("q(c) != 0")

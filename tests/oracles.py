@@ -1,21 +1,20 @@
 """Independent brute-force reference implementations used to check the library.
 
-Everything here works on plain lists and dicts with naive loops, no shared
-code with the package (only its error class for a dimension mismatch and
-its subspace type for results):
-values are built from the enhancement law one basis vector at a time,
-subspaces are enumerated as raw span sets or as every reduced-echelon
-basis, and Gauss sums are counted per class.  The random forms at the end are orthogonal sums of pieces of known
-type, moved by random changes of basis.  The one exception is the surgery
-reference: it finds the coset representatives by the package's kernel
-elimination (itself checked against naive matrix-vector products), where
-the package writes them down by formula; q is then written on them with
-``rebase``, as on any list of classes.
+Everything here works on plain lists and dicts with naive loops and calls
+no package function; it borrows only the package's error class for a
+dimension mismatch and builds its subspace type for results.  Values are
+built from the enhancement law one basis vector at a time, subspaces are
+enumerated as raw span sets or as every reduced-echelon basis, and Gauss
+sums are counted per class.  The surgery reference finds the coset
+representatives by its own elimination, where the package writes them down
+by formula, and writes q on them with ``rebase``, as on any list of classes.
+The random forms at the end are orthogonal sums of pieces of known type,
+moved by random changes of basis.
 """
 from itertools import combinations
 
 from pinquad.errors import DimensionMismatchError
-from pinquad.f2 import F2Matrix, Subspace, kernel_basis
+from pinquad.f2 import Subspace
 
 
 def naive_dot(gram, x_bits, y_bits):
@@ -96,9 +95,33 @@ def naive_beta(gram, values):
 
 
 def surgery_representatives(form, c_bits):
-    """c-perp cut by {x_p = 0}, p the pivot of c: one class per coset of c, by kernel elimination."""
+    """c-perp cut by {x_p = 0}, p the pivot of c: one class per coset of c, as a Subspace.
+
+    The two conditions, c's functional (by ``naive_mat_vec``) and e_p, are eliminated on a
+    list: each is cleared at the pivots (highest bits) of the rows kept so far, and a nonzero
+    remainder is cleared from those rows at its own pivot and kept.  Each free column j then
+    gives the solution e_j plus the pivot of every kept row with bit j; those pivots lie
+    above j, so the solutions are already the reduced-echelon basis.
+    """
+    n = form.dim
+    gram_masks = [sum(bit << j for j, bit in enumerate(row)) for row in form.gram]
     p = (c_bits & -c_bits).bit_length() - 1
-    return kernel_basis(F2Matrix(2, form.dim, (form.functional_mask(c_bits), 1 << p)))
+    kept = []
+    for x in (naive_mat_vec(gram_masks, c_bits), 1 << p):
+        for r in kept:
+            if x >> (r.bit_length() - 1) & 1:
+                x ^= r
+        if x:
+            top = x.bit_length() - 1
+            kept = [r ^ x if r >> top & 1 else r for r in kept]
+            kept.append(x)
+    pivots = {r.bit_length() - 1: r for r in kept}
+    solutions = [
+        1 << j | sum(1 << t for t, r in pivots.items() if r >> j & 1)
+        for j in range(n)
+        if j not in pivots
+    ]
+    return Subspace(n, solutions)
 
 
 def reference_reduction(q, c):

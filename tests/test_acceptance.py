@@ -187,7 +187,7 @@ def test_criterion_6_half_dimension_bound():
     violations = 0
     for form in standard_forms(8):
         n = form.dim
-        gx = [form.functional_mask(x) for x in range(1 << n)]
+        gx = _gram_functionals(form)
         for q in enumerate_enhancements(form):
             if max_vanishing_dim(q) > n // 2:
                 violations += 1

@@ -1,0 +1,184 @@
+"""Every symmetric Gram matrix over F2 of rank 1 to 4, with every enhancement, against the oracles.
+
+There are 2 + 8 + 64 + 1,024 = 1,098 such forms and 16,932 enhancements, so the census meets
+every radical shape and every order in which the split's pick can steer.  On each enhancement
+the Brown invariant (or DegenerateFormError), the Gauss-sum counts, the largest q-null
+dimension and the Lagrangian answer are compared with the naive oracles, and the one
+orthogonal split with ``oracles.rowwise_split``.  Surgery on every class and the torsor shift,
+which cost a reduction or a dual per class, run on every form to rank 3 and on a seeded
+sample of the rank-4 forms.  Each test counts its mismatches and shows the first few.
+"""
+import random
+
+import pinquad.forms
+from pinquad.brown import brown_invariant, gauss_sum
+from pinquad.errors import DegenerateFormError, SurgeryObstructionError
+from pinquad.f2 import F2Vector
+from pinquad.forms import (
+    BilinearForm,
+    Covector,
+    Enhancement,
+    isotropic_reduction,
+    poincare_dual,
+    torsor_act,
+)
+from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
+from oracles import (
+    all_enhancement_values,
+    naive_beta,
+    naive_counts,
+    naive_dot,
+    naive_mat_vec,
+    naive_max_null_dim,
+    naive_nondegenerate,
+    naive_q,
+    reference_reduction,
+    rowwise_split,
+)
+
+MAX_RANK = 4
+RANK4_SAMPLE = 128  # rank-4 forms that surgery and the torsor shift also run on
+
+
+def all_grams(n):
+    """Every symmetric n x n matrix of bits, one per choice of its upper triangle."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    grams = []
+    for choice in range(1 << len(cells)):
+        gram = [[0] * n for _ in range(n)]
+        for k, (i, j) in enumerate(cells):
+            gram[i][j] = gram[j][i] = choice >> k & 1
+        grams.append(gram)
+    return grams
+
+
+GRAMS = [gram for n in range(1, MAX_RANK + 1) for gram in all_grams(n)]
+SAMPLE = [g for g in GRAMS if len(g) < MAX_RANK] + random.Random("census-rank4").sample(
+    all_grams(MAX_RANK), RANK4_SAMPLE
+)
+
+
+def masks(gram):
+    return [sum(bit << j for j, bit in enumerate(row)) for row in gram]
+
+
+def check(mismatches):
+    print(f"census: {len(mismatches)} mismatches")
+    assert not mismatches, mismatches[:5]
+
+
+def test_counts():
+    assert len(GRAMS) == 1098
+    assert sum(1 << len(g) for g in GRAMS) == 16932
+
+
+def test_answers_match_the_oracles():
+    mismatches = []
+    for gram in GRAMS:
+        n = len(gram)
+        form = BilinearForm.from_rows(gram)
+        nondegenerate = naive_nondegenerate(gram)
+        for values in all_enhancement_values(gram):
+            q = Enhancement(form, values)
+            best = naive_max_null_dim(gram, values)
+            got = {"counts": gauss_sum(q).counts, "max": max_vanishing_dim(q)}
+            want = {"counts": naive_counts(gram, values), "max": best}
+            for name, fast in (("beta", brown_invariant), ("lagrangian", has_null_lagrangian)):
+                try:
+                    got[name] = fast(q)
+                except DegenerateFormError:
+                    got[name] = "degenerate"
+            if nondegenerate:
+                want["beta"] = naive_beta(gram, values)
+                want["lagrangian"] = n % 2 == 0 and best >= n // 2
+            else:
+                want["beta"] = want["lagrangian"] = "degenerate"
+            if got != want:
+                mismatches.append((gram, values, got, want))
+    check(mismatches)
+
+
+def test_poincare_dual_of_every_covector():
+    mismatches = []
+    for gram in GRAMS:
+        n = len(gram)
+        form, rows = BilinearForm.from_rows(gram), masks(gram)
+        nondegenerate = naive_nondegenerate(gram)
+        for y in range(1 << n):
+            try:
+                yhat = poincare_dual(form, Covector(n, y)).bits
+                # <y, x> = yhat.x for every x: the Gram matrix takes yhat to y
+                ok = nondegenerate and naive_mat_vec(rows, yhat) == y
+            except DegenerateFormError:
+                ok = not nondegenerate
+            if not ok:
+                mismatches.append((gram, y))
+    check(mismatches)
+
+
+def test_surgery_on_every_class():
+    mismatches = []
+    for gram in SAMPLE:
+        n = len(gram)
+        form, rows = BilinearForm.from_rows(gram), masks(gram)
+        for values in all_enhancement_values(gram):
+            q = Enhancement(form, values)
+            for c_bits in range(1 << n):
+                c = F2Vector(n, c_bits)
+                if c_bits == 0:
+                    want = "zero class"
+                elif naive_dot(gram, c_bits, c_bits):
+                    want = "c.c != 0"
+                elif naive_q(gram, values, c_bits):
+                    want = "q(c) != 0"
+                elif naive_mat_vec(rows, c_bits) == 0:
+                    want = "radical"
+                else:
+                    want = reference_reduction(q, c)
+                try:
+                    r = isotropic_reduction(q, c)
+                    got = (r.form.gram, r.values)
+                except SurgeryObstructionError as err:
+                    got = err.reason
+                except DegenerateFormError:
+                    got = "radical"
+                if got != want:
+                    mismatches.append((gram, values, c_bits, got, want))
+    check(mismatches)
+
+
+def test_torsor_shift_by_the_dual():
+    # beta(q + 2y) - beta(q) = -2 q(yhat) (mod 8), Theorem 2.1 (Kirby-Taylor 1990)
+    mismatches = []
+    for gram in SAMPLE:
+        if not naive_nondegenerate(gram):
+            continue
+        n = len(gram)
+        form = BilinearForm.from_rows(gram)
+        for values in all_enhancement_values(gram):
+            q = Enhancement(form, values)
+            beta = brown_invariant(q)
+            for y in range(1 << n):
+                cov = Covector(n, y)
+                shift = brown_invariant(torsor_act(q, cov)) - beta
+                yhat = poincare_dual(form, cov).bits
+                if (shift + 2 * naive_q(gram, values, yhat)) % 8:
+                    mismatches.append((gram, values, y, shift))
+    check(mismatches)
+
+
+def test_split_matches_the_rowwise_split():
+    # on the form's packed rows, and with row i carrying e_i above bit n, rows 2n + 1 apart,
+    # as poincare_dual passes them
+    mismatches = []
+    for gram in GRAMS:
+        n = len(gram)
+        form, rows = BilinearForm.from_rows(gram), masks(gram)
+        carried = [g | 1 << n + i for i, g in enumerate(rows)]
+        packed = pinquad.forms._pack(carried, 2 * n + 1)
+        for values in all_enhancement_values(gram):
+            if pinquad.forms._split(form._bits, values) != rowwise_split(rows, values):
+                mismatches.append((gram, values, "plain"))
+            if pinquad.forms._split(packed, values, 2 * n + 1) != rowwise_split(carried, values):
+                mismatches.append((gram, values, "carried"))
+    check(mismatches)

@@ -1097,9 +1097,7 @@ def test_oracles_share_little_code_with_the_package():
     imports = imported_names(oracles.__file__)
     assert {(m, name) for m, name in imports if m.split(".")[0] == "pinquad"} == {
         ("pinquad.errors", "DimensionMismatchError"),
-        ("pinquad.f2", "F2Matrix"),
         ("pinquad.f2", "Subspace"),
-        ("pinquad.f2", "kernel_basis"),
     }
     for name in ("all_subspace_spans", "law_table", "naive_beta", "naive_gauss"):
         assert callable(getattr(oracles, name))
