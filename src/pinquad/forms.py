@@ -331,12 +331,9 @@ def value_table(q: Enhancement) -> list[int]:
     Built by doubling: adding basis vector i to every class x supported on
     earlier indices changes q by values[i] + 2*(x.e_i).
     """
-    rows = q.form.row_masks
     table = [0]
-    for i in range(q.form.dim):
-        vi = q.values[i]
-        mask = rows[i] & ((1 << i) - 1)
-        table += [(t + vi + 2 * ((x & mask).bit_count() & 1)) & 3 for x, t in enumerate(table)]
+    for vi, row in zip(q.values, q.form.row_masks):  # each x so far lies below row's index
+        table += [(t + vi + 2 * ((x & row).bit_count() & 1)) & 3 for x, t in enumerate(table)]
     return table
 
 

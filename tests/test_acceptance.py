@@ -193,11 +193,11 @@ def test_criterion_6_half_dimension_bound():
                 violations += 1
             # nothing q-null just above half dimension; emptiness there forces
             # emptiness at every larger dimension (subspaces of q-null spans
-            # are q-null, the monotonicity property checked in test_vanishing)
+            # are q-null)
             if n // 2 + 1 <= n and null_subspaces(q, n // 2 + 1):
                 violations += 1
             # every subspace found is isotropic: basis pairs suffice since the
-            # pairing is bilinear (checked exhaustively in test_forms)
+            # pairing is bilinear
             for d in range(n // 2 + 1):
                 for s in null_subspaces(q, d):
                     for a in s.row_masks:

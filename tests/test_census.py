@@ -1,12 +1,14 @@
-"""Every symmetric Gram matrix over F2 of rank 1 to 4, with every enhancement, against the oracles.
+"""Every symmetric Gram matrix over F2 of rank 0 to 4, with every enhancement, against the oracles.
 
-There are 2 + 8 + 64 + 1,024 = 1,098 such forms and 16,932 enhancements, so the census meets
-every radical shape and every order in which the split's pick can steer.  On each enhancement
+There are 1 + 2 + 8 + 64 + 1,024 = 1,099 such forms and 16,933 enhancements, so the census
+meets every radical shape and every order in which the split's pick can steer; with the
+identity form of rank 5 it holds every standard surface form to rank 5.  On each enhancement
 the Brown invariant (or DegenerateFormError), the Gauss-sum counts, the largest q-null
 dimension and the Lagrangian answer are compared with the naive oracles, and the one
 orthogonal split with ``oracles.rowwise_split``.  Surgery on every class and the torsor shift,
-which cost a reduction or a dual per class, run on every form to rank 3 and on a seeded
-sample of the rank-4 forms.  Each test counts its mismatches and shows the first few.
+which cost a reduction or a dual per class, run on every form to rank 3, on a seeded
+sample of the rank-4 forms, and on the standard forms of rank 4 and 5.  Each test counts its
+mismatches and shows the first few.
 """
 import random
 
@@ -25,6 +27,8 @@ from pinquad.forms import (
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 from oracles import (
     all_enhancement_values,
+    hyperbolic_gram,
+    identity_gram,
     naive_beta,
     naive_counts,
     naive_dot,
@@ -52,10 +56,11 @@ def all_grams(n):
     return grams
 
 
-GRAMS = [gram for n in range(1, MAX_RANK + 1) for gram in all_grams(n)]
+GRAMS = [gram for n in range(MAX_RANK + 1) for gram in all_grams(n)] + [identity_gram(5)]
 SAMPLE = [g for g in GRAMS if len(g) < MAX_RANK] + random.Random("census-rank4").sample(
     all_grams(MAX_RANK), RANK4_SAMPLE
 )
+SAMPLE += [g for g in (hyperbolic_gram(2), identity_gram(4), identity_gram(5)) if g not in SAMPLE]
 
 
 def masks(gram):
@@ -68,8 +73,8 @@ def check(mismatches):
 
 
 def test_counts():
-    assert len(GRAMS) == 1098
-    assert sum(1 << len(g) for g in GRAMS) == 16932
+    assert len(GRAMS) == 1100
+    assert sum(1 << len(g) for g in GRAMS) == 16965
 
 
 def test_answers_match_the_oracles():

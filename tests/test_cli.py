@@ -669,6 +669,20 @@ class TestJsonBounds:
         assert (code, *capsys.readouterr()) == (4, "", message)
         assert peak < 2_000_000
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_cap", "one_byte_over"])
+    def test_size_cap_boundary(self, capsys, tmp_path, extra):
+        # a valid enhancement padded with spaces to exactly the cap is parsed; one byte more is not
+        text = (DATA / "torus_v22.json").read_bytes()
+        path = tmp_path / "padded.json"
+        path.write_bytes(text + b" " * (cli.MAX_FILE_BYTES + extra - len(text)))
+        assert path.stat().st_size == cli.MAX_FILE_BYTES + extra
+        if extra:
+            message = f"error: {path} exceeds file size cap {cli.MAX_FILE_BYTES} bytes\n"
+            assert run(capsys, "brown", str(path)) == (4, "", message)
+        else:
+            golden = (GOLDEN / "brown_torus_v22.txt").read_text(encoding="utf-8")
+            assert run(capsys, "brown", str(path)) == (0, golden, "")
+
     @pytest.mark.parametrize("command", ["gm", "brown"])
     def test_gram_entry_over_the_bit_cap(self, capsys, monkeypatch, tmp_path, command):
         # 4,000 digits parse as JSON (under Python's 4,300-digit limit), but are refused before

@@ -2,12 +2,12 @@
 
 Usage, from anywhere:
 
-    python tools/ab.py PARENT CHANGE [--workload census ...] [--cycles 20] [--seed 1]
+    python tools/ab.py PARENT CHANGE [--workload census ...] [--cycles 20]
 
 PARENT and CHANGE are the roots of two checkouts (A and B below).  Each tree's ``src/``
 and ``bench/workloads.py`` are imported in turn, without writing bytecode, and build the
-workload's op list for the seed (default 1; check a paired claim on a seed not used
-while writing the change).  Then each op runs on both trees back to back,
+workload's op list as ``bench/run.py --seed 1`` builds it (a held-out seed is checked with
+``bench/run.py`` itself).  Then each op runs on both trees back to back,
 the tree that goes first alternating from op to op and from cycle to cycle, and every
 answer is checked with the op's own check.  On a machine whose speed drifts within
 seconds, the two runs of a pair see the same speed, where two sequential runs of
@@ -30,7 +30,7 @@ from collections import defaultdict
 WORKLOADS = ("census", "highrank", "algebra")
 
 
-def load(tree: str, workloads: list[str], seed: int) -> dict[str, list]:
+def load(tree: str, workloads: list[str]) -> dict[str, list]:
     """The op list of each workload, built by the tree's own bench/workloads.py and src/."""
     root = os.path.realpath(tree)
     src, bench = os.path.join(root, "src"), os.path.join(root, "bench")
@@ -42,7 +42,7 @@ def load(tree: str, workloads: list[str], seed: int) -> dict[str, list]:
             sys.exit(f"error: {tree}: imported pinquad from {W.P.__file__}, not from {src}")
         for name in W.P.__all__:  # the lazy package binds its names here, while src is on the path
             getattr(W.P, name)
-        return {w: getattr(W, f"{w}_ops")(getattr(W, f"{w}_inputs")(seed)) for w in workloads}
+        return {w: getattr(W, f"{w}_ops")(getattr(W, f"{w}_inputs")(1)) for w in workloads}
     finally:
         del sys.path[:2]
         # forget the tree's modules, so that the other tree imports its own; the ops keep theirs
@@ -97,12 +97,11 @@ def main() -> int:
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeatable; default all three")
     ap.add_argument("--cycles", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the workloads' inputs")
     args = ap.parse_args()
     workloads = args.workload or list(WORKLOADS)
 
     sys.dont_write_bytecode = True  # read-only: no __pycache__ in either tree
-    trees = (load(args.parent, workloads, args.seed), load(args.change, workloads, args.seed))
+    trees = (load(args.parent, workloads), load(args.change, workloads))
     print(f"A = {os.path.realpath(args.parent)}, B = {os.path.realpath(args.change)}")
     failed = False
     for w in workloads:
