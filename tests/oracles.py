@@ -1,4 +1,4 @@
-"""Independent brute-force reference implementations used to check the library.
+"""Independent reference implementations used to check the library, most of them brute force.
 
 Everything here works on plain lists and dicts with naive loops and calls
 no package function; it borrows only the package's error class for a
@@ -8,8 +8,10 @@ enumerated as raw span sets or as every reduced-echelon basis, and Gauss
 sums are counted per class.  The surgery reference finds the coset
 representatives by its own elimination, where the package writes them down
 by formula, and writes q on them with ``rebase``, as on any list of classes.
-The random forms at the end are orthogonal sums of pieces of known type,
-moved by random changes of basis.
+The random forms are orthogonal sums of pieces of known type, moved by random
+changes of basis.  One oracle is not exhaustive: the Gauss sum at the end is
+summed one variable at a time, in polynomial time, so it checks the orthogonal
+split at every rank the tests reach without splitting the form.
 """
 from itertools import combinations
 
@@ -85,6 +87,11 @@ def naive_gauss(gram, values):
 def naive_beta(gram, values):
     a, b = naive_gauss(gram, values)
     assert a * a + b * b == 1 << len(values), "degenerate form has no Brown invariant"
+    return ray(a, b)
+
+
+def ray(a, b):
+    """The direction of a + bi, on one of the eight rays, in eighths of a turn from 1."""
     if b == 0:
         return 0 if a > 0 else 4
     if a == 0:
@@ -404,69 +411,66 @@ def random_degenerate(rng, max_dim, radical_q):
     return block_sum([gram, [[0] * r for _ in range(r)]]), values + tuple(radical_values)
 
 
-def rowwise_split(rows, values):
-    """(beta, r, null_radical, odd, planes) of ``forms._split``, one row at a time.
+def gauss_sum_by_elimination(rows, values):
+    """(Re G, Im G) for G the sum of i^q(x) over all 2^n classes, one variable summed out at a
+    time (Cai, Chen, Lipton and Lu, "On tractable exponential sums", FAW 2010); no form is split.
 
-    The same pieces, taken off in the same order, with the Gram matrix as a list of row masks
-    (bit j of row i is e_i.e_j) and each step adding a row to every row it moves, one by one.
-    What a caller puts above bit n rides along, as in the packed split.
+    Here q(x) = sum v_i x_i + 2 sum_{i<j} g_ij x_i x_j (mod 4), from the values v_i in Z/4 and
+    the Gram rows' bits off the diagonal; the parities of the v_i are not checked.  Each step
+    takes out x_k, k the lowest live variable.  With x_N the XOR of its live neighbours, the
+    sum over x_k is 1 + i^v_k (-1)^x_N:
+    - v_k odd: that is (1 + i^v_k) i^(-v_k x_N), so -v_k x_N is added to q.
+    - v_k even: it is 2 when x_N = v_k / 2 and 0 otherwise.  With no neighbour, G is 0 or the
+      factor is 2.  Else x_l, l the lowest neighbour, is c + x_M, with c = v_k / 2 and M the
+      other neighbours.  That goes into q's terms v_l x_l and 2 x_l x_A, A the live neighbours
+      of l: they become (c + (-1)^c x_M) v_l and 2 (c + x_M) x_A, where 2 x_M x_A is the sum
+      of 2 x_j x_m over j in M and m in A, and x_j x_j = x_j.
+    A XOR is lifted to Z/4 as the sum of its bits plus twice their pairs; ``lift`` adds it to q
+    times a constant.  A row is read only once its variable is out, so no diagonal bit is read.
     """
-    n = len(rows)
-    gram = list(rows)
-    q0 = q1 = 0  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
-    for i, v in enumerate(values):
-        if v & 1:
-            q0 |= 1 << i
-        if v & 2:
-            q1 |= 1 << i
+    n = len(values)
+    adj, v = list(rows), [x & 3 for x in values]
+
+    def lift(s, d):  # add d times the XOR of the variables in s
+        for j in bit_indices(s):
+            v[j] = (v[j] + d) & 3
+            if d & 1:
+                adj[j] ^= s
+
+    re, im, turns = 1, 0, 0
     alive = (1 << n) - 1
-    beta, r, null_radical, odd, planes = 0, 0, True, [], []
     while alive:
-        pick = q0 & alive or alive  # u.u = q(u) mod 2; once no live class is odd, none becomes so
-        bu = pick & -pick
-        alive ^= bu
-        u = bu.bit_length() - 1
-        gu = gram[u]
-        s = gu & alive
-        if q0 & bu:
-            odd.append(gu >> n)
-            # v + u for each v in s: (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal
-            # too, and q(v + u) = q(v) + q(u) + 2
-            if q1 & bu:  # q(u) = 3: add 1 on s
-                beta -= 1
-                q1 ^= q0 & s
-            else:  # q(u) = 1: add 3 on s
-                beta += 1
-                q1 ^= s & ~q0
-            q0 ^= s
-            m = s
-            while m:
-                bv = m & -m
-                gram[bv.bit_length() - 1] ^= gu
-                m ^= bv
-        elif s:  # every live class is even: q is q1 twice
-            bw = s & -s
-            alive ^= bw
-            gw = gram[bw.bit_length() - 1]
-            su, sw = s ^ bw, gw & alive
-            qu, qw = q1 & bu, q1 & bw
-            planes.append((gu >> n, gw >> n))
-            if qu and qw:
-                beta += 4
-            # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
-            # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
-            # by q(w) on su, and by 2 more on both.  Each v in m gets the row g added.
-            q1 ^= su & sw
-            if qu:
-                q1 ^= sw
-            if qw:
-                q1 ^= su
-            for m, g in ((sw, gu), (su, gw)):
-                while m:
-                    bv = m & -m
-                    gram[bv.bit_length() - 1] ^= g
-                    m ^= bv
-        else:  # a radical class: q(u) is 0 or 2
-            r += 1
-            null_radical = null_radical and not q1 & bu
-    return beta & 7, r, null_radical, odd, planes
+        k = (alive & -alive).bit_length() - 1
+        alive ^= 1 << k
+        near = adj[k] & alive
+        if v[k] & 1:
+            s = 2 - v[k]  # 1 + i^v_k is 1 + s i
+            re, im = re - s * im, im + s * re
+            lift(near, -v[k])
+        elif not near:
+            if v[k]:
+                return 0, 0
+            re, im = 2 * re, 2 * im
+        else:
+            l = (near & -near).bit_length() - 1
+            alive ^= 1 << l
+            m, a, c = near ^ 1 << l, adj[l] & alive, v[k] >> 1
+            turns += c * v[l]  # the constant term c v_l
+            lift(m, -v[l] if c else v[l])  # (-1)^c v_l x_M
+            for j in bit_indices(m):  # 2 x_M x_A: the pairs of j in M and m in A, both ways
+                adj[j] ^= a
+            for j in bit_indices(a):  # 2 c x_A, and 2 x_j x_j for j in both M and A
+                adj[j] ^= m
+                v[j] = (v[j] + 2 * c + 2 * (m >> j & 1)) & 3
+            re, im = 2 * re, 2 * im
+    for _ in range(turns & 3):  # times i
+        re, im = -im, re
+    return re, im
+
+
+def bit_indices(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1

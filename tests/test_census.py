@@ -4,15 +4,14 @@ There are 1 + 2 + 8 + 64 + 1,024 = 1,099 such forms and 16,933 enhancements, so 
 meets every radical shape and every order in which the split's pick can steer; with the
 identity form of rank 5 it holds every standard surface form to rank 5.  On each enhancement
 the Brown invariant (or DegenerateFormError), the Gauss-sum counts, the largest q-null
-dimension and the Lagrangian answer are compared with the naive oracles, and the one
-orthogonal split with ``oracles.rowwise_split``.  Surgery on every class and the torsor shift,
-which cost a reduction or a dual per class, run on every form to rank 3, on a seeded
-sample of the rank-4 forms, and on the standard forms of rank 4 and 5.  Each test counts its
-mismatches and shows the first few.
+dimension and the Lagrangian answer are compared with the naive oracles, and so is the Gauss
+sum of ``oracles.gauss_sum_by_elimination``, which checks the split at higher ranks.  Surgery
+on every class and the torsor shift, which cost a reduction or a dual per class, run on every
+form to rank 3, on a seeded sample of the rank-4 forms, and on the standard forms of rank 4
+and 5.  Each test counts its mismatches and shows the first few.
 """
 import random
 
-import pinquad.forms
 from pinquad.brown import brown_invariant, gauss_sum
 from pinquad.errors import DegenerateFormError, SurgeryObstructionError
 from pinquad.f2 import F2Vector
@@ -27,17 +26,18 @@ from pinquad.forms import (
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 from oracles import (
     all_enhancement_values,
+    gauss_sum_by_elimination,
     hyperbolic_gram,
     identity_gram,
     naive_beta,
     naive_counts,
     naive_dot,
+    naive_gauss,
     naive_mat_vec,
     naive_max_null_dim,
     naive_nondegenerate,
     naive_q,
     reference_reduction,
-    rowwise_split,
 )
 
 MAX_RANK = 4
@@ -172,18 +172,12 @@ def test_torsor_shift_by_the_dual():
     check(mismatches)
 
 
-def test_split_matches_the_rowwise_split():
-    # on the form's packed rows, and with row i carrying e_i above bit n, rows 2n + 1 apart,
-    # as poincare_dual passes them
-    mismatches = []
-    for gram in GRAMS:
-        n = len(gram)
-        form, rows = BilinearForm.from_rows(gram), masks(gram)
-        carried = [g | 1 << n + i for i, g in enumerate(rows)]
-        packed = pinquad.forms._pack(carried, 2 * n + 1)
-        for values in all_enhancement_values(gram):
-            if pinquad.forms._split(form._bits, values) != rowwise_split(rows, values):
-                mismatches.append((gram, values, "plain"))
-            if pinquad.forms._split(packed, values, 2 * n + 1) != rowwise_split(carried, values):
-                mismatches.append((gram, values, "carried"))
+def test_gauss_sum_by_elimination_matches_counting():
+    # the oracle that checks the split past these ranks, in test_brown.py::TestSplitOracle
+    mismatches = [
+        (gram, values)
+        for gram in GRAMS
+        for values in all_enhancement_values(gram)
+        if gauss_sum_by_elimination(masks(gram), values) != naive_gauss(gram, values)
+    ]
     check(mismatches)

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 

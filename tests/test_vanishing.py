@@ -103,17 +103,6 @@ class TestVanishingSubspaces:
 
 
 class TestMaxVanishingDim:
-    @pytest.mark.parametrize(
-        "form,values,expected",
-        [
-            (TORUS, (0, 0), 1),
-            (TORUS, (2, 2), 0),
-            (hyperbolic_form(2), (0, 0, 0, 0), 2),
-        ],
-    )
-    def test_known_values(self, form, values, expected):
-        assert max_vanishing_dim(Enhancement(form, values)) == expected
-
     def test_guard(self):
         q = Enhancement(crosscap_form(11), (1,) * 11)
         with pytest.raises(LimitError):

@@ -40,6 +40,11 @@ MUTANTS = [
      ["test_brown.py::TestBrownInvariant::test_known_values"]),
     ("forms.py", "beta -= 1", "beta += 1",
      ["test_brown.py::TestBrownInvariant::test_known_values"]),
+    # the split's rows past _MAX_PACKED_STRIDE, one at a time: a plane's row w, the addition
+    ("forms.py", "_add_rows(rows, gw, su)", "_add_rows(rows, gu, su)",
+     ["test_brown.py::TestSplitOracle::test_matches_the_gauss_sum_by_elimination"]),
+    ("forms.py", "rows[b.bit_length() - 1] ^= g", "rows[b.bit_length() - 1] |= g",
+     ["test_brown.py::TestSplitOracle::test_matches_the_gauss_sum_by_elimination"]),
     # the Gauss sum: its modulus, its ray, the count of even classes
     ("brown.py", "shift = (n + r) // 2", "shift = n // 2",
      ["test_brown.py::TestGaussSumCounts::test_matches_oracle[degenerate]"]),
