@@ -9,7 +9,7 @@ otherwise it is 0.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DegenerateFormError, InternalError, LimitError, UnsupportedInputError
 from .f2 import Value

@@ -7,7 +7,7 @@ coincides with equality of subspaces.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DimensionMismatchError
 

@@ -11,8 +11,8 @@ Pin^- structure as nothing but its enhancement.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from operator import index
-from typing import Iterator, Sequence
 
 from .errors import DegenerateFormError, DimensionMismatchError, LimitError, SurgeryObstructionError
 from .f2 import F2Vector, Value

@@ -11,8 +11,8 @@ characteristic surface must carry, run no elimination at all.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import index, mul
-from typing import Sequence
 
 from .brown import brown_invariant
 from .errors import DimensionMismatchError, InternalError, LimitError, NotCharacteristicError

@@ -28,7 +28,7 @@ classes, one bit per class, so each step is a handful of word operations.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import DegenerateFormError, LimitError
 from .forms import Enhancement, _functional, _split, value_table

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -973,17 +974,18 @@ def test_unwritable_output_is_a_usage_error(argv, buffered):
 
 
 def test_import_loads_no_decimal_arithmetic():
-    # the package computes in integers; a fresh interpreter without site
-    # packages shows what importing the CLI and every module it can load pulls in
+    # the package computes in integers and annotates from collections.abc (typing costs
+    # about 5 ms a start-up); a fresh interpreter without site packages shows what importing
+    # the CLI and every module it can load, then running a command, pulls in
     probe = (
-        "import sys, pinquad.cli; from pinquad import *; "
-        "print(sorted({'decimal', 'fractions'} & set(sys.modules)))"
+        "import sys, pinquad.cli; from pinquad import *; pinquad.cli.main(sys.argv[1:]); "
+        "print(sorted({'decimal', 'fractions', 'typing'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    argv = [sys.executable, "-S", "-c", probe, "brown", str(DATA / "torus_v22.json")]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    golden = (GOLDEN / "brown_torus_v22.txt").read_text(encoding="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden + "[]\n", "")
 
 
 def fresh_python(code, *argv):
@@ -993,6 +995,29 @@ def fresh_python(code, *argv):
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
     )
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["brown", str(DATA / "torus_v22.json")], 0),
+        (["gm", "--form", "1", "--char", "3", "--beta", "0"], 1),
+        (["enumerate", "--genus", "1", "--no-such-flag"], 2),
+        (["brown", str(DATA / "degenerate.json")], 3),
+        (["brown", str(DATA / "genus12_beta4.json")], 4),
+    ],
+    ids=["ok", "fail", "usage", "degenerate", "guard"],
+)
+def test_a_command_run_freezes_the_collector_before_it_exits(capsys, argv, status):
+    # entry() freezes every object so the collections at exit skip them; main() leaves the
+    # collector alone for in-process callers, and atexit handlers still run after the freeze
+    code, out, err = run(capsys, *argv)
+    assert code == status and gc.get_freeze_count() == 0
+    probe = (
+        "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "from pinquad.cli import entry; entry()"
+    )
+    assert fresh_python(probe, *argv) == (status, out + "True\n", err)
 
 
 def test_import_loads_no_dataclass_machinery():

@@ -104,11 +104,14 @@ MUTANTS = [
      ["test_fourmanifold.py::TestCharacteristic::test_examples"]),
     ("fourmanifold.py", "return ((cc - sig) // 2) % 8", "return ((cc - sig) // 2) % 4",
      ["test_fourmanifold.py::TestGuillouMarin::test_required_beta"]),
-    # the CLI: exit 7 for an unexpected exception, the file size cap at its boundary
+    # the CLI: exit 7 for an unexpected exception, the file size cap at its boundary, the
+    # collector frozen before a command run exits
     ("cli.py", "except Exception as e:  # any other", "except ArithmeticError as e:  # any other",
      ["test_cli.py::TestExitCodes::test_unexpected_exception_in_the_installed_entry"]),
     ("cli.py", "if len(data) > MAX_FILE_BYTES:", "if len(data) >= MAX_FILE_BYTES:",
      ["test_cli.py::TestJsonBounds::test_size_cap_boundary[at_the_cap]"]),
+    ("cli.py", "    gc.freeze()\n", "",
+     ["test_cli.py::test_a_command_run_freezes_the_collector_before_it_exits[ok]"]),
 ]
 
 # (file, old text, new text, why no test can tell the mutant from the code)
