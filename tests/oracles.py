@@ -8,10 +8,13 @@ enumerated as raw span sets or as every reduced-echelon basis, and Gauss
 sums are counted per class.  The surgery reference finds the coset
 representatives by its own elimination, where the package writes them down
 by formula, and writes q on them with ``rebase``, as on any list of classes.
-The random forms are orthogonal sums of pieces of known type, moved by random
-changes of basis.  One oracle is not exhaustive: the Gauss sum at the end is
-summed one variable at a time, in polynomial time, so it checks the orthogonal
-split at every rank the tests reach without splitting the form.
+Every random enhancement in the tests comes from ``random_enhancement``, seeded
+by the caller's ``Random``: an orthogonal sum of the pieces in ``PIECES``, each
+with its Brown invariant, and radical classes, written in a basis drawn by
+``random_gl`` as a product P L U, or a random symmetric Gram matrix.  One oracle
+is not exhaustive: the Gauss sum at the end is summed one variable at a time, in
+polynomial time, so it checks the orthogonal split at every rank the tests reach
+without splitting the form.
 """
 from itertools import combinations
 
@@ -352,9 +355,6 @@ def naive_max_null_dim(gram, values):
     return best
 
 
-PIECES = ([[1]], [[0, 1], [1, 0]])
-
-
 def block_sum(blocks):
     n = sum(len(b) for b in blocks)
     gram = [[0] * n for _ in range(n)]
@@ -366,49 +366,95 @@ def block_sum(blocks):
     return gram
 
 
-def random_basis(rng, n):
-    """Rows of a random invertible matrix over F2, as class bitmasks."""
-    rows = [1 << i for i in range(n)]
-    for _ in range(n * n if n > 1 else 0):
-        i, j = rng.sample(range(n), 2)
-        rows[i] ^= rows[j]
-    rng.shuffle(rows)
-    return rows
-
-
 def rebase(gram, values, rows):
     """The same enhancement written in the basis ``rows``; for fewer rows, its
     restriction to their span, in that basis (the Gram matrix may be degenerate).
 
-    Each new basis class a is paired with the old basis once (the mask of
-    gram.a); a.b is then the parity of that mask on b.
+    Each new basis class a is paired with the old basis once: gram.a is the XOR of the
+    Gram rows over the bits of a, and a.b is the parity of that mask on b.  q(a) is grown
+    by the law q(x + e_i) = q(x) + v_i + 2*(x.e_i), one bit of a at a time.
     """
     gram_masks = [sum(bit << j for j, bit in enumerate(r)) for r in gram]
-    pairings = [naive_mat_vec(gram_masks, a) for a in rows]
+
+    def q(a):
+        x = total = 0
+        for i in bit_indices(a):
+            total += values[i] + 2 * (gram_masks[i] & x).bit_count()
+            x |= 1 << i
+        return total % 4
+
+    pairings = [xor_rows(gram_masks, a) for a in rows]
     new_gram = [[(p & b).bit_count() & 1 for b in rows] for p in pairings]
-    return new_gram, tuple(naive_q(gram, values, a) for a in rows)
+    return new_gram, tuple(q(a) for a in rows)
 
 
-def random_nondegenerate(rng, max_dim):
-    blocks = []
-    while True:
-        piece = rng.choice(PIECES)
-        if sum(map(len, blocks)) + len(piece) > max_dim:
-            break
-        blocks.append(piece)
-    gram = block_sum(blocks)
-    return gram, tuple((gram[i][i] + 2 * rng.randrange(2)) % 4 for i in range(len(gram)))
+# the orthogonal pieces by their values, <1> with q = v and the hyperbolic plane with
+# q = a, b on its basis, and their Brown invariants (Brown 1972; Kirby-Taylor 1990)
+PIECES = {(1,): 1, (3,): 7, (0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 4}
+
+KINDS = ("nondegenerate", "planes", "radical_q0", "radical_q2", "planes_q0", "planes_q2",
+         "zero_q0", "zero_q2", "dense", "sparse", "even")
 
 
-def random_degenerate(rng, max_dim, radical_q):
-    """A nondegenerate part plus a radical on which q is 0, or takes the value 2."""
-    gram, values = random_nondegenerate(rng, max_dim - 1)
-    r = rng.randint(1, max_dim - len(gram))
-    radical_values = [0] * r
-    if radical_q == 2:
-        radical_values = [2 * rng.randrange(2) for _ in range(r)]
-        radical_values[rng.randrange(r)] = 2
-    return block_sum([gram, [[0] * r for _ in range(r)]]), values + tuple(radical_values)
+def random_gl(rng, n):
+    """Rows of a random matrix in GL_n(F2), as class bitmasks.
+
+    Every invertible matrix is P L U with P a permutation and L, U lower and upper
+    unitriangular, so drawing the three factors reaches all of GL_n, with no n^2
+    elementary moves.
+    """
+    upper = [1 << i | rng.getrandbits(n) >> i + 1 << i + 1 for i in range(n)]
+    rows = [xor_rows(upper, 1 << i | rng.getrandbits(i)) for i in range(n)]
+    rng.shuffle(rows)
+    return rows
+
+
+def random_enhancement(rng, n, kind="nondegenerate"):
+    """A seeded enhancement of rank n of the given kind: (gram, values, beta, pieces).
+
+    Each kind but the last three is an orthogonal sum of ``PIECES`` and r radical classes,
+    written in a basis from ``random_gl``:
+    - "nondegenerate": pieces only, <1> or a plane at even odds, each with its values drawn
+      from the table; beta is the pieces' betas added mod 8;
+    - "planes": planes only, so every value is even (n even);
+    - "radical_q0", "radical_q2": pieces and a radical of dimension 1 or 2; q is 0 on the
+      radical, or takes the value 2 on some class of it;
+    - "planes_q0", "planes_q2": planes and a radical of dimension 1 or 2, whichever makes n;
+    - "zero_q0", "zero_q2": the zero form, all radical.
+    On a degenerate form beta is None; ``pieces`` lists the values of the pieces used.
+    "dense", "sparse" and "even" are random symmetric Gram matrices in the standard basis,
+    of density 1/2, about 2/n, and 1/2 with a zero diagonal, with values of the right
+    parity; beta and pieces are None.
+    """
+    assert kind in KINDS, kind
+    if kind in ("dense", "sparse", "even"):
+        density = 2 / max(n, 2) if kind == "sparse" else 0.5
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + (kind == "even"), n):
+                gram[i][j] = gram[j][i] = int(rng.random() < density)
+        return gram, tuple(gram[i][i] + 2 * rng.randrange(2) for i in range(n)), None, None
+    planes = kind.startswith("planes")
+    if kind.startswith("zero"):
+        r = n
+    elif kind.endswith(("_q0", "_q2")):
+        r = 2 - n % 2 if planes else rng.randint(1, min(n, 2))
+    else:
+        r = 0
+    assert not planes or (n - r) % 2 == 0, (kind, n)
+    pieces, m = [], n - r
+    while m:
+        size = 2 if planes or m > 1 and rng.randrange(2) else 1
+        pieces.append(rng.choice([p for p in PIECES if len(p) == size]))
+        m -= size
+    radical = [0] * r
+    if kind.endswith("_q2"):
+        radical = [2 * rng.randrange(2) for _ in range(r)]
+        radical[rng.randrange(r)] = 2
+    blocks = [[[1]] if len(p) == 1 else hyperbolic_gram(1) for p in pieces]
+    gram = block_sum(blocks + [[[0] * r for _ in range(r)]])
+    gram, values = rebase(gram, sum(pieces, ()) + tuple(radical), random_gl(rng, n))
+    return gram, values, None if r else sum(map(PIECES.get, pieces)) % 8, pieces
 
 
 def gauss_sum_by_elimination(rows, values):
@@ -466,6 +512,14 @@ def gauss_sum_by_elimination(rows, values):
     for _ in range(turns & 3):  # times i
         re, im = -im, re
     return re, im
+
+
+def xor_rows(rows, mask):
+    """The XOR of rows[j] over the bits j of mask."""
+    acc = 0
+    for j in bit_indices(mask):
+        acc ^= rows[j]
+    return acc
 
 
 def bit_indices(mask):

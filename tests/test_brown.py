@@ -28,6 +28,8 @@ from oracles import (
     all_enhancement_values,
     block_sum,
     gauss_sum_by_elimination,
+    hyperbolic_gram,
+    identity_gram,
     naive_counts,
     naive_dot,
     naive_mat_vec,
@@ -36,9 +38,7 @@ from oracles import (
     naive_radical,
     naive_rank,
     PIECES,
-    random_basis,
-    random_degenerate,
-    random_nondegenerate,
+    random_enhancement,
     ray,
     rebase,
     standard_grams,
@@ -81,12 +81,11 @@ def count_cases(kind):
     if kind == "standard":  # the rank-0 form included
         return [(g, v) for g in standard_grams(8) for v in all_enhancement_values(g)]
     if kind == "rebased":
-        cases = [random_nondegenerate(rng, rng.randint(1, 12)) for _ in range(200)]
+        draws = [(rng.randint(1, 12), "nondegenerate") for _ in range(200)]
     else:
-        cases = [random_degenerate(rng, rng.randint(1, 9), k) for k in (0, 2) for _ in range(60)]
-        cases += [([[0] * n for _ in range(n)], (0,) * n) for n in range(1, 9)]
-        cases += [([[0] * n for _ in range(n)], (2,) + (0,) * (n - 1)) for n in (1, 4, 8)]
-    return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
+        draws = [(rng.randint(1, 9), k) for k in ("radical_q0", "radical_q2") for _ in range(60)]
+        draws += [(n, "zero_q0") for n in range(1, 9)] + [(n, "zero_q2") for n in (1, 4, 8)]
+    return [random_enhancement(rng, n, k)[:2] for n, k in draws]
 
 
 class TestGaussSumCounts:
@@ -103,12 +102,8 @@ class TestGaussSumCounts:
 
 def split_cases(kind):
     rng = random.Random(f"split-{kind}")
-    if kind == "rebased":
-        cases = [random_nondegenerate(rng, rng.randint(1, 12)) for _ in range(60)]
-    else:
-        radical_q = 0 if kind == "radical_q0" else 2
-        cases = [random_degenerate(rng, rng.randint(1, 12), radical_q) for _ in range(60)]
-    return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
+    kind = "nondegenerate" if kind == "rebased" else kind
+    return [random_enhancement(rng, rng.randint(1, 12), kind)[:2] for _ in range(60)]
 
 
 def piece_cases(kind):
@@ -116,23 +111,13 @@ def piece_cases(kind):
     (dense, sparse, or even with a zero diagonal), or sums of known pieces, degenerate or
     not, written in a random basis."""
     rng = random.Random(f"pieces-{kind}")
+    draw = "nondegenerate" if kind == "rebased" else kind
     cases = []
     for _ in range(24):
         n = rng.randint(0, 40)
-        if kind in ("dense", "sparse", "even"):
-            density = 0.5 if kind != "sparse" else 2 / max(n, 2)
-            gram = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + (kind == "even"), n):
-                    gram[i][j] = gram[j][i] = int(rng.random() < density)
-            values = tuple(gram[i][i] + 2 * rng.randrange(2) for i in range(n))
-        elif kind == "degenerate":
-            gram, values = random_degenerate(rng, max(n, 1), rng.choice((0, 2)))
-        else:
-            gram, values = random_nondegenerate(rng, n)
-        if kind in ("degenerate", "rebased"):
-            gram, values = rebase(gram, values, random_basis(rng, len(gram)))
-        cases.append((gram, values))
+        if kind == "degenerate":
+            n, draw = max(n, 1), rng.choice(("radical_q0", "radical_q2"))
+        cases.append(random_enhancement(rng, n, draw)[:2])
     return cases
 
 
@@ -157,7 +142,7 @@ class TestSplit:
                 assert naive_dot(gram, u, u) == naive_dot(gram, w, w) == 0
             pieces = odd + [c for plane in planes for c in plane]
             piece_gram, piece_q = rebase(gram, values, pieces)
-            assert piece_gram == block_sum([[[1]]] * len(odd) + [PIECES[1]] * len(planes))
+            assert piece_gram == block_sum([identity_gram(len(odd)), hyperbolic_gram(len(planes))])
             assert len(odd) + 2 * len(planes) + r == n
             assert r == n - naive_rank([sum(b << j for j, b in enumerate(row)) for row in gram])
             odd_q, plane_q = piece_q[: len(odd)], piece_q[len(odd) :]
@@ -191,12 +176,10 @@ def contract_cases():
     rng = random.Random("split-contract")
     cases = []
     for k in range(24):
-        n = rng.randint(1, 64)
+        n, kind = rng.randint(1, 64), "nondegenerate"
         if k % 2:
-            gram, values = random_degenerate(rng, n, rng.choice((0, 2)))
-        else:
-            gram, values = random_nondegenerate(rng, n)
-        gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+            kind = rng.choice(("radical_q0", "radical_q2"))
+        gram, values, *_ = random_enhancement(rng, n, kind)
         cases.append((BilinearForm.from_rows(gram).row_masks, values))
     return cases
 
@@ -223,43 +206,24 @@ class TestSplitContract:
         assert (True, True, False) in seen and (True, True, True) in seen
 
 
-def xor_of(vectors, mask):
-    """The sum of vectors[j] over the bits j of mask."""
-    acc = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        acc ^= vectors[low.bit_length() - 1]
-    return acc
-
-
 CUT = pinquad.forms._MAX_PACKED_STRIDE  # rows this wide are packed; wider rows are not
 ORACLE_RANKS = [*range(65), CUT // 2 - 1, CUT // 2, CUT - 1, CUT, 720]
+# case k is of kind ORACLE_KINDS[k % 8]: rank 80 planes, 159 q 0 on its radical, 720 both
+ORACLE_KINDS = ["nondegenerate", "planes_q2", "planes", "radical_q0"]
+ORACLE_KINDS += ["nondegenerate", "planes_q0", "planes", "radical_q2"]
 
 
 def oracle_cases():
     """Seeded forms of rank 0 to 64, on each side of the width where the split stops packing
     its rows (plain and carrying the identity), and of rank 720, each in a random basis, every
-    other one degenerate, with random values of the right parities.  Half are even, ranks 80
+    other one degenerate, with q 0 on the radical in half of those.  Half are even, ranks 80
     and 720 among them: a form with an odd class splits off odd classes nearly to the end, so
-    only an even one moves rows at a plane.  The basis is a random unit lower triangular
-    matrix times a unit upper triangular one, so rank 720 takes no n^2 elementary moves."""
+    only an even one moves rows at a plane.  At 720 q is 0 on the radical, so G is not 0 and
+    beta is compared past ``CUT`` on planes too."""
     rng = random.Random("split-oracle")
     for k, n in enumerate(ORACLE_RANKS):
-        if k % 4 in (1, 2):  # planes, padded by one or two radical classes when degenerate
-            gram = block_sum([PIECES[1]] * ((n - k % 2) // 2))
-        elif k % 2:  # padded to rank n by radical classes, or by classes with u.u = 1
-            gram, _ = random_degenerate(rng, n, 0)
-        else:
-            gram, _ = random_nondegenerate(rng, n)
-        gram = block_sum([gram] + [[[1 - k % 2]]] * (n - len(gram)))
-        masks = [sum(b << j for j, b in enumerate(row)) for row in gram]
-        lower = [1 << i | rng.getrandbits(i) for i in range(n)]
-        basis = [xor_of(lower, 1 << i | rng.getrandbits(n) >> i + 1 << i + 1) for i in range(n)]
-        rng.shuffle(basis)
-        pairings = [xor_of(masks, a) for a in basis]
-        rows = [sum(((p & b).bit_count() & 1) << j for j, b in enumerate(basis)) for p in pairings]
-        yield rows, [(g >> i & 1) + 2 * rng.getrandbits(1) for i, g in enumerate(rows)]
+        gram, values, *_ = random_enhancement(rng, n, ORACLE_KINDS[k % 8])
+        yield [sum(b << j for j, b in enumerate(row)) for row in gram], values
 
 
 class TestSplitOracle:
@@ -272,13 +236,15 @@ class TestSplitOracle:
 
     def test_matches_the_gauss_sum_by_elimination(self):
         rng = random.Random("split-oracle-covectors")
-        ranks, mismatches = set(), []
+        ranks, even_beta_past_cut, mismatches = set(), set(), []
         for rows, values in oracle_cases():
             n = len(rows)
             ranks.add(n)
             form = BilinearForm._from_masks(tuple(rows))
             a, b = g = gauss_sum_by_elimination(rows, values)
             r = n - naive_rank(rows)
+            if n >= CUT and any(g) and not any(v & 1 for v in values):
+                even_beta_past_cut.add(n)
             got = pinquad.forms._split(form._bits, values)[:3]
             if got[1:] != (r, any(g)) or any(g) and got[0] != ray(a, b):
                 mismatches.append((n, "split", got, g, r))
@@ -299,7 +265,7 @@ class TestSplitOracle:
             if not ok:
                 mismatches.append((n, "dual", r))
         print(f"split oracle: {len(mismatches)} mismatches at {len(ranks)} ranks")
-        assert ranks == set(ORACLE_RANKS)
+        assert ranks == set(ORACLE_RANKS) and even_beta_past_cut
         assert not mismatches, mismatches[:5]
 
 
@@ -328,33 +294,15 @@ class TestBrownInvariant:
             brown_invariant(degenerate)
 
 
-# the orthogonal pieces and their Brown invariants (Brown 1972; Kirby-Taylor 1990)
-PIECE_BETAS = [
-    ([[1]], (1,), 1),
-    ([[1]], (3,), 7),
-    ([[0, 1], [1, 0]], (0, 0), 0),
-    ([[0, 1], [1, 0]], (0, 2), 0),
-    ([[0, 1], [1, 0]], (2, 2), 4),
-]
-
-
 def high_rank_sums(seed, even, ranks=(21, 32)):
     """A re-based orthogonal sum of pieces of rank in ``ranks`` (21 to 32 by default), its
-    beta (the pieces' betas added mod 8) and the indices of the pieces used."""
+    beta (the pieces' betas added mod 8) and the pieces used; an even sum of an odd target
+    rank has one more plane, and 31 + 1 = 32."""
     rng = random.Random(f"high-rank-{seed}")
-    kinds = range(2, 5) if even else range(5)
-    n, chosen = rng.randint(*ranks), []
-    while sum(len(PIECE_BETAS[k][0]) for k in chosen) < n:
-        k = rng.choice(kinds)
-        if sum(len(PIECE_BETAS[j][0]) for j in chosen) + len(PIECE_BETAS[k][0]) <= n:
-            chosen.append(k)
-        elif even:  # an odd target rank: one more plane overshoots it by 1, and 31 + 1 = 32
-            n += 1
-    gram = block_sum([PIECE_BETAS[k][0] for k in chosen])
-    values = sum((PIECE_BETAS[k][1] for k in chosen), ())
-    gram, values = rebase(gram, values, random_basis(rng, len(gram)))
-    beta = sum(PIECE_BETAS[k][2] for k in chosen) % 8
-    return Enhancement(BilinearForm.from_rows(gram), values), beta, set(chosen)
+    n = rng.randint(*ranks)
+    kind = "planes" if even else "nondegenerate"
+    gram, values, beta, pieces = random_enhancement(rng, n + (even and n % 2), kind)
+    return Enhancement(BilinearForm.from_rows(gram), values), beta, set(pieces)
 
 
 class TestHighRank:
@@ -392,7 +340,7 @@ class TestHighRank:
 
     def test_every_piece_is_used(self):
         used = set().union(*(high_rank_sums(seed, even=False)[2] for seed in range(12)))
-        assert used == set(range(len(PIECE_BETAS)))
+        assert used == set(PIECES)
 
     @pytest.mark.parametrize(
         "form,values,beta",

@@ -176,13 +176,6 @@ def test_golden_output(capsys, argv, golden, code):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=GOLDEN_IDS)
-def test_byte_determinism(capsys, argv, golden, code):
-    _, first, _ = run(capsys, *argv)
-    _, second, _ = run(capsys, *argv)
-    assert first == second
-
-
 def test_bit_strings_round_trip():
     # the CLI's bit strings put coordinate 0 first, read and written alike
     assert cli._parse_bits("1101", "--class") == 0b1011
@@ -720,17 +713,8 @@ def rank720(tmp_path_factory):
     file cap admits, with a q-null class and a covector of it as bit strings."""
     rng = random.Random("rank-720")
     n = 720
-    gram = None
-    while gram is None or not naive_nondegenerate(gram):  # about 42% of random forms are
-        masks = [0] * n
-        for i in range(n):
-            row = rng.getrandbits(n - i) << i  # the entries j >= i of row i
-            masks[i] |= row
-            for j in range(i + 1, n):
-                masks[j] |= (row >> j & 1) << i
-        gram = [[m >> j & 1 for j in range(n)] for m in masks]
+    gram, values, *_ = oracles.random_enhancement(rng, n)
     form = BilinearForm.from_rows(gram)
-    values = [gram[i][i] + 2 * rng.getrandbits(1) for i in range(n)]
     c = 0
     while not c or naive_dot(gram, c, c) or naive_q(gram, values, c):
         c = rng.getrandbits(n)
@@ -859,16 +843,10 @@ class TestJsonMode:
         # (None on a degenerate form), and max_null_dim is max_vanishing_dim's up to rank 10
         # and None above
         rng = random.Random("enumerate-columns")
-        kinds = {
-            "nondegenerate": lambda n: oracles.random_nondegenerate(rng, n),
-            "radical_q0": lambda n: oracles.random_degenerate(rng, n, 0),
-            "radical_q2": lambda n: oracles.random_degenerate(rng, n, 2),
-        }
         path, degenerate = tmp_path / "form.json", 0
-        for kind, draw in kinds.items():
+        for kind in ("nondegenerate", "radical_q0", "radical_q2"):
             for n in list(range(1, 13)) * 2:
-                gram, values = draw(n)
-                gram, _values = oracles.rebase(gram, values, oracles.random_basis(rng, len(gram)))
+                gram = oracles.random_enhancement(rng, n, kind)[0]
                 form = BilinearForm.from_rows(gram)
                 path.write_text(json.dumps(form.to_json()), encoding="utf-8")
                 code, out, err = run(capsys, "enumerate", "--form", str(path), "--json")
@@ -973,19 +951,35 @@ def test_unwritable_output_is_a_usage_error(argv, buffered):
     assert done.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
-def test_import_loads_no_decimal_arithmetic():
-    # the package computes in integers and annotates from collections.abc (typing costs
-    # about 5 ms a start-up); a fresh interpreter without site packages shows what importing
-    # the CLI and every module it can load, then running a command, pulls in
+@pytest.fixture(scope="module")
+def startup_modules():
+    # which of decimal, fractions, typing, dataclasses and inspect importing the CLI and
+    # every module it can load, then running a command, pulls in; one fresh interpreter
+    # without site packages serves both tests below
     probe = (
-        "import sys, pinquad.cli; from pinquad import *; pinquad.cli.main(sys.argv[1:]); "
-        "print(sorted({'decimal', 'fractions', 'typing'} & set(sys.modules)))"
+        "import sys; before = set(sys.modules); import pinquad.cli; from pinquad import *; "
+        "pinquad.cli.main(sys.argv[1:]); print(*{'decimal', 'fractions', 'typing', "
+        "'dataclasses', 'inspect'} & (set(sys.modules) - before))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     argv = [sys.executable, "-S", "-c", probe, "brown", str(DATA / "torus_v22.json")]
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     golden = (GOLDEN / "brown_torus_v22.txt").read_text(encoding="utf-8")
-    assert (done.returncode, done.stdout, done.stderr) == (0, golden + "[]\n", "")
+    out, _, loaded = done.stdout[:-1].rpartition("\n")
+    assert (done.returncode, out + "\n", done.stderr) == (0, golden, "")
+    return set(loaded.split())
+
+
+def test_import_loads_no_decimal_arithmetic(startup_modules):
+    # the package computes in integers and annotates from collections.abc (typing costs
+    # about 5 ms a start-up)
+    assert not startup_modules & {"decimal", "fractions", "typing"}
+
+
+def test_import_loads_no_dataclass_machinery(startup_modules):
+    # the value classes are plain slotted classes, so no dataclass pulls in dataclasses
+    # and inspect (with ast, dis and tokenize)
+    assert not startup_modules & {"dataclasses", "inspect"}
 
 
 def fresh_python(code, *argv):
@@ -1018,18 +1012,6 @@ def test_a_command_run_freezes_the_collector_before_it_exits(capsys, argv, statu
         "from pinquad.cli import entry; entry()"
     )
     assert fresh_python(probe, *argv) == (status, out + "True\n", err)
-
-
-def test_import_loads_no_dataclass_machinery():
-    # the value classes are plain slotted classes: importing the CLI and every
-    # module it can load builds no dataclass, so it pulls in neither dataclasses
-    # nor inspect (with ast, dis and tokenize); modules loaded before the import,
-    # by site or .pth files, do not count
-    probe = (
-        "import sys; before = set(sys.modules); import pinquad.cli; from pinquad import *; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
-    assert fresh_python(probe) == (0, "[]\n", "")
 
 
 RUN_COMMAND = "import pinquad.cli; pinquad.cli.main(sys.argv[1:])"

@@ -34,9 +34,7 @@ from oracles import (
     naive_mat_vec,
     naive_nondegenerate,
     naive_q,
-    random_basis,
-    random_degenerate,
-    random_nondegenerate,
+    random_enhancement,
     rebase,
     reference_reduction,
     spanned,
@@ -143,7 +141,7 @@ class TestBilinearForm:
     def test_row_masks(self):
         rng = random.Random(6)
         for _ in range(200):
-            gram = random_symmetric(rng, rng.randint(0, 32))
+            gram = random_enhancement(rng, rng.randint(0, 32), "dense")[0]
             form = BilinearForm.from_rows(gram)
             assert form.row_masks == tuple(
                 sum(bit << j for j, bit in enumerate(row)) for row in gram
@@ -171,7 +169,7 @@ def first_fault(dim, gram):
 
 def faulty_grams(rng, n):
     """(dim, rows) with one fault each: a bad entry, an asymmetric pair, a ragged row, a bad dim."""
-    gram = random_symmetric(rng, n)
+    gram = random_enhancement(rng, n, "dense")[0]
 
     def with_row(i, row):
         return [row if k == i else r for k, r in enumerate(gram)]
@@ -187,14 +185,6 @@ def faulty_grams(rng, n):
         row = gram[i]
         cases.append((n, with_row(i, row[:j] + [1 - row[j]] + row[j + 1 :])))
     return cases
-
-
-def random_symmetric(rng, n):
-    gram = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = rng.randrange(2)
-    return gram
 
 
 def as_tuples(rows):
@@ -218,13 +208,8 @@ def seeded_forms(seed, count=40, max_dim=64):
     other one degenerate, q on its radical alternately 0 and not."""
     rng = random.Random(seed)
     for k in range(count):
-        top = rng.randint(2, max_dim)
-        if k % 2:
-            gram, values = random_degenerate(rng, top, 2 * (k % 4 == 1))
-        else:
-            gram, values = random_nondegenerate(rng, top)
-        gram, _ = rebase(gram, values, random_basis(rng, len(gram)))
-        yield as_tuples(gram)
+        kind = ("nondegenerate", "radical_q2", "nondegenerate", "radical_q0")[k % 4]
+        yield as_tuples(random_enhancement(rng, rng.randint(2, max_dim), kind)[0])
 
 
 class TestMaskConstructor:
@@ -272,7 +257,7 @@ class TestGramCheck:
     def test_valid_forms_match_a_per_entry_loop(self, container):
         rng = random.Random(25)
         for n in range(41):
-            gram = random_symmetric(rng, n)
+            gram = random_enhancement(rng, n, "dense")[0]
             form = BilinearForm(n, container(gram))
             assert form.row_masks == tuple(sum(b << j for j, b in enumerate(r)) for r in gram)
             reference = BilinearForm(n, as_tuples(gram))
@@ -296,7 +281,7 @@ class TestGramCheck:
         np = pytest.importorskip("numpy")
         rng = random.Random(27)
         for n in range(41):
-            gram = random_symmetric(rng, n)
+            gram = random_enhancement(rng, n, "dense")[0]
             form = BilinearForm(n, tuple(map(np.array, gram)))
             reference = BilinearForm.from_rows(gram)
             assert form == reference and hash(form) == hash(reference)
@@ -464,8 +449,7 @@ class TestPoincareDual:
         # re-based forms to rank 32: the split's pieces are not basis vectors there
         rng = random.Random("dual-rebased")
         for _ in range(200):
-            gram, values = random_nondegenerate(rng, rng.randint(1, 32))
-            gram, _values = rebase(gram, values, random_basis(rng, len(gram)))
+            gram, *_ = random_enhancement(rng, rng.randint(1, 32))
             form, rows = BilinearForm.from_rows(gram), [bits(r) for r in gram]
             assert naive_nondegenerate(gram)
             for _ in range(3):
@@ -475,8 +459,8 @@ class TestPoincareDual:
     def test_random_degenerate_bases(self):
         rng = random.Random("dual-degenerate")
         for _ in range(100):
-            gram, values = random_degenerate(rng, rng.randint(1, 32), rng.choice((0, 2)))
-            gram, _values = rebase(gram, values, random_basis(rng, len(gram)))
+            n, kind = rng.randint(1, 32), rng.choice(("radical_q0", "radical_q2"))
+            gram, *_ = random_enhancement(rng, n, kind)
             form = BilinearForm.from_rows(gram)
             assert not naive_nondegenerate(gram)
             with pytest.raises(DegenerateFormError):
@@ -576,12 +560,11 @@ class TestIsotropicReduction:
         # reason, an admissible one in the radical DegenerateFormError, and an admissible one
         # off it reduces to c-perp/c as the kernel elimination does
         rng = random.Random(29)
-        for radical_q in (0, 2):
+        for kind in ("radical_q0", "radical_q2"):
             seen = set()
-            for max_dim in list(range(1, 33)) * 2:
-                gram, values = random_degenerate(rng, max_dim, radical_q)
-                gram, values = rebase(gram, values, random_basis(rng, len(gram)))
-                n, masks = len(gram), [bits(row) for row in gram]
+            for n in list(range(1, 33)) * 2:
+                gram, values, *_ = random_enhancement(rng, n, kind)
+                masks = [bits(row) for row in gram]
                 q = Enhancement(BilinearForm.from_rows(gram), values)
                 classes = range(1 << n) if n <= 6 else [0] + [rng.getrandbits(n) for _ in range(40)]
                 for c_bits in classes:
@@ -605,10 +588,7 @@ class TestIsotropicReduction:
         # rank 32 in a random basis: each obstruction refused, and an admissible class
         # reduced, with no split
         rng = random.Random(32)
-        gram, values = random_nondegenerate(rng, 32)
-        while len(gram) < 32:
-            gram, values = random_nondegenerate(rng, 32)
-        gram, values = rebase(gram, values, random_basis(rng, 32))
+        gram, values, *_ = random_enhancement(rng, 32)
         q = Enhancement(BilinearForm.from_rows(gram), values)
         splits = []
         split = pinquad.forms._split
@@ -630,10 +610,7 @@ class TestIsotropicReduction:
         # odd rank-2 forms with an isotropic class, and of sums re-based to rank 5; among them,
         # with h the top bit of c-perp and p the pivot of c, the edges of the row formula
         rng = random.Random(5)
-        rebased = []
-        while len(rebased) < 3:
-            gram, values = random_nondegenerate(rng, 5)
-            rebased.append(rebase(gram, values, random_basis(rng, len(gram)))[0])
+        rebased = [random_enhancement(rng, 5)[0] for _ in range(3)]
         edges = set()
         for gram in standard_grams(6) + [[[1, 1], [1, 0]], [[0, 1], [1, 1]]] + rebased:
             form = BilinearForm.from_rows(gram)
@@ -662,8 +639,7 @@ class TestIsotropicReduction:
         # written in random bases, where c's functional has no block structure
         rng = random.Random(9)
         for _ in range(200):
-            gram, values = random_nondegenerate(rng, rng.randint(2, 32))
-            gram, values = rebase(gram, values, random_basis(rng, len(gram)))
+            gram, values, *_ = random_enhancement(rng, rng.randint(2, 32))
             n = len(gram)
             q = Enhancement(BilinearForm.from_rows(gram), values)
             for _ in range(40):

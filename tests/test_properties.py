@@ -1,11 +1,13 @@
 """Property tests: beta and the q-null answers do not depend on the basis.
 
-Enhancements are drawn as orthogonal sums of <1>, <-1> and hyperbolic planes
-(with any values), whose Brown invariant is known piece by piece, and then
-written in a random basis of F2^n: the Gram matrix and the basis values are
-moved together, so the enhancement is the same and only its presentation
-changes.  Some draws also get radical classes <0>, with q = 0 or 2 on them.
-Runs are derandomized and bounded, so the suite is deterministic.
+Enhancements are drawn by ``oracles.random_enhancement`` from a hypothesis
+``Random``: orthogonal sums of <1>, <-1> and hyperbolic planes (with any
+values), whose Brown invariant is known piece by piece, written in a random
+basis of F2^n.  Each is then written in a second random basis from
+``oracles.random_gl``: the Gram matrix and the basis values are moved
+together, so the enhancement is the same and only its presentation changes.
+Some draws also get radical classes, with q = 0 or not on them.  Runs are
+derandomized and bounded, so the suite is deterministic.
 """
 import pytest
 from hypothesis import given, settings
@@ -15,63 +17,21 @@ from pinquad.brown import brown_invariant, gauss_sum
 from pinquad.errors import DegenerateFormError
 from pinquad.forms import BilinearForm, Enhancement
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
-from oracles import block_sum, naive_nondegenerate, rebase
+from oracles import naive_nondegenerate, random_enhancement, random_gl, rebase
 from test_forms import orthogonal_sum
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
-# beta of each piece: <1>, <-1>, and a plane by its values on the basis
-PIECE_BETA = {(1,): 1, (3,): 7, (0, 0): 0, (0, 2): 0, (2, 0): 0, (2, 2): 4}
-
 
 @st.composite
-def split_enhancements(draw, max_dim, radical=False):
-    """(gram, values, beta) of an orthogonal sum of pieces, rank at most max_dim.
-
-    With ``radical``, some draws also have a zero block; beta is then that of the other pieces.
-    """
-    n = draw(st.integers(0, max_dim))
-    blocks, values, beta = [], (), 0
-    zeros = draw(st.integers(0, min(n, 3))) if radical else 0
-    if zeros:
-        blocks.append([[0] * zeros for _ in range(zeros)])
-        values += tuple(draw(st.sampled_from((0, 2))) for _ in range(zeros))
-    while len(values) < n:
-        if n - len(values) >= 2 and draw(st.booleans()):
-            blocks.append([[0, 1], [1, 0]])
-            piece = (2 * draw(st.integers(0, 1)), 2 * draw(st.integers(0, 1)))
-        else:
-            blocks.append([[1]])
-            piece = (draw(st.sampled_from((1, 3))),)
-        values += piece
-        beta += PIECE_BETA[piece]
-    return block_sum(blocks), values, beta % 8
-
-
-@st.composite
-def bases(draw, n):
-    """Rows of a random matrix in GL_n(F2), as class bitmasks.
-
-    Every invertible matrix is P L U with P a permutation and L, U lower and
-    upper unitriangular, so drawing the three factors reaches all of GL_n.
-    """
-    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(n)]
-    upper = [(1 << i) | draw(st.integers(0, (1 << n) - 1)) >> (i + 1) << (i + 1) for i in range(n)]
-    rows = []
-    for row in lower:
-        acc = 0
-        for j in range(n):
-            if (row >> j) & 1:
-                acc ^= upper[j]
-        rows.append(acc)
-    return draw(st.permutations(rows))
-
-
-@st.composite
-def rebased(draw, max_dim, radical=False):
-    """An enhancement of known beta, and the same enhancement in a random basis."""
-    gram, values, beta = draw(split_enhancements(max_dim, radical))
-    moved_gram, moved_values = rebase(gram, values, draw(bases(len(values))))
+def rebased(draw, max_dim, kinds=("nondegenerate",)):
+    """An enhancement of one of the kinds, its beta (None when degenerate), and the same
+    enhancement in another random basis."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(kind != "nondegenerate", max_dim))
+    rng = draw(st.randoms(use_true_random=False))
+    gram, values, beta, _ = random_enhancement(rng, n, kind)
+    moved_gram, moved_values = rebase(gram, values, random_gl(rng, n))
     original = Enhancement(BilinearForm.from_rows(gram), values)
     moved = Enhancement(BilinearForm.from_rows(moved_gram), moved_values)
     return original, moved, beta
@@ -94,7 +54,7 @@ def test_null_answers_are_invariant_under_change_of_basis(case):
 
 
 @PROPERTY_SETTINGS
-@given(rebased(20, radical=True))
+@given(rebased(20, kinds=("nondegenerate", "radical_q0", "radical_q2")))
 def test_answers_are_invariant_under_change_of_basis_on_degenerate_forms(case):
     original, moved, _beta = case
     degenerate = not naive_nondegenerate(original.form.gram)

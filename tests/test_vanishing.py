@@ -20,10 +20,7 @@ from oracles import (
     naive_max_null_dim,
     naive_nondegenerate,
     naive_q,
-    random_basis,
-    random_degenerate,
-    random_nondegenerate,
-    rebase,
+    random_enhancement,
     spanned,
     standard_grams,
 )
@@ -62,20 +59,20 @@ class TestKernelVanishingCheck:
             kernel_vanishing_check(Enhancement(RP2, (1,)), Subspace(2, ()))
 
 
+# the kind ``oracles.random_enhancement`` draws for each case id below
+KIND = {"rebased": "nondegenerate", "degenerate_q0": "radical_q0", "degenerate_q2": "radical_q2"}
+
+
 def listing_cases():
     """(id, cases): every enhancement of the standard forms to rank 5, then seeded
     forms to rank 6 in random bases, nondegenerate or with q = 0 or q = 2 on the
     radical, so that canonical order is checked away from the standard basis."""
     out = [(f"dim{len(g)}", [(g, v) for v in all_enhancement_values(g)]) for g in standard_grams(5)]
     rng = random.Random("listing-order")
-    kinds = {
-        "rebased": lambda: random_nondegenerate(rng, rng.randint(1, 6)),
-        "degenerate_q0": lambda: random_degenerate(rng, rng.randint(2, 6), 0),
-        "degenerate_q2": lambda: random_degenerate(rng, rng.randint(2, 6), 2),
-    }
-    for kind, draw in kinds.items():
-        cases = [draw() for _ in range(25)]
-        out.append((kind, [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]))
+    for name, kind in KIND.items():
+        low = 1 if name == "rebased" else 2
+        cases = [random_enhancement(rng, rng.randint(low, 6), kind) for _ in range(25)]
+        out.append((name, [case[:2] for case in cases]))
     return out
 
 
@@ -130,12 +127,11 @@ def closed_form_cases(kind):
     if kind == "standard":
         return [(g, v) for g in standard_grams(7) for v in all_enhancement_values(g)]
     if kind == "rebased":
-        cases = [random_nondegenerate(rng, rng.randint(1, 7)) for _ in range(100)]
+        draws = [(rng.randint(1, 7), "nondegenerate") for _ in range(100)]
     else:
-        cases = [random_degenerate(rng, rng.randint(1, 7), k) for k in (0, 2) for _ in range(50)]
-        cases += [([[0] * n for _ in range(n)], (0,) * n) for n in range(1, 8)]
-        cases += [([[0] * n for _ in range(n)], (2,) + (0,) * (n - 1)) for n in (1, 7)]
-    return [rebase(g, v, random_basis(rng, len(g))) for g, v in cases]
+        draws = [(rng.randint(1, 7), k) for k in ("radical_q0", "radical_q2") for _ in range(50)]
+        draws += [(n, "zero_q0") for n in range(1, 8)] + [(n, "zero_q2") for n in (1, 7)]
+    return [random_enhancement(rng, n, k)[:2] for n, k in draws]
 
 
 class TestClosedForm:
@@ -159,13 +155,7 @@ def high_rank_case(n, kind):
     """A seeded enhancement of rank exactly n in a random basis: nondegenerate, or
     degenerate with q = 0 or q = 2 on the radical."""
     rng = random.Random(f"high-rank-{kind}-{n}")
-    while True:
-        if kind == "nondegenerate":
-            gram, values = random_nondegenerate(rng, n)
-        else:
-            gram, values = random_degenerate(rng, n, int(kind[-1]))
-        if len(gram) == n:
-            return rebase(gram, values, random_basis(rng, n))
+    return random_enhancement(rng, n, KIND.get(kind, kind))[:2]
 
 
 class TestListingCountsAtHighRank:
