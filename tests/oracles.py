@@ -22,6 +22,11 @@ from pinquad.errors import DimensionMismatchError
 from pinquad.f2 import Subspace
 
 
+def bitmask(coords):
+    """The bitmask of 0/1 coordinates, coordinate 0 at bit 0."""
+    return sum(bit << j for j, bit in enumerate(coords))
+
+
 def naive_dot(gram, x_bits, y_bits):
     n = len(gram)
     total = 0
@@ -114,7 +119,7 @@ def surgery_representatives(form, c_bits):
     above j, so the solutions are already the reduced-echelon basis.
     """
     n = form.dim
-    gram_masks = [sum(bit << j for j, bit in enumerate(row)) for row in form.gram]
+    gram_masks = list(map(bitmask, form.gram))
     p = (c_bits & -c_bits).bit_length() - 1
     kept = []
     for x in (naive_mat_vec(gram_masks, c_bits), 1 << p):
@@ -218,7 +223,7 @@ def naive_rank(row_masks):
 
 def naive_nondegenerate(gram):
     """Whether a Gram matrix of bits has full rank over F2, by ``naive_rank`` of its rows."""
-    return naive_rank([sum(bit << j for j, bit in enumerate(row)) for row in gram]) == len(gram)
+    return naive_rank(list(map(bitmask, gram))) == len(gram)
 
 
 def naive_radical(gram):
@@ -374,7 +379,7 @@ def rebase(gram, values, rows):
     Gram rows over the bits of a, and a.b is the parity of that mask on b.  q(a) is grown
     by the law q(x + e_i) = q(x) + v_i + 2*(x.e_i), one bit of a at a time.
     """
-    gram_masks = [sum(bit << j for j, bit in enumerate(r)) for r in gram]
+    gram_masks = list(map(bitmask, gram))
 
     def q(a):
         x = total = 0

@@ -26,6 +26,7 @@ from pinquad.forms import (
 )
 from oracles import (
     all_enhancement_values,
+    bitmask,
     block_sum,
     gauss_sum_by_elimination,
     hyperbolic_gram,
@@ -144,7 +145,7 @@ class TestSplit:
             piece_gram, piece_q = rebase(gram, values, pieces)
             assert piece_gram == block_sum([identity_gram(len(odd)), hyperbolic_gram(len(planes))])
             assert len(odd) + 2 * len(planes) + r == n
-            assert r == n - naive_rank([sum(b << j for j, b in enumerate(row)) for row in gram])
+            assert r == n - naive_rank(list(map(bitmask, gram)))
             odd_q, plane_q = piece_q[: len(odd)], piece_q[len(odd) :]
             pieces_beta = sum(2 - v for v in odd_q)
             pieces_beta += sum(4 for qu, qw in zip(plane_q[::2], plane_q[1::2]) if qu == qw == 2)
@@ -155,7 +156,7 @@ class TestSplit:
         for gram, values in split_cases(kind):
             q = Enhancement(BilinearForm.from_rows(gram), values)
             n = q.form.dim
-            degenerate = naive_rank([sum(b << j for j, b in enumerate(r)) for r in gram]) < n
+            degenerate = naive_rank(list(map(bitmask, gram))) < n
             radical = naive_radical(gram)
             _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form._bits, q.values)
             assert len(radical) == 1 << r, (gram, values)
@@ -223,7 +224,7 @@ def oracle_cases():
     rng = random.Random("split-oracle")
     for k, n in enumerate(ORACLE_RANKS):
         gram, values, *_ = random_enhancement(rng, n, ORACLE_KINDS[k % 8])
-        yield [sum(b << j for j, b in enumerate(row)) for row in gram], values
+        yield list(map(bitmask, gram)), values
 
 
 class TestSplitOracle:

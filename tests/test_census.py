@@ -26,6 +26,7 @@ from pinquad.forms import (
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 from oracles import (
     all_enhancement_values,
+    bitmask,
     gauss_sum_by_elimination,
     hyperbolic_gram,
     identity_gram,
@@ -61,10 +62,6 @@ SAMPLE = [g for g in GRAMS if len(g) < MAX_RANK] + random.Random("census-rank4")
     all_grams(MAX_RANK), RANK4_SAMPLE
 )
 SAMPLE += [g for g in (hyperbolic_gram(2), identity_gram(4), identity_gram(5)) if g not in SAMPLE]
-
-
-def masks(gram):
-    return [sum(bit << j for j, bit in enumerate(row)) for row in gram]
 
 
 def check(mismatches):
@@ -107,7 +104,7 @@ def test_poincare_dual_of_every_covector():
     mismatches = []
     for gram in GRAMS:
         n = len(gram)
-        form, rows = BilinearForm.from_rows(gram), masks(gram)
+        form, rows = BilinearForm.from_rows(gram), list(map(bitmask, gram))
         nondegenerate = naive_nondegenerate(gram)
         for y in range(1 << n):
             try:
@@ -125,7 +122,7 @@ def test_surgery_on_every_class():
     mismatches = []
     for gram in SAMPLE:
         n = len(gram)
-        form, rows = BilinearForm.from_rows(gram), masks(gram)
+        form, rows = BilinearForm.from_rows(gram), list(map(bitmask, gram))
         for values in all_enhancement_values(gram):
             q = Enhancement(form, values)
             for c_bits in range(1 << n):
@@ -178,6 +175,6 @@ def test_gauss_sum_by_elimination_matches_counting():
         (gram, values)
         for gram in GRAMS
         for values in all_enhancement_values(gram)
-        if gauss_sum_by_elimination(masks(gram), values) != naive_gauss(gram, values)
+        if gauss_sum_by_elimination(list(map(bitmask, gram)), values) != naive_gauss(gram, values)
     ]
     check(mismatches)

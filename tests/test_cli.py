@@ -1,3 +1,13 @@
+"""The pinquad command line: its exit-code contract, outputs, bounds and start-up.
+
+Each exit code's named cases are rows of one table, ``CLI_CASES``, by code: a command line
+and its exact (code, stdout, stderr), the golden outputs of tests/golden among them.
+``test_golden_output`` runs the rows named after a golden file, ``test_cli_case`` the others,
+and acceptance criterion 9 runs each row twice.  The tests below
+the table hold the cases a row cannot: text that Python writes (argparse, strerror, the JSON
+decoder), which differs between the Python versions CI runs; monkeypatched faults; memory and
+size bounds; and runs in a child process.
+"""
 import ast
 import contextlib
 import errno
@@ -6,11 +16,13 @@ import io
 import json
 import os
 import random
+import shlex
 import signal
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -32,14 +44,13 @@ from pinquad.forms import (
     Covector,
     Enhancement,
     crosscap_form,
-    hyperbolic_form,
     isotropic_reduction,
     poincare_dual,
 )
 from pinquad.vanishing import has_null_lagrangian, max_vanishing_dim
 
 import oracles
-from oracles import naive_dot, naive_nondegenerate, naive_q
+from oracles import hyperbolic_gram, identity_gram, naive_dot, naive_nondegenerate, naive_q
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,121 +70,228 @@ def count_splits(monkeypatch):
     return splits
 
 
-GOLDEN_CASES = [
-    (["enumerate", "--crosscaps", "1"], "enumerate_crosscaps1.txt", 0),
-    (["enumerate", "--genus", "1"], "enumerate_genus1.txt", 0),
-    (["enumerate", "--genus", "0"], "enumerate_genus0.txt", 0),
-    (["enumerate", "--genus", "1", "--json"], "enumerate_genus1.json", 0),
-    (["enumerate", "--form", str(DATA / "klein_form.json")], "enumerate_klein_form.txt", 0),
-    (
-        ["enumerate", "--form", str(DATA / "klein_form.json"), "--json"],
-        "enumerate_klein_form.json",
-        0,
-    ),
-    (["brown", str(DATA / "rp2_v1.json")], "brown_rp2_v1.txt", 0),
-    (["brown", str(DATA / "torus_v22.json")], "brown_torus_v22.txt", 0),
-    (["brown", str(DATA / "dim0.json")], "brown_dim0.txt", 0),
-    (["vanishing", str(DATA / "torus_v00.json"), "--max"], "vanishing_torus_v00_max.txt", 0),
-    (
-        ["vanishing", str(DATA / "torus_v00.json"), "--lagrangian"],
-        "vanishing_torus_v00_lagrangian.txt",
-        0,
-    ),
-    (
-        ["vanishing", str(DATA / "genus5_v0.json"), "--lagrangian"],
-        "vanishing_genus5_v0_lagrangian.txt",
-        0,
-    ),
-    (
-        ["vanishing", str(DATA / "torus_v22.json"), "--lagrangian"],
-        "vanishing_torus_v22_lagrangian.txt",
-        0,
-    ),
-    (
-        ["vanishing", str(DATA / "torus_v22.json"), "--lagrangian", "--json"],
-        "vanishing_torus_v22_lagrangian.json",
-        0,
-    ),
-    (["vanishing", str(DATA / "torus_v00.json"), "--dim", "3"], "vanishing_torus_v00_dim3.txt", 0),
-    (
-        ["vanishing", str(DATA / "torus_v00.json"), "--dim", "3", "--json"],
-        "vanishing_torus_v00_dim3.json",
-        0,
-    ),
-    (["vanishing", str(DATA / "rp2_v1.json"), "--dim", "1"], "vanishing_rp2_v1_dim1.txt", 0),
-    (["vanishing", str(DATA / "torus_v00.json"), "--dim", "1"], "vanishing_torus_v00_dim1.txt", 0),
-    (
-        ["vanishing", str(DATA / "genus2_v0000.json"), "--dim", "2"],
-        "vanishing_genus2_v0000_dim2.txt",
-        0,
-    ),
-    (
-        ["vanishing", str(DATA / "genus2_v0000.json"), "--dim", "2", "--json"],
-        "vanishing_genus2_v0000_dim2.json",
-        0,
-    ),
-    (
-        ["vanishing", str(DATA / "genus5_v0.json"), "--lagrangian", "--json"],
-        "vanishing_genus5_v0_lagrangian.json",
-        0,
-    ),
-    (["gm", "--form", "1", "--char", "1"], "gm_one_char1.txt", 0),
-    (
-        ["gm", "--form", "E8", "--char", "0,0,0,0,0,0,0,0", "--beta", "4"],
-        "gm_e8_char0_beta4.txt",
-        0,
-    ),
-    # the E8 Cartan matrix read from a file gives what the expression E8 gives
-    (
-        ["gm", "--form", str(DATA / "e8_form.json"), "--char", "0,0,0,0,0,0,0,0", "--beta", "4"],
-        "gm_e8_char0_beta4.txt",
-        0,
-    ),
-    (
-        ["gm", "--form", str(DATA / "e8_form.json"), "--char", "0,0,0,0,0,0,0,0", "--beta", "4"]
-        + ["--json"],
-        "gm_e8_char0_beta4.json",
-        0,
-    ),
-    (["gm", "--form", "1", "--char", "3", "--beta", "0"], "gm_one_char3_beta0.txt", 1),
-    (["surgery", str(DATA / "torus_v00.json"), "--class", "10"], "surgery_torus_v00_a.txt", 0),
-    (
-        ["surgery", str(DATA / "genus5_v0.json"), "--class", "1010000000"],
-        "surgery_genus5_v0_1010000000.txt",
-        0,
-    ),
-    (["torsor", str(DATA / "torus_v00.json"), "--covector", "10"], "torsor_torus_v00_y10.txt", 0),
-    (["torsor", str(DATA / "rp2_v1.json"), "--covector", "1"], "torsor_rp2_v1_y1.txt", 0),
+def enhancement_json(gram, values):
+    return json.dumps({"form": {"dim": len(gram), "gram": gram}, "values": values})
+
+
+def form_json(gram):
+    return json.dumps({"dim": len(gram), "gram": gram})
+
+
+class Case(NamedTuple):
+    """A CLI run and its exact (code, stdout, stderr).  argv is split as a shell splits it and
+    run in tests/data, or, when the case has ``files`` (name: text), in an empty temporary
+    directory they are written to first.  A case named after a file of tests/golden, up to any
+    "#", prints that file; ``out`` is any other case's stdout."""
+
+    argv: str
+    code: int = 0
+    out: str = ""
+    err: str = ""
+    files: dict = {}
+
+
+BAD_Q = "error: q.json is not a valid enhancement: "
+BAD_FORM = "error: form.json is not a valid unimodular form: "
+BAD_DET = BAD_FORM + "form is not unimodular: det = "
+UNKNOWN = "error: unknown form name {!r}; known names: 1, -1, H, E8\n"
+UNKNOWN_PATH = UNKNOWN.format("missing.json")
+DEGENERATE = "error: Brown invariant undefined: degenerate form\n"
+GAUSS_GUARD = "error: dim 24 exceeds Gauss-sum guard 20\n"
+ENTRY_CAP = "error: a Gram entry exceeds entry cap 64 bits\n"
+OBSTRUCTED = "error: surgery obstructed: "
+E8_CHAR0 = "gm --form E8 --char 0,0,0,0,0,0,0,0"
+
+CLI_CASES = {
+    # 0: success
+    "enumerate_crosscaps1.txt": Case("enumerate --crosscaps 1"),
+    "enumerate_genus1.txt": Case("enumerate --genus 1"),
+    "enumerate_genus0.txt": Case("enumerate --genus 0"),
+    "enumerate_genus1.json": Case("enumerate --genus 1 --json"),
+    "enumerate_klein_form.txt": Case("enumerate --form klein_form.json"),
+    "enumerate_klein_form.json": Case("enumerate --form klein_form.json --json"),
+    "brown_rp2_v1.txt": Case("brown rp2_v1.json"),
+    "brown_torus_v22.txt": Case("brown torus_v22.json"),
+    "brown_dim0.txt": Case("brown dim0.json"),
+    # values are reduced mod 4 whatever their size: the 64-bit cap is on Gram entries only
+    "brown_value_minus_3": Case(
+        "brown q.json", 0, "beta=1 A=1 B=1 n=1\n", files={"q.json": enhancement_json([[1]], [-3])}),
+    "brown_value_of_4001_digits": Case(
+        "brown q.json", 0, "beta=7 A=1 B=-1 n=1\n", files={"q.json": enhancement_json([[1]], [10**4001 - 5])}),
+    "vanishing_torus_v00_max.txt": Case("vanishing torus_v00.json --max"),
+    "vanishing_torus_v00_lagrangian.txt": Case("vanishing torus_v00.json --lagrangian"),
+    "vanishing_genus5_v0_lagrangian.txt": Case("vanishing genus5_v0.json --lagrangian"),
+    "vanishing_genus5_v0_lagrangian.json": Case("vanishing genus5_v0.json --lagrangian --json"),
+    "vanishing_torus_v22_lagrangian.txt": Case("vanishing torus_v22.json --lagrangian"),
+    "vanishing_torus_v22_lagrangian.json": Case("vanishing torus_v22.json --lagrangian --json"),
+    # "no" is closed-form at any rank; "yes" prints the walk's first basis, which is guarded
+    "vanishing_lagrangian_no_past_the_search_guard": Case(
+        "vanishing genus12_beta4.json --lagrangian", 0, "no\n"),
+    "vanishing_torus_v00_dim3.txt": Case("vanishing torus_v00.json --dim 3"),
+    "vanishing_torus_v00_dim3.json": Case("vanishing torus_v00.json --dim 3 --json"),
+    "vanishing_rp2_v1_dim1.txt": Case("vanishing rp2_v1.json --dim 1"),
+    "vanishing_torus_v00_dim1.txt": Case("vanishing torus_v00.json --dim 1"),
+    "vanishing_genus2_v0000_dim2.txt": Case("vanishing genus2_v0000.json --dim 2"),
+    "vanishing_genus2_v0000_dim2.json": Case("vanishing genus2_v0000.json --dim 2 --json"),
+    "gm_one_char1.txt": Case("gm --form 1 --char 1"),
+    "gm_one_char3_beta4": Case(
+        "gm --form 1 --char 3 --beta 4", 0, "required beta = 4\nobserved beta = 4\nPASS\n"),
+    "gm_e8_char0_beta4.txt": Case(E8_CHAR0 + " --beta 4"),
+    # the E8 Cartan matrix read from a file gives what the expression E8 gives (23: the case's
+    # index in the list the golden cases were first kept in, which names its test)
+    "gm_e8_char0_beta4.txt#23": Case("gm --form e8_form.json --char 0,0,0,0,0,0,0,0 --beta 4"),
+    "gm_e8_char0_beta4.json": Case("gm --form e8_form.json --char 0,0,0,0,0,0,0,0 --beta 4 --json"),
+    "surgery_torus_v00_a.txt": Case("surgery torus_v00.json --class 10"),
+    "surgery_genus5_v0_1010000000.txt": Case("surgery genus5_v0.json --class 1010000000"),
+    "torsor_torus_v00_y10.txt": Case("torsor torus_v00.json --covector 10"),
+    "torsor_rp2_v1_y1.txt": Case("torsor rp2_v1.json --covector 1"),
     # rank 24: beta answers above the Gauss-sum guard of brown, and surgery and torsor with it
-    (
-        ["surgery", str(DATA / "genus12_beta4.json"), "--class", "1" + "0" * 23],
-        "surgery_genus12_beta4_e0.txt",
-        0,
-    ),
-    (
-        ["torsor", str(DATA / "genus12_beta4.json"), "--covector", "001" + "0" * 21],
-        "torsor_genus12_beta4_e2.txt",
-        0,
-    ),
-    (
-        ["gm", "--form", "E8", "--char", ",".join("0" * 8), "--enhancement"]
-        + [str(DATA / "genus12_beta4.json")],
-        "gm_e8_char0_genus12_beta4.txt",
-        0,
-    ),
-]
-# a case's id is its golden's name; a later case with the same golden adds its index
-GOLDEN_IDS = [
-    g + (f"#{i}" if any(h == g for _, h, _ in GOLDEN_CASES[:i]) else "")
-    for i, (_, g, _) in enumerate(GOLDEN_CASES)
-]
+    "surgery_genus12_beta4_e0.txt": Case("surgery genus12_beta4.json --class 1" + "0" * 23),
+    "torsor_genus12_beta4_e2.txt": Case("torsor genus12_beta4.json --covector 001" + "0" * 21),
+    "gm_e8_char0_genus12_beta4.txt": Case(E8_CHAR0 + " --enhancement genus12_beta4.json"),
+    # 1: FAIL
+    "gm_one_char3_beta0.txt": Case("gm --form 1 --char 3 --beta 0", 1),
+    # 2: usage errors; a bad flag value is refused before any file is read, in both output modes
+    **{
+        name + suffix: Case(argv + flag, 2, "", f"error: {message}\n")
+        for name, argv, message in [
+            ("vanishing_negative_dim", "vanishing torus_v00.json --dim -1", "--dim must be >= 0"),
+            ("vanishing_negative_dim_missing_file", "vanishing missing.json --dim -1", "--dim must be >= 0"),
+            ("enumerate_negative_genus", "enumerate --genus -1", "--genus must be >= 0"),
+            ("enumerate_no_crosscaps", "enumerate --crosscaps 0", "--crosscaps must be >= 1"),
+            ("gm_bad_char", "gm --form 1 --char 1,x", "expected comma-separated integers, got '1,x'"),
+        ]
+        for suffix, flag in [("", ""), ("_json", " --json")]
+    },
+    **{
+        f"{command}_bits_{name}": Case(
+            f"{command} torus_v00.json --{flag} '{text}'", 2, "",
+            f"error: --{flag} must be a nonempty string of 0s and 1s, got {text!r}\n")
+        for command, flag in [("surgery", "class"), ("torsor", "covector")]
+        for name, text in [("empty", ""), ("012", "012"), ("space", "1 0"), ("underscore", "1_0"),
+                           ("0b1", "0b1")]
+    },
+    "gm_unknown_form_name": Case("gm --form K3 --char 1", 2, "", UNKNOWN.format("K3")),
+    # --form is a library expression first, and a file only when it does not parse
+    "gm_missing_path_is_an_unknown_name": Case("gm --form missing.json --char 1", 2, "", UNKNOWN_PATH),
+    "enumerate_missing_path_is_an_unknown_name": Case("enumerate --form missing.json", 2, "", UNKNOWN_PATH),
+    # a vector of the wrong length is a dimension mismatch, found after beta
+    "torsor_dimension_mismatch": Case(
+        "torsor rp2_v1.json --covector 10", 2, "", "error: enhancement dim 1, covector dim 2\n"),
+    "surgery_over_long_class": Case(
+        "surgery torus_v00.json --class " + "1" * 40, 2, "", "error: enhancement dim 2, class dim 40\n"),
+    "torsor_over_long_covector": Case(
+        "torsor torus_v00.json --covector " + "1" * 40, 2, "", "error: enhancement dim 2, covector dim 40\n"),
+    "brown_parity_violating": Case(
+        "brown bad_values.json", 2, "", "error: bad_values.json is not a valid enhancement: parity "
+        "constraint violated at index 0: q(e0) = 0 but e0.e0 = 1\n",
+        files={"bad_values.json": enhancement_json([[1]], [0])}),
+    "brown_gram_asymmetric": Case(
+        "brown q.json", 2, "", BAD_Q + "Gram matrix not symmetric at (0,1)\n",
+        files={"q.json": enhancement_json([[0, 1], [0, 0]], [0, 0])}),
+    "brown_gram_non_bit": Case(
+        "brown q.json", 2, "", BAD_Q + "Gram entry (0,1) is 2, expected a bit\n",
+        files={"q.json": enhancement_json([[0, 2], [2, 0]], [0, 0])}),
+    "brown_gram_ragged": Case(
+        "brown q.json", 2, "", BAD_Q + "Gram matrix is not 2x2\n",
+        files={"q.json": enhancement_json([[0, 1], [1]], [0, 0])}),
+    # every number must be a JSON integer: no float, however large, no bool, no string
+    "brown_json_dim_overflow": Case(
+        "brown q.json", 2, "", BAD_Q + "expected an integer, got inf\n",
+        files={"q.json": '{"form": {"dim": 1e400, "gram": [[1]]}, "values": [1]}'}),
+    "brown_json_values_overflow": Case(
+        "brown q.json", 2, "", BAD_Q + "expected an integer, got inf\n",
+        files={"q.json": '{"form": {"dim": 1, "gram": [[1]]}, "values": [1e400]}'}),
+    "brown_json_float": Case(
+        "brown q.json", 2, "", BAD_Q + "expected an integer, got 1.7\n",
+        files={"q.json": '{"form": {"dim": 1, "gram": [[1.7]]}, "values": [1]}'}),
+    "brown_json_bool": Case(
+        "brown q.json", 2, "", BAD_Q + "expected an integer, got True\n",
+        files={"q.json": '{"form": {"dim": 1, "gram": [[true]]}, "values": [1]}'}),
+    "brown_json_string": Case(
+        "brown q.json", 2, "", BAD_Q + "expected an integer, got '1'\n",
+        files={"q.json": '{"form": {"dim": 1, "gram": [["1"]]}, "values": [1]}'}),
+    "gm_form_file_dim_overflow": Case(
+        "gm --form form.json --char 1", 2, "", BAD_FORM + "expected an integer, got inf\n",
+        files={"form.json": '{"dim": 1e400, "gram": [[1]]}'}),
+    "gm_form_file_det3": Case(
+        "gm --form form.json --char 1,1", 2, "", BAD_DET + "3\n",
+        files={"form.json": form_json([[2, 1], [1, 2]])}),
+    "gm_form_file_zero_diagonal_singular": Case(
+        "gm --form form.json --char 1,1,1", 2, "", BAD_DET + "0\n",
+        files={"form.json": form_json([[0, 1, 1], [1, 0, 0], [1, 0, 0]])}),
+    # a Gram entry of 64 bits is read, then refused as not unimodular; one of 65 bits is a guard
+    "gm_entry_2_63": Case(
+        "gm --form form.json --char 1", 2, "", BAD_DET + "9223372036854775808\n",
+        files={"form.json": form_json([[2**63]])}),
+    "gm_entry_minus_2_63": Case(
+        "gm --form form.json --char 1", 2, "", BAD_DET + "-9223372036854775808\n",
+        files={"form.json": form_json([[-(2**63)]])}),
+    # 3: degenerate, at any rank
+    "brown_degenerate": Case("brown degenerate.json", 3, "", DEGENERATE),
+    "brown_degenerate_over_the_gauss_guard": Case(
+        "brown degenerate21.json", 3, "", DEGENERATE,
+        files={"degenerate21.json": enhancement_json([[0] * 21 for _ in range(21)], [0] * 21)}),
+    # 4: guards; beta has none (rank 24 answers in surgery, torsor and gm), the Gauss sum has
+    "brown_over_the_gauss_guard": Case("brown genus12_beta4.json", 4, "", GAUSS_GUARD),
+    "brown_over_the_gauss_guard_json": Case("brown genus12_beta4.json --json", 4, "", GAUSS_GUARD),
+    "vanishing_max_past_the_search_guard": Case(
+        "vanishing crosscaps11.json --max", 4, "", "error: dim 11 exceeds vanishing-search guard 10\n"),
+    "vanishing_lagrangian_yes_past_the_search_guard": Case(
+        "vanishing h6.json --lagrangian", 4, "", "error: dim 12 exceeds vanishing-search guard 10\n",
+        files={"h6.json": enhancement_json(hyperbolic_gram(6), [0] * 12)}),
+    "gm_form_file_over_the_rank_cap": Case(
+        "gm --form form.json --char 1,1,1,1,1,1,1,1,1,1,1,1,1", 4, "",
+        "error: form dimension 13 exceeds cap 12\n",
+        files={"form.json": form_json(identity_gram(13))}),
+    # a sum over the rank cap is refused, not read as the file of that name
+    "gm_sum_over_the_cap_beats_a_file_of_that_name": Case(
+        "gm --form E8+E8 --char 1", 4, "", "error: form dimension 16 exceeds cap 12\n",
+        files={"E8+E8": form_json([[1]])}),
+    "enumerate_sum_over_the_cap_beats_a_file_of_that_name": Case(
+        "enumerate --form E8+E8", 4, "", "error: form dimension 16 exceeds cap 12\n",
+        files={"E8+E8": form_json([[1]])}),
+    "gm_entry_2_64": Case(
+        "gm --form form.json --char 1", 4, "", ENTRY_CAP, files={"form.json": form_json([[2**64]])}),
+    "gm_entry_minus_2_64_minus_1": Case(
+        "gm --form form.json --char 1", 4, "", ENTRY_CAP, files={"form.json": form_json([[-(2**64) - 1]])}),
+    # 5: not characteristic
+    "gm_not_characteristic": Case(
+        "gm --form 1 --char 2", 5, "",
+        "error: not characteristic: at basis vector 0, c.e0 = 0 but e0.e0 = 1 (mod 2)\n"),
+    # 6: surgery obstructed
+    "surgery_q_nonzero": Case("surgery torus_v22.json --class 11", 6, "", OBSTRUCTED + "q(c) != 0\n"),
+    "surgery_self_intersection": Case("surgery rp2_v1.json --class 1", 6, "", OBSTRUCTED + "c.c != 0\n"),
+    "surgery_zero_class": Case("surgery torus_v00.json --class 00", 6, "", OBSTRUCTED + "zero class\n"),
+}
 
 
-@pytest.mark.parametrize("argv,golden,code", GOLDEN_CASES, ids=GOLDEN_IDS)
-def test_golden_output(capsys, argv, golden, code):
-    got_code, out, _err = run(capsys, *argv)
-    assert got_code == code
-    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+@pytest.fixture
+def run_case(capsys, monkeypatch, tmp_path):
+    """Runs the row of CLI_CASES of that name: (got, want), each a (code, stdout, stderr)."""
+
+    def run_case(name):
+        case = CLI_CASES[name]
+        monkeypatch.chdir(tmp_path if case.files else DATA)
+        for file, text in case.files.items():
+            (tmp_path / file).write_text(text, encoding="utf-8")
+        golden = GOLDEN / name.split("#")[0]
+        out = golden.read_text(encoding="utf-8") if golden.suffix else case.out
+        return run(capsys, *shlex.split(case.argv)), (case.code, out, case.err)
+
+    return run_case
+
+
+@pytest.mark.parametrize("name", [name for name in CLI_CASES if not Path(name).suffix])
+def test_cli_case(run_case, name):
+    got, want = run_case(name)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", [name for name in CLI_CASES if Path(name).suffix])
+def test_golden_output(run_case, name):
+    """The rows named after a file of tests/golden, run under the test name they have always had."""
+    test_cli_case(run_case, name)
 
 
 def test_bit_strings_round_trip():
@@ -218,34 +336,6 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "nested too deeply" in err
 
-    def test_parity_violating_enhancement(self, capsys, tmp_path):
-        bad = tmp_path / "bad_values.json"
-        bad.write_text(
-            json.dumps({"form": {"dim": 1, "gram": [[1]]}, "values": [0]}), encoding="utf-8"
-        )
-        code, _out, err = run(capsys, "brown", str(bad))
-        assert code == 2
-        assert "parity" in err
-
-    def test_degenerate_brown(self, capsys):
-        code, _out, err = run(capsys, "brown", str(DATA / "degenerate.json"))
-        assert code == 3
-        assert "degenerate" in err
-
-    def test_guard_exceeded(self, capsys):
-        code, _out, err = run(capsys, "vanishing", str(DATA / "crosscaps11.json"), "--max")
-        assert code == 4
-        assert "guard" in err
-
-    def test_lagrangian_past_the_search_guard(self, capsys, tmp_path):
-        # "no" is closed-form at any rank; "yes" prints the walk's first basis, which is guarded
-        code, out, err = run(capsys, "vanishing", str(DATA / "genus12_beta4.json"), "--lagrangian")
-        assert (code, out, err) == (0, "no\n", "")
-        h6 = tmp_path / "h6.json"
-        h6.write_text(json.dumps(Enhancement(hyperbolic_form(6), (0,) * 12).to_json()))
-        code, out, err = run(capsys, "vanishing", str(h6), "--lagrangian")
-        assert (code, out, err) == (4, "", "error: dim 12 exceeds vanishing-search guard 10\n")
-
     @pytest.mark.parametrize("summands", [2_000, 20_000])
     @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
     def test_form_expression_over_the_cap_builds_nothing(self, capsys, command, summands):
@@ -264,52 +354,6 @@ class TestExitCodes:
         )
         assert peak < 2_000_000
 
-    @pytest.mark.parametrize("path", ["torus_v00.json", "missing.json"])
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_negative_dim(self, capsys, path, flags):
-        # checked before the file is read, like a negative --genus
-        code, out, err = run(capsys, "vanishing", str(DATA / path), "--dim", "-1", *flags)
-        assert (code, out, err) == (2, "", "error: --dim must be >= 0\n")
-
-    @pytest.mark.parametrize(
-        "argv,message",
-        [
-            (["enumerate", "--genus", "-1"], "--genus must be >= 0"),
-            (["enumerate", "--crosscaps", "0"], "--crosscaps must be >= 1"),
-            (["gm", "--form", "1", "--char", "1,x"], "expected comma-separated integers, got '1,x'"),
-        ],
-        ids=["negative_genus", "no_crosscaps", "bad_char"],
-    )
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_bad_argument_values(self, capsys, argv, message, flags):
-        code, out, err = run(capsys, *argv, *flags)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    def test_not_characteristic(self, capsys):
-        code, _out, err = run(capsys, "gm", "--form", "1", "--char", "2")
-        assert code == 5
-        assert "basis vector 0" in err
-
-    def test_unknown_form_name(self, capsys):
-        code, _out, err = run(capsys, "gm", "--form", "K3", "--char", "1")
-        assert code == 2
-        assert "unknown form name" in err
-
-    def test_surgery_obstructions(self, capsys):
-        code, _out, err = run(capsys, "surgery", str(DATA / "torus_v22.json"), "--class", "11")
-        assert code == 6
-        assert "q(c) != 0" in err
-        code, _out, err = run(capsys, "surgery", str(DATA / "rp2_v1.json"), "--class", "1")
-        assert code == 6
-        assert "c.c != 0" in err
-        code, _out, err = run(capsys, "surgery", str(DATA / "torus_v00.json"), "--class", "00")
-        assert code == 6
-        assert "zero class" in err
-
-    def test_torsor_dimension_mismatch(self, capsys):
-        code, _out, _err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "10")
-        assert code == 2
-
     def test_torsor_mismatch_is_reported(self, capsys, monkeypatch):
         # a wrong dual predicts delta 0 where acting by y = 1 on RP^2 shifts beta by 6: a
         # failed self-check is a bug, exit 7 with one line on stderr, in both output modes
@@ -318,38 +362,6 @@ class TestExitCodes:
         for flags in ([], ["--json"]):
             code, out, err = run(capsys, "torsor", str(DATA / "rp2_v1.json"), "--covector", "1", *flags)
             assert (code, out, err) == (7, "", message)
-
-    @pytest.mark.parametrize("command,flag", [("surgery", "--class"), ("torsor", "--covector")])
-    @pytest.mark.parametrize("text", ["", "012", "1 0", "1_0", "0b1"])
-    def test_malformed_bit_string(self, capsys, command, flag, text):
-        code, out, err = run(capsys, command, str(DATA / "torus_v00.json"), flag, text)
-        assert (code, out) == (2, "")
-        assert err == f"error: {flag} must be a nonempty string of 0s and 1s, got {text!r}\n"
-
-    @pytest.mark.parametrize(
-        "command,flag,what", [("surgery", "--class", "class"), ("torsor", "--covector", "covector")]
-    )
-    def test_over_long_vector_is_a_mismatch(self, capsys, command, flag, what):
-        # a class longer than the form is a dimension mismatch, found after beta
-        path = DATA / "torus_v00.json"
-        code, out, err = run(capsys, command, str(path), flag, "1" * 40)
-        assert (code, out, err) == (2, "", f"error: enhancement dim 2, {what} dim 40\n")
-
-    @pytest.mark.parametrize(
-        "gram,message",
-        [
-            ([[0, 1], [0, 0]], "Gram matrix not symmetric at (0,1)"),
-            ([[0, 2], [2, 0]], "Gram entry (0,1) is 2, expected a bit"),
-            ([[0, 1], [1]], "Gram matrix is not 2x2"),
-        ],
-        ids=["asymmetric", "non_bit", "ragged"],
-    )
-    def test_invalid_gram_matrix(self, capsys, tmp_path, gram, message):
-        path = tmp_path / "q.json"
-        path.write_text(json.dumps({"form": {"dim": 2, "gram": gram}, "values": [0, 0]}))
-        code, out, err = run(capsys, "brown", str(path))
-        assert (code, out) == (2, "")
-        assert err == f"error: {path} is not a valid enhancement: {message}\n"
 
     def test_every_package_error_has_an_exit_code(self):
         pending, seen = [PinquadError], []
@@ -432,7 +444,7 @@ class TestExitCodes:
         degenerate = cli._read(str(DATA / "degenerate.json"), Enhancement, "enhancement")
         assert max_vanishing_dim(degenerate) == 1
 
-    def test_enhancement_answers_run_no_elimination(self, capsys, monkeypatch):
+    def test_enhancement_answers_run_no_elimination(self, capsys, monkeypatch, run_case):
         # beta, the null dimension and the dual all come from the splitting
         def refuse(*_args):
             raise AssertionError("F2 elimination run")
@@ -449,14 +461,9 @@ class TestExitCodes:
         assert poincare_dual(torus.form, Covector(2, 0b01)) == F2Vector(2, 0b10)
         assert poincare_dual(BilinearForm.from_rows([[1]]), Covector(1, 1)) == F2Vector(1, 1)
         assert isotropic_reduction(torus, F2Vector(2, 0b01)).form.dim == 0
-        for argv, golden, code in GOLDEN_CASES:
-            if argv[0] in ("enumerate", "surgery", "torsor"):
-                got = run(capsys, *argv)[:2]
-                assert got == (code, (GOLDEN / golden).read_text(encoding="utf-8")), argv
-        code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
-        assert (code, out) == (0, "beta=0 A=4 B=0 n=4\n")
-        code, _out, err = run(capsys, "brown", str(DATA / "degenerate.json"))
-        assert code == 3 and "degenerate" in err
+        for name in CLI_CASES:
+            got, want = run_case(name)
+            assert got == want, name
         q = cli._read(str(DATA / "genus2_v0000.json"), Enhancement, "enhancement")
         assert (brown_invariant(q), max_vanishing_dim(q), has_null_lagrangian(q)) == (0, 2, True)
         degenerate = cli._read(str(DATA / "degenerate.json"), Enhancement, "enhancement")
@@ -546,34 +553,14 @@ class TestExitCodes:
         assert (status, out) == (7, "")
         assert err == "error: internal error: TypeError: 'NoneType' object is not callable\n"
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_brown_over_the_gauss_guard(self, capsys, flags):
-        # beta itself has no guard (rank 24 answers in surgery, torsor and gm), the Gauss sum does
-        code, out, err = run(capsys, "brown", str(DATA / "genus12_beta4.json"), *flags)
-        assert (code, out, err) == (4, "", "error: dim 24 exceeds Gauss-sum guard 20\n")
-
-    def test_degenerate_brown_over_the_gauss_guard(self, capsys, tmp_path):
-        n = 21
-        big = tmp_path / "degenerate21.json"
-        gram = [[0] * n for _ in range(n)]
-        big.write_text(json.dumps({"form": {"dim": n, "gram": gram}, "values": [0] * n}))
-        code, _out, err = run(capsys, "brown", str(big))
-        assert code == 3
-        assert "degenerate" in err
-
-
-STRICT_JSON_CASES = {
-    "dim_overflow": '{"form": {"dim": 1e400, "gram": [[1]]}, "values": [1]}',
-    "values_overflow": '{"form": {"dim": 1, "gram": [[1]]}, "values": [1e400]}',
-    "float": '{"form": {"dim": 1, "gram": [[1.7]]}, "values": [1]}',
-    "bool": '{"form": {"dim": 1, "gram": [[true]]}, "values": [1]}',
-    "string": '{"form": {"dim": 1, "gram": [["1"]]}, "values": [1]}',
-    "past_digit_limit": '{"form": {"dim": 1, "gram": [[1]]}, "values": [%s]}' % ("1" * 5000),
-}
-
 
 class TestStrictJson:
-    @pytest.mark.parametrize("text", STRICT_JSON_CASES.values(), ids=STRICT_JSON_CASES)
+    """What the JSON decoder refuses; its messages differ between Python versions."""
+
+    @pytest.mark.parametrize(
+        "text", ['{"form": {"dim": 1, "gram": [[1]]}, "values": [%s]}' % ("1" * 5000)],
+        ids=["past_digit_limit"],
+    )
     def test_only_json_integers(self, capsys, tmp_path, text):
         path = tmp_path / "q.json"
         path.write_text(text, encoding="utf-8")
@@ -582,50 +569,12 @@ class TestStrictJson:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_unimodular_form_file(self, capsys, tmp_path):
-        path = tmp_path / "form.json"
-        path.write_text('{"dim": 1e400, "gram": [[1]]}', encoding="utf-8")
-        code, out, err = run(capsys, "gm", "--form", str(path), "--char", "1")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {path} is not a valid unimodular form: expected an integer, got inf\n"
-
-    @pytest.mark.parametrize(
-        "gram,det",
-        [([[2, 1], [1, 2]], 3), ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], 0)],
-        ids=["det3", "zero_diagonal_singular"],
-    )
-    def test_non_unimodular_form_file(self, capsys, tmp_path, gram, det):
-        path = tmp_path / "form.json"
-        path.write_text(json.dumps({"dim": len(gram), "gram": gram}), encoding="utf-8")
-        code, out, err = run(capsys, "gm", "--form", str(path), "--char", ",".join("1" * len(gram)))
-        assert (code, out) == (2, "")
-        assert err == f"error: {path} is not a valid unimodular form: form is not unimodular: det = {det}\n"
-
-    def test_form_file_over_the_rank_cap(self, capsys, tmp_path):
-        n = 13
-        path = tmp_path / "form.json"
-        gram = [[int(i == j) for j in range(n)] for i in range(n)]
-        path.write_text(json.dumps({"dim": n, "gram": gram}), encoding="utf-8")
-        code, out, err = run(capsys, "gm", "--form", str(path), "--char", ",".join("1" * n))
-        assert (code, out) == (4, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     def test_invalid_utf8(self, capsys, tmp_path):
         path = tmp_path / "q.json"
         path.write_bytes(b'{"form": {"dim": 1, "gram": [[1]]}, "values": [\xff]}')
         code, _out, err = run(capsys, "brown", str(path))
         assert code == 2
         assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
-
-    def test_integer_values_still_reduced_mod_4(self, capsys, tmp_path):
-        # whatever their size: the 64-bit cap is on Gram entries only
-        path = tmp_path / "q.json"
-        for value, beta in (("-3", 1), ("9" * 4000 + "5", 7)):
-            path.write_text('{"form": {"dim": 1, "gram": [[1]]}, "values": [%s]}' % value)
-            code, out, _err = run(capsys, "brown", str(path))
-            assert code == 0
-            assert out.startswith(f"beta={beta} ")
 
 
 @pytest.fixture(scope="module")
@@ -687,24 +636,15 @@ class TestJsonBounds:
         monkeypatch.setattr(pinquad.fourmanifold.UnimodularForm, "__init__", refuse)
         monkeypatch.setattr(BilinearForm, "__init__", refuse)
         n, big = 12, int("7" * 4000)
-        form = {"dim": n, "gram": [[big if i == j else 0 for j in range(n)] for i in range(n)]}
+        gram = [[big if i == j else 0 for j in range(n)] for i in range(n)]
         path = tmp_path / "big.json"
         if command == "gm":
-            path.write_text(json.dumps(form))
+            path.write_text(form_json(gram))
             argv = ["gm", "--form", str(path), "--char", ",".join("1" * n)]
         else:
-            path.write_text(json.dumps({"form": form, "values": [0] * n}))
+            path.write_text(enhancement_json(gram, [0] * n))
             argv = ["brown", str(path)]
-        assert run(capsys, *argv) == (4, "", "error: a Gram entry exceeds entry cap 64 bits\n")
-
-    @pytest.mark.parametrize("entry,code", [(2**63, 2), (-(2**63), 2), (2**64, 4), (-(2**64) - 1, 4)])
-    def test_gram_entry_bit_cap_boundary(self, capsys, tmp_path, entry, code):
-        path = tmp_path / "form.json"
-        path.write_text(json.dumps({"dim": 1, "gram": [[entry]]}))
-        got, out, err = run(capsys, "gm", "--form", str(path), "--char", "1")
-        assert (got, out) == (code, "")
-        if code == 2:  # read, then refused as not unimodular
-            assert err.endswith(f"form is not unimodular: det = {entry}\n")
+        assert run(capsys, *argv) == (4, "", ENTRY_CAP)
 
 
 @pytest.fixture(scope="module")
@@ -774,21 +714,6 @@ class TestFormArgument:
         assert expected[0] == 0 and expected[2] == ""
         assert run(capsys, *argv) == expected
 
-    @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
-    def test_missing_path_is_an_unknown_name(self, capsys, monkeypatch, tmp_path, command):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, command[0], "--form", "missing.json", *command[1:])
-        message = "unknown form name 'missing.json'; known names: 1, -1, H, E8"
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize("command", [["gm", "--char", "1"], ["enumerate"]], ids=["gm", "enumerate"])
-    def test_sum_over_the_cap_beats_a_file_of_that_name(self, capsys, monkeypatch, tmp_path, command):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "E8+E8").write_text('{"dim": 1, "gram": [[1]]}', encoding="utf-8")
-        code, out, err = run(capsys, command[0], "--form", "E8+E8", *command[1:])
-        cap = pinquad.fourmanifold.MAX_FORM_DIM
-        assert (code, out, err) == (4, "", f"error: form dimension 16 exceeds cap {cap}\n")
-
 
 class TestJsonMode:
     def test_text_is_not_rendered(self, capsys, monkeypatch):
@@ -832,7 +757,7 @@ class TestJsonMode:
 
     def test_degenerate_enumerate_marks_beta(self, capsys, tmp_path):
         form = tmp_path / "degenerate_form.json"
-        form.write_text(json.dumps({"dim": 1, "gram": [[0]]}), encoding="utf-8")
+        form.write_text(form_json([[0]]), encoding="utf-8")
         code, out, _ = run(capsys, "enumerate", "--form", str(form))
         assert code == 0
         assert "degenerate" in out
@@ -898,8 +823,7 @@ class TestRoundTrips:
         assert payload["verdict"] == "MATCH"
         acted = tmp_path / "acted.json"
         acted.write_text(out, encoding="utf-8")
-        code, out, _ = run(capsys, "vanishing", str(acted), "--max")
-        assert code == 0
+        assert run(capsys, "vanishing", str(acted), "--max") == (0, "0\n", "")
 
     def test_torsor_acts_by_doubled_covector(self, capsys):
         # acting twice by the same class returns the original values

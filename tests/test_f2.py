@@ -14,6 +14,7 @@ from pinquad.f2 import (
 )
 from oracles import (
     all_subspace_spans,
+    bitmask,
     enumerate_subspaces,
     gaussian_binomial,
     naive_mat_vec,
@@ -21,14 +22,11 @@ from oracles import (
     span_of,
     spanned,
 )
-
-
-def vec(*coords):
-    return F2Vector(len(coords), sum(c << i for i, c in enumerate(coords)))
+from test_forms import vec
 
 
 def mat(*rows):
-    return F2Matrix(len(rows), len(rows[0]), tuple(vec(*r).bits for r in rows))
+    return F2Matrix(len(rows), len(rows[0]), tuple(map(bitmask, rows)))
 
 
 def identity(n):

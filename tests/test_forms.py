@@ -28,6 +28,7 @@ from pinquad.forms import (
 )
 from oracles import (
     all_enhancement_values,
+    bitmask,
     block_sum,
     law_table,
     naive_dot,
@@ -46,16 +47,12 @@ RP2 = crosscap_form(1)
 KLEIN = crosscap_form(2)
 
 
-def bits(coords):
-    return sum(c << i for i, c in enumerate(coords))
-
-
 def vec(*coords):
-    return F2Vector(len(coords), bits(coords))
+    return F2Vector(len(coords), bitmask(coords))
 
 
 def cov(*coords):
-    return Covector(len(coords), bits(coords))
+    return Covector(len(coords), bitmask(coords))
 
 
 def obstruction(gram, values, c_bits):
@@ -143,9 +140,7 @@ class TestBilinearForm:
         for _ in range(200):
             gram = random_enhancement(rng, rng.randint(0, 32), "dense")[0]
             form = BilinearForm.from_rows(gram)
-            assert form.row_masks == tuple(
-                sum(bit << j for j, bit in enumerate(row)) for row in gram
-            )
+            assert form.row_masks == tuple(map(bitmask, gram))
 
 
 def first_fault(dim, gram):
@@ -259,7 +254,7 @@ class TestGramCheck:
         for n in range(41):
             gram = random_enhancement(rng, n, "dense")[0]
             form = BilinearForm(n, container(gram))
-            assert form.row_masks == tuple(sum(b << j for j, b in enumerate(r)) for r in gram)
+            assert form.row_masks == tuple(map(bitmask, gram))
             reference = BilinearForm(n, as_tuples(gram))
             assert form.gram == reference.gram == as_tuples(gram)
             assert all(type(x) is int for row in form.gram for x in row)
@@ -450,7 +445,7 @@ class TestPoincareDual:
         rng = random.Random("dual-rebased")
         for _ in range(200):
             gram, *_ = random_enhancement(rng, rng.randint(1, 32))
-            form, rows = BilinearForm.from_rows(gram), [bits(r) for r in gram]
+            form, rows = BilinearForm.from_rows(gram), list(map(bitmask, gram))
             assert naive_nondegenerate(gram)
             for _ in range(3):
                 y = Covector(form.dim, rng.getrandbits(form.dim))
@@ -564,7 +559,7 @@ class TestIsotropicReduction:
             seen = set()
             for n in list(range(1, 33)) * 2:
                 gram, values, *_ = random_enhancement(rng, n, kind)
-                masks = [bits(row) for row in gram]
+                masks = list(map(bitmask, gram))
                 q = Enhancement(BilinearForm.from_rows(gram), values)
                 classes = range(1 << n) if n <= 6 else [0] + [rng.getrandbits(n) for _ in range(40)]
                 for c_bits in classes:
@@ -615,7 +610,7 @@ class TestIsotropicReduction:
         for gram in standard_grams(6) + [[[1, 1], [1, 0]], [[0, 1], [1, 1]]] + rebased:
             form = BilinearForm.from_rows(gram)
             n = form.dim
-            masks = [bits(row) for row in gram]
+            masks = list(map(bitmask, gram))
             for q in enumerate_enhancements(form):
                 for c_bits in range(1, 1 << n):
                     c = F2Vector(n, c_bits)

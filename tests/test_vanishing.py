@@ -14,6 +14,7 @@ from pinquad.forms import (
 from pinquad.vanishing import _null_bases, has_null_lagrangian, max_vanishing_dim
 from oracles import (
     all_enhancement_values,
+    bitmask,
     enumerate_subspaces,
     kernel_vanishing_check,
     naive_dot,
@@ -31,7 +32,7 @@ KLEIN = crosscap_form(2)
 
 
 def span(*vectors):
-    return spanned([F2Vector(len(v), sum(c << i for i, c in enumerate(v))) for v in vectors])
+    return spanned([F2Vector(len(v), bitmask(v)) for v in vectors])
 
 
 def null_subspaces(q, d):

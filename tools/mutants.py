@@ -112,6 +112,16 @@ MUTANTS = [
      ["test_cli.py::TestJsonBounds::test_size_cap_boundary[at_the_cap]"]),
     ("cli.py", "    gc.freeze()\n", "",
      ["test_cli.py::test_a_command_run_freezes_the_collector_before_it_exits[ok]"]),
+    # the input checks: a negative --dim, an empty bit string, the Gram entry cap at 64 bits, a
+    # JSON boolean where an integer is due; each is killed by a row of the CLI case table
+    ("cli.py", "args.dim < 0", "args.dim < -1",
+     ["test_cli.py::test_cli_case[vanishing_negative_dim]"]),
+    ("cli.py", "if not text or any(", "if any(",
+     ["test_cli.py::test_cli_case[surgery_bits_empty]"]),
+    ("forms.py", "x.bit_length() > MAX_ENTRY_BITS", "x.bit_length() >= MAX_ENTRY_BITS",
+     ["test_cli.py::test_cli_case[gm_entry_2_63]"]),
+    ("forms.py", "type(x) is not int", "not isinstance(x, int)",
+     ["test_cli.py::test_cli_case[brown_json_bool]"]),
 ]
 
 # (file, old text, new text, why no test can tell the mutant from the code)
