@@ -15,9 +15,9 @@ _EXPORTS = (
     ("brown", "GaussSumResult arf_from_brown brown_invariant gauss_sum"),
     ("errors", "DegenerateFormError DimensionMismatchError InternalError LimitError "
      "NotCharacteristicError PinquadError SurgeryObstructionError UnsupportedInputError"),
-    ("f2", "F2Matrix F2Vector Subspace kernel_basis rank solve"),
-    ("forms", "BilinearForm Covector Enhancement crosscap_form enumerate_enhancements eval_q "
-     "hyperbolic_form isotropic_reduction poincare_dual torsor_act value_table"),
+    ("f2", "F2Matrix Subspace kernel_basis rank solve"),
+    ("forms", "BilinearForm Covector Enhancement F2Vector crosscap_form enumerate_enhancements "
+     "eval_q hyperbolic_form isotropic_reduction poincare_dual torsor_act value_table"),
     ("fourmanifold", "FORM_LIBRARY UnimodularForm gm_check gm_required_beta is_characteristic "
      "parse_form_name signature unimodular_direct_sum"),
     ("vanishing", "has_null_lagrangian max_vanishing_dim"),

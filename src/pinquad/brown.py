@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import DegenerateFormError, InternalError, LimitError, UnsupportedInputError
-from .f2 import Value
-from .forms import Enhancement, _split
+from .forms import Enhancement, Value, _split
 
 MAX_GAUSS_DIM = 20
 

@@ -24,8 +24,8 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
-# each command imports the other package modules it uses when it runs, so a start-up
-# loads only those: with no bytecode cache, compiling them is the package's main start-up cost
+# each command imports the other package modules it uses when it runs, and none imports f2:
+# with no bytecode cache a start-up compiles only those, and main builds one subparser
 from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
@@ -39,8 +39,7 @@ from .errors import (
 
 TYPE_CHECKING = False  # type checkers read it as True; importing typing costs about 5 ms
 if TYPE_CHECKING:
-    from .f2 import F2Vector
-    from .forms import BilinearForm
+    from .forms import BilinearForm, F2Vector
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,6 +51,7 @@ EXIT_OBSTRUCTED = 6
 EXIT_INTERNAL = 7
 
 MAX_FILE_BYTES = 1 << 20  # JSON files, refused unparsed above it; it admits about rank 720
+COMMANDS = ("enumerate", "brown", "vanishing", "gm", "surgery", "torsor")
 
 
 class UsageError(PinquadError):
@@ -257,8 +257,7 @@ def cmd_gm(args: argparse.Namespace) -> int:
 
 def cmd_surgery(args: argparse.Namespace) -> int:
     from .brown import brown_invariant
-    from .f2 import F2Vector
-    from .forms import isotropic_reduction
+    from .forms import F2Vector, isotropic_reduction
     q, beta_before, c = _class_argument(args.enhancement, args.surgery_class, "--class", F2Vector)
     reduced = isotropic_reduction(q, c)
     beta_after = brown_invariant(reduced)
@@ -296,52 +295,62 @@ def cmd_torsor(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all six commands, or the top-level parser with the named command's alone."""
     parser = argparse.ArgumentParser(
         prog="pinquad",
         description="Quadratic enhancements of surface forms: Brown invariants, "
         "q-null subspaces, surgery, and Guillou-Marin checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one subparser the usage line of an error still names all six commands; the full
+    # parser keeps no metavar, which would rename "argument command" in its own errors
+    metavar = "{%s}" % ",".join(COMMANDS) if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("enumerate", help="list all enhancements of a surface form")
-    kind = p.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--genus", type=int, help="orientable surface of this genus")
-    kind.add_argument("--crosscaps", type=int, help="nonorientable surface with this many crosscaps")
-    kind.add_argument("--form", help="JSON form file, or a library name such as H or 1+1")
-    p.set_defaults(func=cmd_enumerate)
+    if command in (None, "enumerate"):
+        p = sub.add_parser("enumerate", help="list all enhancements of a surface form")
+        kind = p.add_mutually_exclusive_group(required=True)
+        kind.add_argument("--genus", type=int, help="orientable surface of this genus")
+        kind.add_argument("--crosscaps", type=int, help="nonorientable surface with this many crosscaps")
+        kind.add_argument("--form", help="JSON form file, or a library name such as H or 1+1")
+        p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("brown", help="Brown invariant and Gauss sum of an enhancement")
-    p.add_argument("enhancement", help="enhancement JSON file")
-    p.set_defaults(func=cmd_brown)
+    if command in (None, "brown"):
+        p = sub.add_parser("brown", help="Brown invariant and Gauss sum of an enhancement")
+        p.add_argument("enhancement", help="enhancement JSON file")
+        p.set_defaults(func=cmd_brown)
 
-    p = sub.add_parser("vanishing", help="subspaces on which the enhancement vanishes")
-    p.add_argument("enhancement", help="enhancement JSON file")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--dim", type=int, help="list all q-null subspaces of this dimension")
-    mode.add_argument("--max", action="store_true", help="largest q-null dimension")
-    mode.add_argument(
-        "--lagrangian", action="store_true", help="test for a half-dimensional q-null subspace"
-    )
-    p.set_defaults(func=cmd_vanishing)
+    if command in (None, "vanishing"):
+        p = sub.add_parser("vanishing", help="subspaces on which the enhancement vanishes")
+        p.add_argument("enhancement", help="enhancement JSON file")
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--dim", type=int, help="list all q-null subspaces of this dimension")
+        mode.add_argument("--max", action="store_true", help="largest q-null dimension")
+        mode.add_argument(
+            "--lagrangian", action="store_true", help="test for a half-dimensional q-null subspace"
+        )
+        p.set_defaults(func=cmd_vanishing)
 
-    p = sub.add_parser("gm", help="Guillou-Marin congruence for a characteristic vector")
-    p.add_argument("--form", required=True, help="unimodular form file or name (1, -1, H, E8, sums with +)")
-    p.add_argument("--char", required=True, help="characteristic vector, comma-separated integers")
-    check = p.add_mutually_exclusive_group()
-    check.add_argument("--beta", type=int, help="candidate Brown invariant to verify")
-    check.add_argument("--enhancement", help="enhancement JSON file to verify")
-    p.set_defaults(func=cmd_gm)
+    if command in (None, "gm"):
+        p = sub.add_parser("gm", help="Guillou-Marin congruence for a characteristic vector")
+        p.add_argument("--form", required=True, help="unimodular form file or name (1, -1, H, E8, sums with +)")
+        p.add_argument("--char", required=True, help="characteristic vector, comma-separated integers")
+        check = p.add_mutually_exclusive_group()
+        check.add_argument("--beta", type=int, help="candidate Brown invariant to verify")
+        check.add_argument("--enhancement", help="enhancement JSON file to verify")
+        p.set_defaults(func=cmd_gm)
 
-    p = sub.add_parser("surgery", help="reduce an enhancement along a q-null class")
-    p.add_argument("enhancement", help="enhancement JSON file")
-    p.add_argument("--class", dest="surgery_class", required=True, help="class as a bit string")
-    p.set_defaults(func=cmd_surgery)
+    if command in (None, "surgery"):
+        p = sub.add_parser("surgery", help="reduce an enhancement along a q-null class")
+        p.add_argument("enhancement", help="enhancement JSON file")
+        p.add_argument("--class", dest="surgery_class", required=True, help="class as a bit string")
+        p.set_defaults(func=cmd_surgery)
 
-    p = sub.add_parser("torsor", help="act on an enhancement by a cohomology class")
-    p.add_argument("enhancement", help="enhancement JSON file")
-    p.add_argument("--covector", required=True, help="acting class as a bit string")
-    p.set_defaults(func=cmd_torsor)
+    if command in (None, "torsor"):
+        p = sub.add_parser("torsor", help="act on an enhancement by a cohomology class")
+        p.add_argument("enhancement", help="enhancement JSON file")
+        p.add_argument("--covector", required=True, help="acting class as a bit string")
+        p.set_defaults(func=cmd_torsor)
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -349,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first parses with its own subparser alone; anything else, with all six
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -1,59 +1,16 @@
 """Exact linear algebra over the two-element field.
 
-Vectors are immutable bit vectors (stored as integer bitmasks, coordinate i
-is bit i), matrices are tuples of row bitmasks, and subspaces are tuples of
-row bitmasks kept in reduced row-echelon form so that structural equality
-coincides with equality of subspaces.
+Vectors are immutable bit vectors (stored as integer bitmasks, coordinate i is bit i),
+matrices are tuples of row bitmasks, and subspaces are tuples of row bitmasks kept in
+reduced row-echelon form so that structural equality coincides with equality of subspaces.
+``forms`` defines ``F2Vector`` and the value base, so no CLI command loads this module.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
 from .errors import DimensionMismatchError
-
-
-class Value:
-    """An immutable value, equal only to an object of exactly its class with equal fields.
-
-    A subclass names its fields in ``_fields``, in constructor order, and sets its slots in a
-    validating ``__init__``, which copies and pickles run again; other slots do not compare.
-    ``BilinearForm`` compares by its packed rows, and pickles through its mask constructor unchecked.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...]
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-    __delattr__ = __setattr__
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._key()
-
-
-class F2Vector(Value):
-    """A vector in F2^dim, coordinates indexed 0..dim-1 (bit i of ``bits``)."""
-
-    __slots__ = _fields = ("dim", "bits")
-
-    def __init__(self, dim: int, bits: int):
-        if not 0 <= bits < (1 << dim):
-            raise ValueError(f"bit mask {bits:#x} does not fit in dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bits", bits)
+from .forms import F2Vector, Value
 
 
 class F2Matrix(Value):

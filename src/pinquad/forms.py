@@ -15,7 +15,6 @@ from collections.abc import Iterator, Sequence
 from operator import index
 
 from .errors import DegenerateFormError, DimensionMismatchError, LimitError, SurgeryObstructionError
-from .f2 import F2Vector, Value
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
@@ -40,6 +39,38 @@ def _check_enumeration_guard(dim: int) -> None:
         raise LimitError(
             f"dim {dim} exceeds enhancement enumeration guard {MAX_ENHANCEMENT_ENUMERATION_DIM}"
         )
+
+
+class Value:
+    """An immutable value, equal only to an object of exactly its class with equal fields.
+
+    A subclass names its fields in ``_fields``, in constructor order, and sets its slots in a
+    validating ``__init__``, which copies and pickles run again; other slots do not compare.
+    ``BilinearForm`` compares by its packed rows, and pickles through its mask constructor unchecked.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
 
 
 class _Gram(Value):
@@ -162,6 +193,18 @@ def crosscap_form(crosscaps: int) -> BilinearForm:
     if crosscaps < 1:
         raise ValueError("need at least one crosscap")
     return BilinearForm._from_masks(tuple(1 << i for i in range(crosscaps)))
+
+
+class F2Vector(Value):
+    """A vector in F2^dim, coordinates indexed 0..dim-1 (bit i of ``bits``)."""
+
+    __slots__ = _fields = ("dim", "bits")
+
+    def __init__(self, dim: int, bits: int):
+        if not 0 <= bits < (1 << dim):
+            raise ValueError(f"bit mask {bits:#x} does not fit in dimension {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bits", bits)
 
 
 class Covector(F2Vector):

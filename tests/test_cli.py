@@ -6,8 +6,11 @@ and its exact (code, stdout, stderr), the golden outputs of tests/golden among t
 and acceptance criterion 9 runs each row twice.  The tests below
 the table hold the cases a row cannot: text that Python writes (argparse, strerror, the JSON
 decoder), which differs between the Python versions CI runs; monkeypatched faults; memory and
-size bounds; and runs in a child process.
+size bounds; and runs in a child process.  What argparse answers is compared with what the
+parser of all six commands answers on the running Python, since main builds only the subparser
+of a command named first.
 """
+import argparse
 import ast
 import contextlib
 import errno
@@ -38,11 +41,12 @@ import pinquad.vanishing
 from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.cli import EXIT_CODES, main
 from pinquad.errors import DegenerateFormError, PinquadError
-from pinquad.f2 import F2Matrix, F2Vector
+from pinquad.f2 import F2Matrix
 from pinquad.forms import (
     BilinearForm,
     Covector,
     Enhancement,
+    F2Vector,
     crosscap_form,
     isotropic_reduction,
     poincare_dual,
@@ -54,6 +58,8 @@ from oracles import hyperbolic_gram, identity_gram, naive_dot, naive_nondegenera
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+# a child interpreter's environment: this pinquad first on its path
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
 
 
 def run(capsys, *argv):
@@ -113,6 +119,7 @@ CLI_CASES = {
     "brown_rp2_v1.txt": Case("brown rp2_v1.json"),
     "brown_torus_v22.txt": Case("brown torus_v22.json"),
     "brown_dim0.txt": Case("brown dim0.json"),
+    "brown_klein_v13_json": Case("brown klein_v13.json --json", 0, '{"beta": 0, "A": 2, "B": 0, "n": 2}\n'),
     # values are reduced mod 4 whatever their size: the 64-bit cap is on Gram entries only
     "brown_value_minus_3": Case(
         "brown q.json", 0, "beta=1 A=1 B=1 n=1\n", files={"q.json": enhancement_json([[1]], [-3])}),
@@ -127,13 +134,21 @@ CLI_CASES = {
     # "no" is closed-form at any rank; "yes" prints the walk's first basis, which is guarded
     "vanishing_lagrangian_no_past_the_search_guard": Case(
         "vanishing genus12_beta4.json --lagrangian", 0, "no\n"),
+    "vanishing_klein_v13_lagrangian_json": Case(
+        "vanishing klein_v13.json --lagrangian --json", 0, '{"lagrangian": true, "witness": [[1, 1]]}\n'),
     "vanishing_torus_v00_dim3.txt": Case("vanishing torus_v00.json --dim 3"),
     "vanishing_torus_v00_dim3.json": Case("vanishing torus_v00.json --dim 3 --json"),
     "vanishing_rp2_v1_dim1.txt": Case("vanishing rp2_v1.json --dim 1"),
     "vanishing_torus_v00_dim1.txt": Case("vanishing torus_v00.json --dim 1"),
+    # --dim --json writes each basis vector as an array of its bits
+    "vanishing_torus_v00_dim1_json": Case(
+        "vanishing torus_v00.json --dim 1 --json", 0, '{"dim": 1, "subspaces": [[[1, 0]], [[0, 1]]]}\n'),
     "vanishing_genus2_v0000_dim2.txt": Case("vanishing genus2_v0000.json --dim 2"),
     "vanishing_genus2_v0000_dim2.json": Case("vanishing genus2_v0000.json --dim 2 --json"),
     "gm_one_char1.txt": Case("gm --form 1 --char 1"),
+    "gm_h_torus_v00_json": Case(
+        "gm --form H --char 0,0 --enhancement torus_v00.json --json", 0,
+        '{"required_beta": 0, "observed_beta": 0, "verdict": "PASS"}\n'),
     "gm_one_char3_beta4": Case(
         "gm --form 1 --char 3 --beta 4", 0, "required beta = 4\nobserved beta = 4\nPASS\n"),
     "gm_e8_char0_beta4.txt": Case(E8_CHAR0 + " --beta 4"),
@@ -304,6 +319,58 @@ def test_bit_strings_round_trip():
             assert cli._basis_text([x, x], n) == f"[{text}, {text}]"
             assert cli._basis_json([x], n) == [[int(ch) for ch in text]]
     assert cli._basis_text([], 0) == "[]" and cli._basis_json([], 0) == []
+
+
+# argv that argparse itself answers, by help or a usage error, in each command and before one;
+# file names are never read
+ARGPARSE_CASES = {
+    "help": "--help",
+    "no_command": "",
+    "invalid_choice": "bogus torus_v00.json",
+    "help_before_brown": "-h brown",
+    "option_before_brown": "--json brown torus_v00.json",
+    **{
+        f"{command}_{case}": f"{command} {args}"
+        for command, cases in {
+            "enumerate": {"missing": "", "bad_int": "--genus x", "conflict": "--genus 1 --crosscaps 2",
+                          "unrecognized": "--genus 1 --bogus"},
+            "brown": {"missing": "", "unrecognized": "torus_v00.json --bogus"},
+            "vanishing": {"missing": "torus_v00.json", "bad_int": "torus_v00.json --dim x",
+                          "conflict": "torus_v00.json --max --lagrangian",
+                          "unrecognized": "torus_v00.json --max --bogus"},
+            "gm": {"missing": "--char 1", "bad_int": "--form 1 --char 1 --beta x",
+                   "conflict": "--form 1 --char 1 --beta 0 --enhancement q.json",
+                   "unrecognized": "--form 1 --char 1 --bogus"},
+            "surgery": {"missing": "torus_v00.json", "unrecognized": "torus_v00.json --class 10 --bogus"},
+            "torsor": {"missing": "torus_v00.json", "unrecognized": "torus_v00.json --covector 10 --bogus"},
+        }.items()
+        for case, args in {"help": "--help", **cases}.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", ARGPARSE_CASES)
+def test_parser_matches_the_full_parser(capsys, name):
+    # main builds the subparser of a command named first alone; what argparse prints, in the
+    # wording of the running Python, is what the parser of all six commands prints
+    argv = shlex.split(ARGPARSE_CASES[name])
+    with pytest.raises(SystemExit) as raised:
+        cli.build_parser().parse_args(argv)
+    want = (raised.value.code, *capsys.readouterr())
+    assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], *([c, "--help"] for c in cli.COMMANDS)], ids=lambda argv: argv[0].lstrip("-")
+)
+def test_a_command_builds_only_its_subparser(capsys, monkeypatch, argv):
+    # the parser of one command is built in each run of it: that is start-up time
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser", lambda *a, **k: built.append(a[1]) or add_parser(*a, **k)
+    )
+    assert main(argv) == 0
+    assert built == (list(cli.COMMANDS) if argv[0] == "--help" else argv[:1])
 
 
 class TestExitCodes:
@@ -732,29 +799,6 @@ class TestJsonMode:
         assert [r["beta"] for r in records] == [0, 0, 0, 4]
         assert [r["max_null_dim"] for r in records] == [1, 1, 1, 0]
 
-    def test_brown_json(self, capsys):
-        code, out, _ = run(capsys, "brown", str(DATA / "klein_v13.json"), "--json")
-        assert code == 0
-        assert json.loads(out) == {"beta": 0, "A": 2, "B": 0, "n": 2}
-
-    def test_vanishing_json(self, capsys):
-        code, out, _ = run(capsys, "vanishing", str(DATA / "klein_v13.json"), "--lagrangian", "--json")
-        assert code == 0
-        assert json.loads(out) == {"lagrangian": True, "witness": [[1, 1]]}
-
-    def test_vanishing_dim_json_uses_bit_arrays(self, capsys):
-        code, out, _ = run(capsys, "vanishing", str(DATA / "torus_v00.json"), "--dim", "1", "--json")
-        assert code == 0
-        assert json.loads(out) == {"dim": 1, "subspaces": [[[1, 0]], [[0, 1]]]}
-
-    def test_gm_json(self, capsys):
-        code, out, _ = run(
-            capsys, "gm", "--form", "H", "--char", "0,0",
-            "--enhancement", str(DATA / "torus_v00.json"), "--json",
-        )
-        assert code == 0
-        assert json.loads(out) == {"required_beta": 0, "observed_beta": 0, "verdict": "PASS"}
-
     def test_degenerate_enumerate_marks_beta(self, capsys, tmp_path):
         form = tmp_path / "degenerate_form.json"
         form.write_text(form_json([[0]]), encoding="utf-8")
@@ -837,10 +881,9 @@ class TestRoundTrips:
 def test_closed_output_pipe_ends_quietly():
     # a reader that stops early (pinquad ... | head -1) ends the command by
     # SIGPIPE, with no traceback and not with exit 1, which means FAIL
-    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     # 188 kB of output, more than a pipe holds, so the child is still writing at the close
     argv = [sys.executable, "-m", "pinquad.cli", "enumerate", "--genus", "6"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV) as proc:
         assert proc.stdout.readline().startswith(b"values")
         proc.stdout.close()
         err = proc.stderr.read()
@@ -858,7 +901,7 @@ def test_closed_output_pipe_ends_quietly():
 def test_unwritable_output_is_a_usage_error(argv, buffered):
     # a write that fails (here: no space left) is not a FAIL and not a traceback,
     # whether print raises at once or the flush at exit meets the error
-    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
+    env = dict(CHILD_ENV)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -885,9 +928,8 @@ def startup_modules():
         "pinquad.cli.main(sys.argv[1:]); print(*{'decimal', 'fractions', 'typing', "
         "'dataclasses', 'inspect'} & (set(sys.modules) - before))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     argv = [sys.executable, "-S", "-c", probe, "brown", str(DATA / "torus_v22.json")]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     golden = (GOLDEN / "brown_torus_v22.txt").read_text(encoding="utf-8")
     out, _, loaded = done.stdout[:-1].rpartition("\n")
     assert (done.returncode, out + "\n", done.stderr) == (0, golden, "")
@@ -908,9 +950,8 @@ def test_import_loads_no_dataclass_machinery(startup_modules):
 
 def fresh_python(code, *argv):
     """(exit code, stdout, stderr) of code run in a fresh interpreter that imports this pinquad."""
-    env = dict(os.environ, PYTHONPATH=str(Path(pinquad.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=CHILD_ENV, timeout=60
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -939,6 +980,8 @@ def test_a_command_run_freezes_the_collector_before_it_exits(capsys, argv, statu
 
 
 RUN_COMMAND = "import pinquad.cli; pinquad.cli.main(sys.argv[1:])"
+ENHANCEMENT_MODULES = ["brown", "cli", "errors", "forms"]
+SEARCH_MODULES = ["cli", "errors", "forms", "vanishing"]
 
 
 @pytest.mark.parametrize(
@@ -946,25 +989,34 @@ RUN_COMMAND = "import pinquad.cli; pinquad.cli.main(sys.argv[1:])"
     [
         ("import pinquad", [], []),
         ("import pinquad.cli", [], ["cli", "errors"]),
-        (RUN_COMMAND, ["brown", str(DATA / "torus_v22.json")], ["brown", "cli", "errors", "f2", "forms"]),
-        (
-            RUN_COMMAND,
-            ["vanishing", str(DATA / "genus2_v0000.json"), "--max"],
-            ["cli", "errors", "f2", "forms", "vanishing"],
-        ),
+        (RUN_COMMAND, ["--help"], ["cli", "errors"]),
+        (RUN_COMMAND, ["brown", str(DATA / "torus_v22.json")], ENHANCEMENT_MODULES),
+        (RUN_COMMAND, ["surgery", str(DATA / "genus5_v0.json"), "--class", "1010000000"], ENHANCEMENT_MODULES),
+        (RUN_COMMAND, ["torsor", str(DATA / "torus_v00.json"), "--covector", "10"], ENHANCEMENT_MODULES),
+        (RUN_COMMAND, ["vanishing", str(DATA / "genus2_v0000.json"), "--max"], SEARCH_MODULES),
+        (RUN_COMMAND, ["vanishing", str(DATA / "genus2_v0000.json"), "--dim", "2"], SEARCH_MODULES),
+        (RUN_COMMAND, ["vanishing", str(DATA / "genus5_v0.json"), "--lagrangian"], SEARCH_MODULES),
         (
             RUN_COMMAND,
             ["gm", "--form", "E8", "--char", "0,0,0,0,0,0,0,0", "--beta", "4"],
-            ["brown", "cli", "errors", "f2", "forms", "fourmanifold"],
+            ["brown", "cli", "errors", "forms", "fourmanifold"],
         ),
-        (RUN_COMMAND, ["enumerate", "--genus", "1"], ["cli", "errors", "f2", "forms", "vanishing"]),
-        (RUN_COMMAND, ["enumerate", "--crosscaps", "2"], ["cli", "errors", "f2", "forms", "vanishing"]),
+        (RUN_COMMAND, ["enumerate", "--genus", "1"], SEARCH_MODULES),
+        (RUN_COMMAND, ["enumerate", "--crosscaps", "2"], SEARCH_MODULES),
+        (
+            RUN_COMMAND,
+            ["enumerate", "--form", "H"],
+            ["brown", "cli", "errors", "forms", "fourmanifold", "vanishing"],
+        ),
     ],
-    ids=["import", "import_cli", "brown", "vanishing_max", "gm", "enumerate_genus", "enumerate_crosscaps"],
+    ids=[
+        "import", "import_cli", "help", "brown", "surgery", "torsor", "vanishing_max", "vanishing_dim",
+        "vanishing_lagrangian", "gm", "enumerate_genus", "enumerate_crosscaps", "enumerate_form",
+    ],
 )
 def test_each_command_loads_only_its_modules(code, argv, loaded):
     # without a bytecode cache every module loaded is compiled at start-up: a command
-    # loads the modules it calls and no others
+    # loads the modules it calls and no others, and none of them loads f2's elimination
     probe = f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('pinquad.')))"
     status, out, err = fresh_python(probe, *argv)
     assert (status, err) == (0, "")
@@ -977,9 +1029,9 @@ PUBLIC_API = {  # each public name, by the module that defines it
         "DegenerateFormError", "DimensionMismatchError", "InternalError", "LimitError",
         "NotCharacteristicError", "PinquadError", "SurgeryObstructionError", "UnsupportedInputError",
     },
-    "f2": {"F2Matrix", "F2Vector", "Subspace", "kernel_basis", "rank", "solve"},
+    "f2": {"F2Matrix", "Subspace", "kernel_basis", "rank", "solve"},
     "forms": {
-        "BilinearForm", "Covector", "Enhancement", "crosscap_form", "enumerate_enhancements",
+        "BilinearForm", "Covector", "Enhancement", "F2Vector", "crosscap_form", "enumerate_enhancements",
         "eval_q", "hyperbolic_form", "isotropic_reduction", "poincare_dual", "torsor_act",
         "value_table",
     },

@@ -112,6 +112,13 @@ MUTANTS = [
      ["test_cli.py::TestJsonBounds::test_size_cap_boundary[at_the_cap]"]),
     ("cli.py", "    gc.freeze()\n", "",
      ["test_cli.py::test_a_command_run_freezes_the_collector_before_it_exits[ok]"]),
+    # the parser of a command named first: its usage line, which still names all six commands,
+    # and the test that names the command, which reads argv[0] alone
+    ("cli.py", '"{%s}" % ",".join(COMMANDS) if command else None', "None",
+     ["test_cli.py::test_parser_matches_the_full_parser[brown_unrecognized]"]),
+    ("cli.py", "argv[0] if argv and argv[0] in COMMANDS else None",
+     "next((arg for arg in argv if arg in COMMANDS), None)",
+     ["test_cli.py::test_parser_matches_the_full_parser[help_before_brown]"]),
     # the input checks: a negative --dim, an empty bit string, the Gram entry cap at 64 bits, a
     # JSON boolean where an integer is due; each is killed by a row of the CLI case table
     ("cli.py", "args.dim < 0", "args.dim < -1",
