@@ -113,6 +113,7 @@ CLI_CASES = {
     "enumerate_crosscaps1.txt": Case("enumerate --crosscaps 1"),
     "enumerate_genus1.txt": Case("enumerate --genus 1"),
     "enumerate_genus0.txt": Case("enumerate --genus 0"),
+    "enumerate_genus2.txt": Case("enumerate --genus 2"),
     "enumerate_genus1.json": Case("enumerate --genus 1 --json"),
     "enumerate_klein_form.txt": Case("enumerate --form klein_form.json"),
     "enumerate_klein_form.json": Case("enumerate --form klein_form.json --json"),
@@ -126,6 +127,7 @@ CLI_CASES = {
     "brown_value_of_4001_digits": Case(
         "brown q.json", 0, "beta=7 A=1 B=-1 n=1\n", files={"q.json": enhancement_json([[1]], [10**4001 - 5])}),
     "vanishing_torus_v00_max.txt": Case("vanishing torus_v00.json --max"),
+    "vanishing_genus5_v0_max": Case("vanishing genus5_v0.json --max", 0, "5\n"),
     "vanishing_torus_v00_lagrangian.txt": Case("vanishing torus_v00.json --lagrangian"),
     "vanishing_genus5_v0_lagrangian.txt": Case("vanishing genus5_v0.json --lagrangian"),
     "vanishing_genus5_v0_lagrangian.json": Case("vanishing genus5_v0.json --lagrangian --json"),
@@ -244,6 +246,7 @@ CLI_CASES = {
         files={"form.json": form_json([[-(2**63)]])}),
     # 3: degenerate, at any rank
     "brown_degenerate": Case("brown degenerate.json", 3, "", DEGENERATE),
+    "surgery_degenerate": Case("surgery degenerate.json --class 0", 3, "", DEGENERATE),
     "brown_degenerate_over_the_gauss_guard": Case(
         "brown degenerate21.json", 3, "", DEGENERATE,
         files={"degenerate21.json": enhancement_json([[0] * 21 for _ in range(21)], [0] * 21)}),
@@ -461,35 +464,24 @@ class TestExitCodes:
         assert (code, out, err) == (4, "", "error: dim 13 exceeds enhancement enumeration guard 12\n")
         assert splits == []
 
-    @pytest.mark.parametrize(
-        "argv,code,expected",
-        [
-            (["brown", "torus_v22.json"], 0, 2),
-            (["vanishing", "genus5_v0.json", "--max"], 0, 1),
-            (["vanishing", "genus5_v0.json", "--lagrangian"], 0, 1),
-            (["torsor", "torus_v00.json", "--covector", "10"], 0, 3),
-            (["surgery", "genus5_v0.json", "--class", "1010000000"], 0, 2),
-            (["surgery", "degenerate.json", "--class", "0"], 3, 1),
-            (["surgery", "torus_v22.json", "--class", "11"], 6, 1),
-            (["enumerate", "--genus", "2"], 0, 16),
-        ],
-        ids=[
-            "brown",
-            "vanishing-max",
-            "vanishing-lagrangian",
-            "torsor",
-            "surgery-admissible",
-            "surgery-degenerate",
-            "surgery-obstructed",
-            "enumerate-genus2",
-        ],
-    )
-    def test_splits_per_command(self, capsys, monkeypatch, argv, code, expected):
+    SPLITS = {  # test ID: the row of CLI_CASES it runs, and the splits the row makes
+        "brown": ("brown_torus_v22.txt", 2),
+        "vanishing-max": ("vanishing_genus5_v0_max", 1),
+        "vanishing-lagrangian": ("vanishing_genus5_v0_lagrangian.txt", 1),
+        "torsor": ("torsor_torus_v00_y10.txt", 3),
+        "surgery-admissible": ("surgery_genus5_v0_1010000000.txt", 2),
+        "surgery-degenerate": ("surgery_degenerate", 1),
+        "surgery-obstructed": ("surgery_q_nonzero", 1),
+        "enumerate-genus2": ("enumerate_genus2.txt", 16),
+    }
+
+    @pytest.mark.parametrize("name,expected", SPLITS.values(), ids=SPLITS)
+    def test_splits_per_command(self, monkeypatch, run_case, name, expected):
         # the reduction splits nothing: surgery splits for beta before and after, and an
         # obstructed class is refused before the second; enumerate splits each enhancement once
         splits = count_splits(monkeypatch)
-        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
-        assert run(capsys, *argv)[0] == code
+        got, want = run_case(name)
+        assert got == want
         assert len(splits) == expected
 
     def test_brown_builds_no_value_table(self, capsys, monkeypatch):
@@ -584,21 +576,22 @@ class TestExitCodes:
         assert (code, out, err) == (7, "", message)
 
     @pytest.mark.parametrize(
-        "argv",
+        "name",
         [
-            ["brown", "torus_v22.json"],
-            ["enumerate", "--genus", "1"],
-            ["vanishing", "genus5_v0.json", "--max"],
-            ["surgery", "genus5_v0.json", "--class", "1010000000"],
-            ["torsor", "torus_v00.json", "--covector", "10"],
+            "brown_torus_v22.txt",
+            "enumerate_genus1.txt",
+            "vanishing_genus5_v0_max",
+            "surgery_genus5_v0_1010000000.txt",
+            "torsor_torus_v00_y10.txt",
         ],
         ids=["brown", "enumerate", "vanishing", "surgery", "torsor"],
     )
-    def test_unexpected_exception(self, capsys, monkeypatch, argv):
+    def test_unexpected_exception(self, capsys, monkeypatch, name):
         # an exception the package does not raise on purpose is a bug as well: exit 7 and one
         # line on stderr, not exit 1 (a FAIL) and not a traceback; an OSError is left to
         # entry(), which makes a failed write a usage error
-        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        monkeypatch.chdir(DATA)
+        argv = shlex.split(CLI_CASES[name].argv)
 
         def plant(error):
             def planted(*_args):
@@ -956,27 +949,27 @@ def fresh_python(code, *argv):
     return done.returncode, done.stdout, done.stderr
 
 
-@pytest.mark.parametrize(
-    "argv,status",
-    [
-        (["brown", str(DATA / "torus_v22.json")], 0),
-        (["gm", "--form", "1", "--char", "3", "--beta", "0"], 1),
-        (["enumerate", "--genus", "1", "--no-such-flag"], 2),
-        (["brown", str(DATA / "degenerate.json")], 3),
-        (["brown", str(DATA / "genus12_beta4.json")], 4),
-    ],
-    ids=["ok", "fail", "usage", "degenerate", "guard"],
-)
-def test_a_command_run_freezes_the_collector_before_it_exits(capsys, argv, status):
+FREEZE_ROWS = {  # test ID: the row of CLI_CASES it runs, one for each exit code up to 4
+    "ok": "brown_torus_v22.txt",
+    "fail": "gm_one_char3_beta0.txt",
+    "usage": "vanishing_negative_dim",
+    "degenerate": "brown_degenerate",
+    "guard": "brown_over_the_gauss_guard",
+}
+
+
+@pytest.mark.parametrize("name", FREEZE_ROWS.values(), ids=FREEZE_ROWS)
+def test_a_command_run_freezes_the_collector_before_it_exits(run_case, name):
     # entry() freezes every object so the collections at exit skip them; main() leaves the
     # collector alone for in-process callers, and atexit handlers still run after the freeze
-    code, out, err = run(capsys, *argv)
-    assert code == status and gc.get_freeze_count() == 0
+    got, (code, out, err) = run_case(name)
+    assert got == (code, out, err) and gc.get_freeze_count() == 0
     probe = (
         "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
         "from pinquad.cli import entry; entry()"
     )
-    assert fresh_python(probe, *argv) == (status, out + "True\n", err)
+    # the child runs where run_case ran the row, in tests/data
+    assert fresh_python(probe, *shlex.split(CLI_CASES[name].argv)) == (code, out + "True\n", err)
 
 
 RUN_COMMAND = "import pinquad.cli; pinquad.cli.main(sys.argv[1:])"

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import pinquad.f2
+import pinquad.forms
 from pinquad.errors import DimensionMismatchError
 from pinquad.f2 import (
     F2Matrix,
@@ -21,8 +23,11 @@ from oracles import (
     naive_rank,
     span_of,
     spanned,
+    xor_rows,
 )
 from test_forms import vec
+
+CUT = pinquad.forms._MAX_PACKED_STRIDE  # _rref packs rows of up to CUT - 1 bits, CUT bits apart
 
 
 def mat(*rows):
@@ -35,6 +40,44 @@ def identity(n):
 
 def zero(rows, cols):
     return F2Matrix(rows, cols, (0,) * rows)
+
+
+def rows_of_rank(rng, count, cols, dim):
+    """count rows of cols bits, each zero (one in ten), a repeat of an earlier row (one in ten)
+    or a random sum of the same dim random rows, so of rank at most dim."""
+    right = [rng.getrandbits(cols) for _ in range(dim)]
+    rows = []
+    for _ in range(count):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append(0)
+        elif pick < 0.2 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            rows.append(xor_rows(right, rng.getrandbits(dim)))
+    return rows
+
+
+def check_rref(masks, cols):
+    """_rref of the rows, checked: nonzero rows, pivots (lowest bits) increasing, each pivot
+    column clear in every other row, the span of the rows and as many rows as their rank."""
+    rows = _rref(masks)
+    pivots = [r & -r for r in rows]
+    assert all(rows) and pivots == sorted(set(pivots))
+    for r, p in zip(rows, pivots):
+        assert all(not other & p for other in rows if other != r)
+    assert len(rows) == naive_rank(masks)
+    span = spanned([F2Vector(cols, x) for x in masks]) if masks else Subspace(cols, ())
+    assert Subspace(cols, rows) == span
+    return rows
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """The strides of the rows _rref reduces packed, one per packed reduction."""
+    strides, pack = [], pinquad.f2._pack
+    monkeypatch.setattr(pinquad.f2, "_pack", lambda rows, w: strides.append(w) or pack(rows, w))
+    return strides
 
 
 class TestF2Vector:
@@ -96,49 +139,60 @@ class TestRank:
             assert rank(m) + kernel_basis(m).dim == cols
 
     def test_against_naive_rank_to_64_columns(self):
-        # sums of random rows, so the rank falls short, with zero rows and repeats mixed in
         rng = random.Random(6464)
         for _ in range(300):
             cols = rng.randint(1, 64)
-            right = [rng.getrandbits(cols) for _ in range(rng.randint(0, cols))]
-            masks = []
-            for _ in range(rng.randint(1, 40)):
-                pick = rng.random()
-                if pick < 0.15:
-                    masks.append(0)
-                elif pick < 0.3 and masks:
-                    masks.append(rng.choice(masks))
-                else:
-                    row = 0
-                    for r in right:
-                        if rng.randrange(2):
-                            row ^= r
-                    masks.append(row)
+            masks = rows_of_rank(rng, rng.randint(1, 40), cols, rng.randint(0, cols))
             m = F2Matrix(len(masks), cols, tuple(masks))
             assert rank(m) == naive_rank(masks), masks
 
 
 class TestRref:
     def test_reduced_echelon_spanning_the_rows(self):
-        # nonzero rows, pivots (lowest bits) increasing, each pivot column clear in every
-        # other row, and the span of the input, to 32 columns
         rng = random.Random(3232)
         for trial in range(300):
             cols = rng.randint(1, 32)
-            right = [rng.getrandbits(cols) for _ in range(rng.randint(0, cols))]
-            masks = [0] * (trial % 3)
-            for _ in range(rng.randint(1, 40)):
-                masks.append(0)
-                for r in right:
-                    if rng.randrange(2):
-                        masks[-1] ^= r
-            masks += masks[: trial % 4]
-            rows = _rref(masks)
-            pivots = [r & -r for r in rows]
-            assert all(rows) and pivots == sorted(set(pivots))
-            for r, p in zip(rows, pivots):
-                assert all(not other & p for other in rows if other != r)
-            assert Subspace(cols, rows) == spanned([F2Vector(cols, x) for x in masks])
+            masks = [0] * (trial % 3) + rows_of_rank(rng, rng.randint(1, 40), cols, rng.randint(0, cols))
+            check_rref(masks + masks[: trial % 4], cols)
+
+
+class TestRrefPaths:
+    """Rows of up to CUT - 1 bits are reduced packed, wider rows one by one."""
+
+    @pytest.mark.parametrize("cols", [CUT - 1, CUT, CUT + 1, 256, 720])
+    def test_reduced_echelon_on_each_side_of_the_cut(self, packs, cols):
+        rng = random.Random(f"rref-{cols}")
+        for count in (1, 2, 7, 20, 40):
+            for dim in sorted({0, 1, count // 2, count}):
+                masks = rows_of_rank(rng, count, cols, dim) + [1 << cols - 1]  # cols bits wide
+                check_rref(masks, cols)
+        assert set(packs) == ({cols + 1} if cols < CUT else set())
+
+    def test_tall_wide_zero_repeated_and_empty_lists(self, packs):
+        rng = random.Random("rref-shapes")
+        row = rng.getrandbits(40) | 1 << 39
+        cases = [
+            (rows_of_rank(rng, 200, 32, 32), 32),
+            ([rng.getrandbits(720) | 1 << 719 for _ in range(3)], 720),
+            ([], 5),
+            ([0] * 6, 5),
+            ([row] * 4, 40),
+            ([0, row, 0, row], 40),
+        ]
+        got = [check_rref(masks, cols) for masks, cols in cases]
+        assert len(got[1]) == 3 and got[2:] == [[], [], [row], [row]]
+        assert packs == [33, 1, 1, 41, 41]  # all but the 3 x 720 rows, which would pack 721 apart
+
+    def test_both_paths_give_the_same_rows(self, monkeypatch):
+        rng = random.Random("rref-both-paths")
+        widths = [*range(1, 65), CUT - 1, CUT, CUT + 1, 256, 720]
+        cases = [rows_of_rank(rng, rng.randint(0, 40), cols, rng.randint(0, 40)) for cols in widths]
+        got = []
+        for stride in (0, 10**6):  # every list row by row, then every list packed
+            monkeypatch.setattr(pinquad.f2, "_MAX_PACKED_STRIDE", stride)
+            got.append([_rref(masks) for masks in cases])
+        assert got[0] == got[1]
+        assert sum(map(len, got[0])) > 500  # rows enough to reduce
 
 
 class TestSolve:
@@ -203,6 +257,26 @@ class TestSolve:
                     assert not (x.bits >> j) & 1, f"free column {j} is set"
         assert outcomes == {True, False}
 
+    def test_rhs_column_past_the_cut(self, packs):
+        # the rows pack CUT bits apart and rank reduces them packed; with the rhs at bit
+        # CUT - 1 the augmented rows would pack CUT + 1 bits apart, so solve reduces them one by one
+        rng = random.Random("solve-past-the-cut")
+        cols, outcomes = CUT - 1, set()
+        for trial in range(12):
+            rows = rows_of_rank(rng, 30, cols, 20)
+            rows[0] |= 1 << cols - 1
+            m = F2Matrix(30, cols, rows)
+            b = naive_mat_vec(rows, rng.getrandbits(cols)) if trial % 2 else rng.getrandbits(30)
+            x = solve(m, F2Vector(30, b))
+            augmented = [row | (b >> i & 1) << cols for i, row in enumerate(rows)]
+            consistent = naive_rank(augmented) == naive_rank(rows)
+            outcomes.add(consistent)
+            assert (x is not None) == consistent
+            assert x is None or naive_mat_vec(rows, x.bits) == b
+            assert rank(m) == naive_rank(rows)
+        assert outcomes == {True, False}
+        assert packs == [CUT] * 12  # rank's, one per trial
+
 
 class TestKernelBasis:
     def test_identity_has_zero_kernel(self):
@@ -232,6 +306,16 @@ class TestKernelBasis:
             k = kernel_basis(F2Matrix(len(masks), cols, masks))
             assert k.ambient_dim == cols and k.dim == cols - naive_rank(masks)
             assert all(naive_mat_vec(masks, r) == 0 for r in k.row_masks)
+
+    @pytest.mark.parametrize("cols", [CUT - 1, CUT, CUT + 1, 256, 720])
+    def test_kernels_on_each_side_of_the_cut(self, cols):
+        rng = random.Random(f"kernel-{cols}")
+        for count, dim in [(1, 1), (7, 3), (40, 20), (40, 40)]:
+            masks = tuple(rows_of_rank(rng, count, cols, dim))
+            k = kernel_basis(F2Matrix(count, cols, masks))
+            assert k.ambient_dim == cols and k.dim == cols - naive_rank(masks)
+            # row.x is the parity of the bits they share; naive_mat_vec, bit by bit, is slow here
+            assert not any((row & x).bit_count() & 1 for x in k.row_masks for row in masks)
 
 
 class TestSubspace:
