@@ -3,16 +3,16 @@
 Vectors are immutable bit vectors (stored as integer bitmasks, coordinate i is bit i),
 matrices are tuples of row bitmasks, and subspaces are tuples of row bitmasks kept in
 reduced row-echelon form so that structural equality coincides with equality of subspaces.
-Rows that pack at most ``forms._MAX_PACKED_STRIDE`` bits apart, the split's width rule, are
-reduced in one integer, one multiply per pivot.  ``forms`` defines ``F2Vector`` and the value
-base, so no CLI command loads this module.
+Elimination packs the rows into one integer and reduces them one multiply per pivot, as the
+split does.  ``forms`` defines ``F2Vector`` and the value base, so no CLI command loads this
+module.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 from .errors import DimensionMismatchError
-from .forms import _MAX_PACKED_STRIDE, F2Vector, Value, _pack
+from .forms import F2Vector, Value, _pack
 
 
 class F2Matrix(Value):
@@ -33,56 +33,29 @@ class F2Matrix(Value):
         object.__setattr__(self, "row_masks", row_masks)
 
 
-def _rref(masks: Sequence[int]) -> list[int]:
+def _rref(masks: Sequence[int], top: bool = False) -> list[int]:
     """Reduced row echelon form of a list of row bitmasks.
 
     Returns nonzero rows with strictly increasing pivots (lowest set bit), each pivot column
-    cleared in every other row.  The rows are packed into one integer, row k at bit k*w, w one
-    more than the widest row's bit length, when w is at most ``_MAX_PACKED_STRIDE``: for each
-    column p, lowest first, the lowest row with bit p that is not a pivot row yet becomes one,
-    added to each other row with bit p by one multiply, with no carry (the row is under
-    2^(w - 1), its copies w bits apart).  Wider rows are each reduced by the basis row of their
-    pivot; one pass from the highest pivot down then clears the rest.
+    cleared in every other row; with ``top`` the pivots are the highest set bits, decreasing.
+    The rows are packed into one integer, row k at bit k*w, w one more than the widest row's
+    bit length.  The lowest nonzero row that is not a pivot row yet (the highest with ``top``)
+    becomes the pivot row of its lowest bit p (its highest), and is added to each other row
+    with bit p by one multiply, with no carry (the row is under 2^(w - 1), its copies w bits
+    apart); so there is one step per pivot, whatever the width.
     """
     w = max(masks, default=0).bit_length() + 1
-    if w <= _MAX_PACKED_STRIDE:
-        row, n = (1 << w) - 1, len(masks)
-        packed, ones = _pack(masks, w), ((1 << n * w) - 1) // row  # bit k*w for each row k
-        free, pivots = ones, []  # the rows not yet pivot rows; the pivot rows' offsets
-        for p in range(w - 1):
-            col = packed >> p & ones
-            low = col & free
-            if low:
-                k = (low & -low).bit_length() - 1
-                packed ^= (packed >> k & row) * (col ^ 1 << k)
-                free ^= 1 << k
-                pivots.append(k)
-                if not free:
-                    break
-        return [packed >> k & row for k in pivots]
-    basis: dict[int, int] = {}  # pivot bit -> basis row
-    for r in masks:
-        while r:
-            p = r & -r
-            b = basis.get(p)
-            if b is None:
-                basis[p] = r
-                break
-            r ^= b
-    out: list[int] = []
-    done = 0  # pivot bits of the rows already reduced
-    for p in sorted(basis, reverse=True):
-        r = basis[p]
-        m = r & done  # a reduced row has no bit at another pivot: its XOR clears just one bit
-        while m:
-            b = m & -m
-            r ^= basis[b]
-            m ^= b
-        basis[p] = r
-        done |= p
-        out.append(r)
-    out.reverse()
-    return out
+    row, n = (1 << w) - 1, len(masks)
+    packed, ones = _pack(masks, w), ((1 << n * w) - 1) // row  # bit k*w for each row k
+    rest, pivots = (1 << n * w) - 1, []  # the bits of the rows not yet pivot rows; (p, k)
+    while x := packed & rest:
+        q = x.bit_length() - 1 if top else (x & -x).bit_length() - 1
+        k, p = q - q % w, q % w  # the row at bit k, its pivot column p
+        packed ^= (packed >> k & row) * ((packed >> p & ones) ^ 1 << k)
+        rest ^= row << k
+        pivots.append((p, k))
+    pivots.sort(reverse=top)
+    return [packed >> k & row for _, k in pivots]
 
 
 def rank(m: F2Matrix) -> int:
@@ -149,13 +122,20 @@ class Subspace(Value):
 def kernel_basis(m: F2Matrix) -> Subspace:
     """The solution space of m.x = 0 as a canonical Subspace.
 
-    Free column f gives e_f plus e_p for each reduced row, of pivot p, with bit f: column f of
-    the reduced rows, each at its pivot, read as every n-th binary digit of them packed.
+    The rows are reduced at their highest bits.  Free column f gives e_f plus e_h for each
+    reduced row, of pivot h, with bit f; each such h is above f, so the generators have
+    increasing pivots f, each in no other generator, and need no second elimination.
     """
-    n, at = m.cols, [0] * m.cols  # the reduced row of pivot p at index p
-    for r in _rref(m.row_masks):
-        at[(r & -r).bit_length() - 1] = r
-    digits = f"{_pack(at, n):0{n * n}b}"  # bit f of at[p] is digits[n*n - 1 - p*n - f]
-    gens = [int(digits[n - 1 - f :: n], 2) | 1 << f for f in range(n) if not at[f]]
-    # a generator's lowest bit may be a pivot column below its free column: reduce again
-    return Subspace(n, tuple(_rref(gens)))
+    rref_rows = _rref(m.row_masks, top=True)
+    pivot_cols = [r.bit_length() - 1 for r in rref_rows]
+    pivot_set = set(pivot_cols)
+    gens = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        bits = 1 << free
+        for r, p in zip(rref_rows, pivot_cols):
+            if (r >> free) & 1:
+                bits |= 1 << p
+        gens.append(bits)
+    return Subspace(m.cols, tuple(gens))

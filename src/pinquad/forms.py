@@ -18,7 +18,7 @@ from .errors import DegenerateFormError, DimensionMismatchError, LimitError, Sur
 
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
-_MAX_PACKED_STRIDE = 160  # _split and f2._rref pack rows up to this width; _split's costs cross near 150
+_MAX_PACKED_STRIDE = 160  # _split's rows are packed up to this width; the costs cross near 150
 
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254

@@ -2,8 +2,6 @@ import random
 
 import pytest
 
-import pinquad.f2
-import pinquad.forms
 from pinquad.errors import DimensionMismatchError
 from pinquad.f2 import (
     F2Matrix,
@@ -27,7 +25,7 @@ from oracles import (
 )
 from test_forms import vec
 
-CUT = pinquad.forms._MAX_PACKED_STRIDE  # _rref packs rows of up to CUT - 1 bits, CUT bits apart
+WIDE = [159, 160, 161, 256, 720]  # about the split's packing cut (160), to the rank-720 forms
 
 
 def mat(*rows):
@@ -58,26 +56,23 @@ def rows_of_rank(rng, count, cols, dim):
     return rows
 
 
-def check_rref(masks, cols):
-    """_rref of the rows, checked: nonzero rows, pivots (lowest bits) increasing, each pivot
-    column clear in every other row, the span of the rows and as many rows as their rank."""
-    rows = _rref(masks)
-    pivots = [r & -r for r in rows]
-    assert all(rows) and pivots == sorted(set(pivots))
+def check_rref(masks, cols, top=False):
+    """_rref of the rows, checked: nonzero rows, pivots (lowest bits, or highest with top)
+    increasing (decreasing with top), each pivot column clear in every other row, the span of
+    the rows and as many rows as their rank."""
+    rows = _rref(masks, top)
+    pivots = [1 << r.bit_length() - 1 if top else r & -r for r in rows]
+    assert all(rows) and pivots == sorted(set(pivots), reverse=top)
     for r, p in zip(rows, pivots):
         assert all(not other & p for other in rows if other != r)
     assert len(rows) == naive_rank(masks)
-    span = spanned([F2Vector(cols, x) for x in masks]) if masks else Subspace(cols, ())
-    assert Subspace(cols, rows) == span
+
+    def span(xs):
+        return spanned([F2Vector(cols, x) for x in xs]) if xs else Subspace(cols, ())
+
+    # lowest-bit rows are the span's canonical basis itself
+    assert (span(rows) if top else Subspace(cols, rows)) == span(masks)
     return rows
-
-
-@pytest.fixture
-def packs(monkeypatch):
-    """The strides of the rows _rref reduces packed, one per packed reduction."""
-    strides, pack = [], pinquad.f2._pack
-    monkeypatch.setattr(pinquad.f2, "_pack", lambda rows, w: strides.append(w) or pack(rows, w))
-    return strides
 
 
 class TestF2Vector:
@@ -154,45 +149,31 @@ class TestRref:
             cols = rng.randint(1, 32)
             masks = [0] * (trial % 3) + rows_of_rank(rng, rng.randint(1, 40), cols, rng.randint(0, cols))
             check_rref(masks + masks[: trial % 4], cols)
+            check_rref(masks + masks[: trial % 4], cols, top=True)
 
-
-class TestRrefPaths:
-    """Rows of up to CUT - 1 bits are reduced packed, wider rows one by one."""
-
-    @pytest.mark.parametrize("cols", [CUT - 1, CUT, CUT + 1, 256, 720])
-    def test_reduced_echelon_on_each_side_of_the_cut(self, packs, cols):
+    @pytest.mark.parametrize("cols", WIDE)
+    def test_reduced_echelon_to_720_columns(self, cols):
         rng = random.Random(f"rref-{cols}")
         for count in (1, 2, 7, 20, 40):
             for dim in sorted({0, 1, count // 2, count}):
                 masks = rows_of_rank(rng, count, cols, dim) + [1 << cols - 1]  # cols bits wide
                 check_rref(masks, cols)
-        assert set(packs) == ({cols + 1} if cols < CUT else set())
+                check_rref(masks, cols, top=True)
 
-    def test_tall_wide_zero_repeated_and_empty_lists(self, packs):
+    def test_tall_wide_zero_repeated_and_empty_lists(self):
         rng = random.Random("rref-shapes")
         row = rng.getrandbits(40) | 1 << 39
         cases = [
             (rows_of_rank(rng, 200, 32, 32), 32),
             ([rng.getrandbits(720) | 1 << 719 for _ in range(3)], 720),
+            ([1 << 4999, 1, 1 << 2500], 5000),
             ([], 5),
             ([0] * 6, 5),
             ([row] * 4, 40),
             ([0, row, 0, row], 40),
         ]
         got = [check_rref(masks, cols) for masks, cols in cases]
-        assert len(got[1]) == 3 and got[2:] == [[], [], [row], [row]]
-        assert packs == [33, 1, 1, 41, 41]  # all but the 3 x 720 rows, which would pack 721 apart
-
-    def test_both_paths_give_the_same_rows(self, monkeypatch):
-        rng = random.Random("rref-both-paths")
-        widths = [*range(1, 65), CUT - 1, CUT, CUT + 1, 256, 720]
-        cases = [rows_of_rank(rng, rng.randint(0, 40), cols, rng.randint(0, 40)) for cols in widths]
-        got = []
-        for stride in (0, 10**6):  # every list row by row, then every list packed
-            monkeypatch.setattr(pinquad.f2, "_MAX_PACKED_STRIDE", stride)
-            got.append([_rref(masks) for masks in cases])
-        assert got[0] == got[1]
-        assert sum(map(len, got[0])) > 500  # rows enough to reduce
+        assert len(got[1]) == 3 and got[2:] == [[1, 1 << 2500, 1 << 4999], [], [], [row], [row]]
 
 
 class TestSolve:
@@ -257,11 +238,11 @@ class TestSolve:
                     assert not (x.bits >> j) & 1, f"free column {j} is set"
         assert outcomes == {True, False}
 
-    def test_rhs_column_past_the_cut(self, packs):
-        # the rows pack CUT bits apart and rank reduces them packed; with the rhs at bit
-        # CUT - 1 the augmented rows would pack CUT + 1 bits apart, so solve reduces them one by one
-        rng = random.Random("solve-past-the-cut")
-        cols, outcomes = CUT - 1, set()
+    @pytest.mark.parametrize("cols", [159, 256])
+    def test_wide_systems_against_the_oracles(self, cols):
+        # half the right-hand sides consistent; the rhs rides along as column cols
+        rng = random.Random(f"solve-{cols}")
+        outcomes = set()
         for trial in range(12):
             rows = rows_of_rank(rng, 30, cols, 20)
             rows[0] |= 1 << cols - 1
@@ -275,7 +256,6 @@ class TestSolve:
             assert x is None or naive_mat_vec(rows, x.bits) == b
             assert rank(m) == naive_rank(rows)
         assert outcomes == {True, False}
-        assert packs == [CUT] * 12  # rank's, one per trial
 
 
 class TestKernelBasis:
@@ -307,15 +287,34 @@ class TestKernelBasis:
             assert k.ambient_dim == cols and k.dim == cols - naive_rank(masks)
             assert all(naive_mat_vec(masks, r) == 0 for r in k.row_masks)
 
-    @pytest.mark.parametrize("cols", [CUT - 1, CUT, CUT + 1, 256, 720])
-    def test_kernels_on_each_side_of_the_cut(self, cols):
+    @staticmethod
+    def check_kernel(masks, cols):
+        # as many rows, in reduced echelon form, as the kernel's dimension, each in the kernel:
+        # they are its canonical basis; row.x is the parity of the bits they share, as
+        # naive_mat_vec, bit by bit, is slow at these widths
+        k = kernel_basis(F2Matrix(len(masks), cols, masks))
+        assert k.ambient_dim == cols and k.dim == cols - naive_rank(masks)
+        assert not any((row & x).bit_count() & 1 for x in k.row_masks for row in masks)
+        return k
+
+    @pytest.mark.parametrize("cols", WIDE)
+    def test_kernels_to_720_columns(self, cols):
         rng = random.Random(f"kernel-{cols}")
         for count, dim in [(1, 1), (7, 3), (40, 20), (40, 40)]:
-            masks = tuple(rows_of_rank(rng, count, cols, dim))
-            k = kernel_basis(F2Matrix(count, cols, masks))
-            assert k.ambient_dim == cols and k.dim == cols - naive_rank(masks)
-            # row.x is the parity of the bits they share; naive_mat_vec, bit by bit, is slow here
-            assert not any((row & x).bit_count() & 1 for x in k.row_masks for row in masks)
+            self.check_kernel(tuple(rows_of_rank(rng, count, cols, dim)), cols)
+
+    def test_wide_kernels_of_few_rows(self):
+        rng = random.Random("kernel-wide")
+        for cols, masks in [
+            (720, [rng.getrandbits(720)]),
+            (720, [rng.getrandbits(720) for _ in range(3)]),
+            (720, [1 << 700, 1 << 3, 1 << 360]),
+            (5000, [rng.getrandbits(5000) for _ in range(2)]),
+            (5000, [1]),
+            (5000, [1 << 4999, 1]),
+        ]:
+            self.check_kernel(tuple(masks), cols)
+        assert self.check_kernel((1 << 4999 | 1,), 5000).row_masks[-1] == 1 << 4998
 
 
 class TestSubspace:

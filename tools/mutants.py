@@ -45,16 +45,21 @@ MUTANTS = [
      ["test_brown.py::TestSplitOracle::test_matches_the_gauss_sum_by_elimination"]),
     ("forms.py", "rows[b.bit_length() - 1] ^= g", "rows[b.bit_length() - 1] |= g",
      ["test_brown.py::TestSplitOracle::test_matches_the_gauss_sum_by_elimination"]),
-    # F2 elimination on packed rows: the pivot row added to the others only, the pivot row's
-    # offset, the pivot row taken off the free rows; a kernel generator read off its column
-    ("f2.py", "(packed >> k & row) * (col ^ 1 << k)", "(packed >> k & row) * col",
-     ["test_f2.py::TestRrefPaths::test_reduced_echelon_on_each_side_of_the_cut[159]"]),
-    ("f2.py", "k = (low & -low).bit_length() - 1", "k = (low & -low).bit_length()",
-     ["test_f2.py::TestRrefPaths::test_both_paths_give_the_same_rows"]),
-    ("f2.py", "                free ^= 1 << k\n", "",
-     ["test_f2.py::TestRrefPaths::test_tall_wide_zero_repeated_and_empty_lists"]),
-    ("f2.py", "int(digits[n - 1 - f :: n], 2)", "int(digits[f :: n], 2)",
-     ["test_f2.py::TestKernelBasis::test_kernels_on_each_side_of_the_cut[159]"]),
+    # F2 elimination on packed rows: the pivot row added to the others only, the pivot row read
+    # one bit off, its column read one bit off, the pivot always a highest bit, the rows in
+    # increasing pivot order with top; the kernel read off rows reduced at their highest bits
+    ("f2.py", "* ((packed >> p & ones) ^ 1 << k)", "* (packed >> p & ones)",
+     ["test_f2.py::TestRref::test_reduced_echelon_to_720_columns[159]"]),
+    ("f2.py", "(packed >> k & row) *", "(packed >> k + 1 & row) *",
+     ["test_f2.py::TestRref::test_reduced_echelon_spanning_the_rows"]),
+    ("f2.py", "((packed >> p & ones) ^", "((packed >> p + 1 & ones) ^",
+     ["test_f2.py::TestRref::test_tall_wide_zero_repeated_and_empty_lists"]),
+    ("f2.py", "if top else (x & -x).bit_length() - 1", "",
+     ["test_f2.py::TestRref::test_reduced_echelon_spanning_the_rows"]),
+    ("f2.py", "pivots.sort(reverse=top)", "pivots.sort()",
+     ["test_f2.py::TestRref::test_reduced_echelon_spanning_the_rows"]),
+    ("f2.py", "_rref(m.row_masks, top=True)", "_rref(m.row_masks)",
+     ["test_f2.py::TestKernelBasis::test_wide_kernels_of_few_rows"]),
     # the Gauss sum: its modulus, its ray, the count of even classes
     ("brown.py", "shift = (n + r) // 2", "shift = n // 2",
      ["test_brown.py::TestGaussSumCounts::test_matches_oracle[degenerate]"]),
@@ -146,9 +151,6 @@ EQUIVALENT = [
     ("forms.py", "if w > _MAX_PACKED_STRIDE:", "if w >= _MAX_PACKED_STRIDE:",
      "at w = 160 the row loop and the packed step make the same row additions, so every "
      "output is the same; only the speed differs"),
-    ("f2.py", "if w <= _MAX_PACKED_STRIDE:", "if w < _MAX_PACKED_STRIDE:",
-     "both paths return the reduced echelon form of the rows' span, which is unique, so at "
-     "w = 160 every output is the same; only the speed differs"),
     ("cli.py", "    (LimitError, EXIT_GUARD),\n    (DegenerateFormError, EXIT_DEGENERATE),\n",
      "    (DegenerateFormError, EXIT_DEGENERATE),\n    (LimitError, EXIT_GUARD),\n",
      "main returns the code of the first entry whose class an error is an instance of, and no "
