@@ -46,10 +46,11 @@ def naive_pair(gram, u, v):
 
 
 def naive_mat_vec(rows, x_bits):
-    """The product m.x as a bitmask, for m given by its row bitmasks, one coordinate at a time."""
+    """The product m.x as a bitmask, for m given by its row bitmasks: bit i is the parity of
+    the coordinates row i shares with x, one row at a time."""
     out = 0
     for i, row in enumerate(rows):
-        out |= (sum((row >> j) & (x_bits >> j) & 1 for j in range(row.bit_length())) % 2) << i
+        out |= ((row & x_bits).bit_count() & 1) << i
     return out
 
 

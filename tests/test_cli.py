@@ -772,6 +772,8 @@ class TestFormArgument:
         for name in ("H", "E8", "1"):
             (tmp_path / name).write_text("not json\n", encoding="utf-8")
         assert expected[0] == 0 and expected[2] == ""
+        if "--beta" in argv:  # gm's verdict
+            assert expected[1].endswith("\nPASS\n")
         assert run(capsys, *argv) == expected
 
 
@@ -1079,6 +1081,9 @@ def test_public_api_is_pinned():
         "print(sorted(before), other, sorted(set(p.__all__) - set(vars(p))), '__getattr__' in vars(p))"
     )
     assert fresh_python(probe)[:2] == (0, "[] (None, None) [] False\n")
+    # a star import as the first use binds the same names
+    probe = "star = {}; exec('from pinquad import *', star); print(sorted(set(star) - {'__builtins__'}))"
+    assert fresh_python(probe)[:2] == (0, f"{sorted(names)}\n")
 
 
 def test_readme_library_example(capsys):
