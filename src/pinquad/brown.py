@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DegenerateFormError, InternalError, LimitError, UnsupportedInputError
+from .errors import DegenerateFormError, InternalError, UnsupportedInputError
 from .forms import Enhancement, Value, _split
-
-MAX_GAUSS_DIM = 20
 
 
 class GaussSumResult(Value):
@@ -42,8 +40,6 @@ _RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 def gauss_sum(q: Enhancement) -> GaussSumResult:
     """Gauss sum and value counts of an enhancement, from the Brown invariant of its split."""
     n = q.form.dim
-    if n > MAX_GAUSS_DIM:
-        raise LimitError(f"dim {n} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
     beta, r, null_radical, odd, _ = _split(q.form._bits, q.values)
     # |G| = 2^((n + r)/2) unless a radical class with q = 2 kills G: an odd class gives sqrt 2,
     # a plane and a radical class 2.  n + r is odd when beta is, and then the ray has a sqrt 2

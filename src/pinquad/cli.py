@@ -51,6 +51,8 @@ EXIT_OBSTRUCTED = 6
 EXIT_INTERNAL = 7
 
 MAX_FILE_BYTES = 1 << 20  # JSON files, refused unparsed above it; it admits about rank 720
+# two closed forms the CLI refuses, for the exit 4 the benchmark's cli_session pins at ranks 22, 12:
+MAX_GAUSS_DIM = 20  # brown's Gauss sum; vanishing --max past the search guard (ROADMAP item 5)
 COMMANDS = ("enumerate", "brown", "vanishing", "gm", "surgery", "torsor")
 
 
@@ -203,7 +205,9 @@ def cmd_brown(args: argparse.Namespace) -> int:
     from .brown import brown_invariant, gauss_sum
     from .forms import Enhancement
     q = _read(args.enhancement, Enhancement, "enhancement")
-    beta = brown_invariant(q)
+    beta = brown_invariant(q)  # a degenerate form exits 3 at any rank
+    if q.form.dim > MAX_GAUSS_DIM:
+        raise LimitError(f"dim {q.form.dim} exceeds Gauss-sum guard {MAX_GAUSS_DIM}")
     gs = gauss_sum(q)
     record = lambda: {"beta": beta, "A": gs.a, "B": gs.b, "n": gs.n}
     _emit(args, record, lambda: f"beta={beta} A={gs.a} B={gs.b} n={gs.n}")
@@ -212,7 +216,7 @@ def cmd_brown(args: argparse.Namespace) -> int:
 
 def cmd_vanishing(args: argparse.Namespace) -> int:
     from .forms import Enhancement
-    from .vanishing import _null_bases, has_null_lagrangian, max_vanishing_dim
+    from .vanishing import _check_search_guard, _null_bases, has_null_lagrangian, max_vanishing_dim
     if args.dim is not None and args.dim < 0:
         raise UsageError("--dim must be >= 0")
     q = _read(args.enhancement, Enhancement, "enhancement")
@@ -224,6 +228,7 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
         _emit(args, record, text)
         return EXIT_OK
     if args.max:
+        _check_search_guard(q)
         d = max_vanishing_dim(q)
         _emit(args, lambda: {"max_null_dim": d}, lambda: str(d))
         return EXIT_OK

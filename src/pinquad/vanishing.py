@@ -12,9 +12,8 @@ R adds to every q-null subspace of the nondegenerate quotient; otherwise a
 q-null subspace meets R in at most the hyperplane ker(q|R), and every
 isotropic subspace of the quotient lifts to a q-null one (its values are
 corrected by a radical class with q = 2).  Beta, R and q on R all come from
-the one orthogonal split in ``forms``; no rank is computed, so the Lagrangian
-test answers at any rank.  ``max_vanishing_dim`` still keeps the search guard,
-whose exit 4 the benchmark's ``vanishing --max`` case at rank 12 expects.
+the one orthogonal split in ``forms``; no rank is computed, so the largest
+dimension and the Lagrangian test answer at any rank.
 
 Listing the subspaces is exponential by nature.  One walk over
 reduced-echelon bases serves it, and it holds the one search guard, as it
@@ -111,7 +110,6 @@ def max_vanishing_dim(q: Enhancement) -> int:
     descends to V/R); r - 1 + m // 2 when it does not.  So a degenerate
     form can exceed n / 2.
     """
-    _check_search_guard(q)
     beta, r, null_radical, _, _ = _split(q.form._bits, q.values)
     return _max_null_dim(q.form.dim, beta, r, null_radical)
 

@@ -8,7 +8,6 @@ from pinquad.brown import arf_from_brown, brown_invariant, gauss_sum
 from pinquad.errors import (
     DegenerateFormError,
     InternalError,
-    LimitError,
     UnsupportedInputError,
 )
 from pinquad.f2 import F2Vector
@@ -72,9 +71,9 @@ class TestGaussSum:
         assert (gs.a, gs.b) == (-2, 0)
 
     def test_guard(self):
-        big = Enhancement(hyperbolic_form(11), (0,) * 22)
-        with pytest.raises(LimitError):
-            gauss_sum(big)
+        # there is none: the counts are closed-form at any rank
+        gs = gauss_sum(Enhancement(hyperbolic_form(11), (0,) * 22))
+        assert (gs.a, gs.b, sum(gs.counts)) == (1 << 11, 0, 1 << 22)
 
 
 def count_cases(kind):
@@ -231,7 +230,7 @@ class TestSplitOracle:
     """The split, packed and row by row on either side of ``CUT``, against the Gauss sum G
     summed one variable at a time by ``oracles.gauss_sum_by_elimination``, which splits no
     form.  q is 0 on the radical exactly when G is not 0, beta is then the ray of G, and
-    |G|^2 = 2^(n + r), with r from ``oracles.naive_rank``.  Up to the Gauss-sum guard the four
+    |G|^2 = 2^(n + r), with r from ``oracles.naive_rank``.  At every rank the four
     counts give G and the parity totals, which the diagonal fixes.  The pieces, which only
     ``poincare_dual`` reads, give the dual of a random covector, on rows 2n + 1 bits wide."""
 
@@ -251,12 +250,11 @@ class TestSplitOracle:
                 mismatches.append((n, "split", got, g, r))
             if any(g) and a * a + b * b != 1 << n + r:
                 mismatches.append((n, "|G|^2", g, r))
-            if n <= pinquad.brown.MAX_GAUSS_DIM:
-                c = gauss_sum(Enhancement(form, values)).counts
-                even = 1 << n - any(row >> i & 1 for i, row in enumerate(rows))  # x.x = 0
-                totals = (c[0] - c[2], c[1] - c[3], c[0] + c[2], c[1] + c[3])
-                if totals != (a, b, even, (1 << n) - even):
-                    mismatches.append((n, "counts", c, g))
+            c = gauss_sum(Enhancement(form, values)).counts
+            even = 1 << n - any(row >> i & 1 for i, row in enumerate(rows))  # x.x = 0
+            totals = (c[0] - c[2], c[1] - c[3], c[0] + c[2], c[1] + c[3])
+            if totals != (a, b, even, (1 << n) - even):
+                mismatches.append((n, "counts", c, g))
             y = rng.getrandbits(n)
             try:
                 yhat = poincare_dual(form, Covector(n, y)).bits
@@ -307,8 +305,8 @@ def high_rank_sums(seed, even, ranks=(21, 32)):
 
 
 class TestHighRank:
-    """beta has no guard: it adds up over the split at ranks past the Gauss-sum guard, and
-    the Lagrangian test, surgery, the torsor action and the dual answer there too."""
+    """beta has no guard: it adds up over the split at ranks 21 to 64, and the Gauss sum, the
+    Lagrangian test, surgery, the torsor action and the dual answer there too."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_beta_is_the_sum_over_the_pieces(self, seed):
@@ -316,8 +314,8 @@ class TestHighRank:
         assert 21 <= q.form.dim <= 32
         assert brown_invariant(q) == beta
         assert has_null_lagrangian(q) == (beta == 0)
-        with pytest.raises(LimitError, match="Gauss-sum guard 20"):
-            gauss_sum(q)
+        gs = gauss_sum(q)  # on the ray of beta, 2^(n/2) from 0
+        assert ray(gs.a, gs.b) == beta and gs.a * gs.a + gs.b * gs.b == 1 << q.form.dim
         # past 32 coordinates: surgery keeps beta, acting by y moves it by -2 q(dual y)
         q, beta, _ = high_rank_sums(seed, even=False, ranks=(33, 64))
         n, gram, values = q.form.dim, q.form.gram, q.values

@@ -162,6 +162,10 @@ CLI_CASES = {
     "surgery_genus5_v0_1010000000.txt": Case("surgery genus5_v0.json --class 1010000000"),
     "torsor_torus_v00_y10.txt": Case("torsor torus_v00.json --covector 10"),
     "torsor_rp2_v1_y1.txt": Case("torsor rp2_v1.json --covector 1"),
+    # rank 20: the largest rank whose Gauss sum brown prints
+    "brown_rank20_under_the_gauss_guard": Case(
+        "brown h10.json", 0, "beta=0 A=1024 B=0 n=20\n",
+        files={"h10.json": enhancement_json(hyperbolic_gram(10), [0] * 20)}),
     # rank 24: beta answers above the Gauss-sum guard of brown, and surgery and torsor with it
     "surgery_genus12_beta4_e0.txt": Case("surgery genus12_beta4.json --class 1" + "0" * 23),
     "torsor_genus12_beta4_e2.txt": Case("torsor genus12_beta4.json --covector 001" + "0" * 21),
@@ -250,7 +254,8 @@ CLI_CASES = {
     "brown_degenerate_over_the_gauss_guard": Case(
         "brown degenerate21.json", 3, "", DEGENERATE,
         files={"degenerate21.json": enhancement_json([[0] * 21 for _ in range(21)], [0] * 21)}),
-    # 4: guards; beta has none (rank 24 answers in surgery, torsor and gm), the Gauss sum has
+    # 4: guards; beta has none (rank 24 answers in surgery, torsor and gm); the CLI refuses the
+    # Gauss sum past rank 20 and --max past the search guard, though both are closed forms
     "brown_over_the_gauss_guard": Case("brown genus12_beta4.json", 4, "", GAUSS_GUARD),
     "brown_over_the_gauss_guard_json": Case("brown genus12_beta4.json --json", 4, "", GAUSS_GUARD),
     "vanishing_max_past_the_search_guard": Case(
@@ -726,7 +731,7 @@ def rank720(tmp_path_factory):
 
 class TestAtTheFileCap:
     """Rank 720, under the file cap: surgery and the torsor action are polynomial and
-    answer; brown's Gauss sum is still refused by its guard."""
+    answer; the CLI still refuses brown's Gauss sum there."""
 
     def test_file_is_under_the_cap(self, rank720):
         assert 1_000_000 < rank720[0].stat().st_size < cli.MAX_FILE_BYTES

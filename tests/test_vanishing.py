@@ -102,9 +102,9 @@ class TestVanishingSubspaces:
 
 class TestMaxVanishingDim:
     def test_guard(self):
-        q = Enhancement(crosscap_form(11), (1,) * 11)
-        with pytest.raises(LimitError):
-            max_vanishing_dim(q)
+        # there is none: the answer is closed-form at any rank
+        assert max_vanishing_dim(Enhancement(crosscap_form(11), (1,) * 11)) == 4
+        assert max_vanishing_dim(Enhancement(hyperbolic_form(6), (0,) * 12)) == 6
 
 
 class TestHasNullLagrangian:

@@ -134,6 +134,11 @@ MUTANTS = [
     ("cli.py", "argv[0] if argv and argv[0] in COMMANDS else None",
      "next((arg for arg in argv if arg in COMMANDS), None)",
      ["test_cli.py::test_parser_matches_the_full_parser[help_before_brown]"]),
+    # the CLI's two refusals of closed forms: brown's at its boundary, vanishing --max's call
+    ("cli.py", "if q.form.dim > MAX_GAUSS_DIM:", "if q.form.dim >= MAX_GAUSS_DIM:",
+     ["test_cli.py::test_cli_case[brown_rank20_under_the_gauss_guard]"]),
+    ("cli.py", "        _check_search_guard(q)\n", "",
+     ["test_cli.py::test_cli_case[vanishing_max_past_the_search_guard]"]),
     # the input checks: a negative --dim, an empty bit string, the Gram entry cap at 64 bits, a
     # JSON boolean where an integer is due; each is killed by a row of the CLI case table
     ("cli.py", "args.dim < 0", "args.dim < -1",
