@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import forms
 from .errors import DegenerateFormError, InternalError, UnsupportedInputError
-from .forms import Enhancement, Value, _split
 
 
-class GaussSumResult(Value):
+class GaussSumResult(forms.Value):
     """Exact Gauss-sum pair of an enhancement, with the four value counts."""
 
     __slots__ = _fields = ("n", "counts")
@@ -37,10 +37,10 @@ class GaussSumResult(Value):
 _RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-def gauss_sum(q: Enhancement) -> GaussSumResult:
+def gauss_sum(q: forms.Enhancement) -> GaussSumResult:
     """Gauss sum and value counts of an enhancement, from the Brown invariant of its split."""
     n = q.form.dim
-    beta, r, null_radical, odd, _ = _split(q.form._bits, q.values)
+    beta, r, null_radical, odd, _ = forms._split(q.form._bits, q.values)
     # |G| = 2^((n + r)/2) unless a radical class with q = 2 kills G: an odd class gives sqrt 2,
     # a plane and a radical class 2.  n + r is odd when beta is, and then the ray has a sqrt 2
     shift = (n + r) // 2
@@ -54,19 +54,19 @@ def gauss_sum(q: Enhancement) -> GaussSumResult:
     )
 
 
-def brown_invariant(q: Enhancement) -> int:
+def brown_invariant(q: forms.Enhancement) -> int:
     """The Brown invariant beta(q) in Z/8 of a nondegenerate enhancement.
 
     Raises DegenerateFormError when the form is degenerate (no convention is
     chosen for that case).
     """
-    beta, r, _, _, _ = _split(q.form._bits, q.values)
+    beta, r, _, _, _ = forms._split(q.form._bits, q.values)
     if r:
         raise DegenerateFormError("Brown invariant undefined: degenerate form")
     return beta
 
 
-def arf_from_brown(q: Enhancement) -> int:
+def arf_from_brown(q: forms.Enhancement) -> int:
     """The classical Arf invariant of an even (Spin) enhancement.
 
     Even enhancements have beta in {0, 4}; the Arf invariant is beta / 4.

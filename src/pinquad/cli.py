@@ -180,7 +180,7 @@ def _render_table(records: Sequence[dict]) -> str:
         [
             str(rec["values"]),
             "degenerate" if rec["beta"] is None else str(rec["beta"]),
-            "-" if rec["max_null_dim"] is None else str(rec["max_null_dim"]),
+            str(rec["max_null_dim"]),
         ]
         for rec in records
     ]
@@ -190,12 +190,12 @@ def _render_table(records: Sequence[dict]) -> str:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     from .forms import _split, enumerate_enhancements
-    from .vanishing import MAX_SEARCH_DIM, _max_null_dim
+    from .vanishing import _max_null_dim
     form = _surface_form(args)
     n, records = form.dim, []
     for q in enumerate_enhancements(form):  # its guard comes before the first split
         beta, r, null_radical, _, _ = _split(form._bits, q.values)  # both columns read it
-        null_dim = _max_null_dim(n, beta, r, null_radical) if n <= MAX_SEARCH_DIM else None
+        null_dim = _max_null_dim(n, beta, r, null_radical)
         records.append({"values": list(q.values), "beta": None if r else beta, "max_null_dim": null_dim})
     _emit(args, lambda: records, lambda: _render_table(records))
     return EXIT_OK

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from . import forms
 from .errors import DegenerateFormError, LimitError
-from .forms import Enhancement, _functional, _split, value_table
 
 MAX_SEARCH_DIM = 10
 
@@ -38,13 +38,13 @@ MAX_SEARCH_DIM = 10
 _ANISOTROPIC_RANK = (0, 1, 2, 3, 2, 3, 2, 1)
 
 
-def _check_search_guard(q: Enhancement) -> None:
+def _check_search_guard(q: forms.Enhancement) -> None:
     n = q.form.dim
     if n > MAX_SEARCH_DIM:
         raise LimitError(f"dim {n} exceeds vanishing-search guard {MAX_SEARCH_DIM}")
 
 
-def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
+def _null_bases(q: forms.Enhancement, d: int) -> Iterator[tuple[int, ...]]:
     """Reduced-echelon bases of the d-dimensional q-null subspaces, in row-tuple order.
 
     A row y may follow x when q(y) = 0, y is orthogonal to x, and y's pivot
@@ -57,7 +57,7 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
     if not 0 <= d <= n:
         return
     zero_at_pivot = [0] * n  # nonzero classes with q = 0, by pivot, as bitsets
-    for x, v in enumerate(value_table(q)):
+    for x, v in enumerate(forms.value_table(q)):
         if v == 0 and x:
             zero_at_pivot[(x & -x).bit_length() - 1] |= 1 << x
     rows = q.form.row_masks
@@ -73,7 +73,7 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
         if s is None:
             above = range((x & -x).bit_length(), n)
             s = sum(zero_at_pivot[k] for k in above if not (x >> k) & 1)  # disjoint sets
-            f, paired = _functional(rows, x), 0
+            f, paired = forms._functional(rows, x), 0
             for j in range(n):
                 if f >> j & 1:
                     paired ^= ones[j]
@@ -100,7 +100,7 @@ def _null_bases(q: Enhancement, d: int) -> Iterator[tuple[int, ...]]:
         yield from walk((), sum(zero_at_pivot))
 
 
-def max_vanishing_dim(q: Enhancement) -> int:
+def max_vanishing_dim(q: forms.Enhancement) -> int:
     """Largest dimension of a q-null subspace, in closed form.
 
     Nondegenerate rank n: (n - d(beta)) // 2, where d(beta) is the rank of
@@ -110,7 +110,7 @@ def max_vanishing_dim(q: Enhancement) -> int:
     descends to V/R); r - 1 + m // 2 when it does not.  So a degenerate
     form can exceed n / 2.
     """
-    beta, r, null_radical, _, _ = _split(q.form._bits, q.values)
+    beta, r, null_radical, _, _ = forms._split(q.form._bits, q.values)
     return _max_null_dim(q.form.dim, beta, r, null_radical)
 
 
@@ -119,14 +119,14 @@ def _max_null_dim(n: int, beta: int, r: int, null_radical: bool) -> int:
     return r + (m - _ANISOTROPIC_RANK[beta]) // 2 if null_radical else r - 1 + m // 2
 
 
-def has_null_lagrangian(q: Enhancement) -> bool:
+def has_null_lagrangian(q: forms.Enhancement) -> bool:
     """Whether a q-null subspace of half the dimension exists.
 
     On a nondegenerate form this holds exactly when beta = 0 (the anisotropic
     part must vanish; Brown, Kirby-Taylor); beta = n (mod 2), so the rank is
     then even.
     """
-    beta, r, _, _, _ = _split(q.form._bits, q.values)
+    beta, r, _, _, _ = forms._split(q.form._bits, q.values)
     if r:
         raise DegenerateFormError("Lagrangian test needs a nondegenerate form")
     return beta == 0

@@ -69,10 +69,9 @@ def run(capsys, *argv):
 
 
 def count_splits(monkeypatch):
-    """The argument tuples of every orthogonal split, through each module that binds _split."""
+    """The argument tuples of every orthogonal split, through its one binding in forms."""
     splits, split = [], pinquad.forms._split
-    for module in (pinquad.forms, pinquad.brown, pinquad.vanishing):
-        monkeypatch.setattr(module, "_split", lambda *a: splits.append(a) or split(*a))
+    monkeypatch.setattr(pinquad.forms, "_split", lambda *a: splits.append(a) or split(*a))
     return splits
 
 
@@ -494,8 +493,6 @@ class TestExitCodes:
             raise AssertionError("value table built")
 
         monkeypatch.setattr(pinquad.forms, "value_table", refuse)
-        monkeypatch.setattr(pinquad.vanishing, "value_table", refuse)
-        monkeypatch.setattr(pinquad.brown, "value_table", refuse, raising=False)
         code, out, _err = run(capsys, "brown", str(DATA / "genus2_v0000.json"))
         assert code == 0
         assert out == "beta=0 A=4 B=0 n=4\n"
@@ -547,8 +544,6 @@ class TestExitCodes:
             return table(q)
 
         monkeypatch.setattr(pinquad.forms, "value_table", counting)
-        monkeypatch.setattr(pinquad.vanishing, "value_table", counting)
-        monkeypatch.setattr(pinquad.brown, "value_table", counting, raising=False)
 
         drawn = []
         walk = pinquad.vanishing._null_bases
@@ -602,8 +597,7 @@ class TestExitCodes:
             def planted(*_args):
                 raise error("planted")
 
-            for module in (pinquad.forms, pinquad.brown, pinquad.vanishing):
-                monkeypatch.setattr(module, "_split", planted)
+            monkeypatch.setattr(pinquad.forms, "_split", planted)
 
         plant(ZeroDivisionError)
         assert run(capsys, *argv) == (7, "", "error: internal error: ZeroDivisionError: planted\n")
@@ -809,8 +803,7 @@ class TestJsonMode:
     def test_enumerate_columns_on_random_forms(self, capsys, tmp_path):
         # seeded forms to rank 12 in random bases, nondegenerate or with q 0 or 2 on the
         # radical: the rows are every enhancement in counter order, beta is brown_invariant's
-        # (None on a degenerate form), and max_null_dim is max_vanishing_dim's up to rank 10
-        # and None above
+        # (None on a degenerate form), and max_null_dim is max_vanishing_dim's at every rank
         rng = random.Random("enumerate-columns")
         path, degenerate = tmp_path / "form.json", 0
         for kind in ("nondegenerate", "radical_q0", "radical_q2"):
@@ -830,7 +823,7 @@ class TestJsonMode:
                         beta = brown_invariant(q)
                     except DegenerateFormError:
                         beta = None
-                    null_dim = max_vanishing_dim(q) if form.dim <= 10 else None
+                    null_dim = max_vanishing_dim(q)
                     assert (rec["beta"], rec["max_null_dim"]) == (beta, null_dim), (kind, gram)
         assert degenerate == 48
 

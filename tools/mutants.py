@@ -139,6 +139,10 @@ MUTANTS = [
      ["test_cli.py::test_cli_case[brown_rank20_under_the_gauss_guard]"]),
     ("cli.py", "        _check_search_guard(q)\n", "",
      ["test_cli.py::test_cli_case[vanishing_max_past_the_search_guard]"]),
+    # enumerate's q-null column, read off the split at every rank the enumeration guard admits
+    ("cli.py", "null_dim = _max_null_dim(n, beta, r, null_radical)",
+     "null_dim = _max_null_dim(n, beta, r, null_radical) if n <= 10 else None",
+     ["test_cli.py::TestJsonMode::test_enumerate_columns_on_random_forms"]),
     # the input checks: a negative --dim, an empty bit string, the Gram entry cap at 64 bits, a
     # JSON boolean where an integer is due; each is killed by a row of the CLI case table
     ("cli.py", "args.dim < 0", "args.dim < -1",
