@@ -40,14 +40,14 @@ _RAYS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 def gauss_sum(q: forms.Enhancement) -> GaussSumResult:
     """Gauss sum and value counts of an enhancement, from the Brown invariant of its split."""
     n = q.form.dim
-    beta, r, null_radical, odd, _ = forms._split(q.form._bits, q.values)
+    beta, r, null_radical, _, _ = forms._split(q.form._bits, q.values)
     # |G| = 2^((n + r)/2) unless a radical class with q = 2 kills G: an odd class gives sqrt 2,
     # a plane and a radical class 2.  n + r is odd when beta is, and then the ray has a sqrt 2
     shift = (n + r) // 2
     a, b = _RAYS[beta]
     a, b = (a << shift, b << shift) if null_radical else (0, 0)
-    # x -> x.x is linear: every class is even when the split has no odd piece, else half are
-    even = 1 << (n - 1) if odd else 1 << n
+    # x -> x.x is linear: every class is even when the diagonal is 0, else half are
+    even = 1 << (n - 1) if 1 in q.form._diag else 1 << n
     odd_count = (1 << n) - even
     return GaussSumResult(
         n, ((even + a) // 2, (odd_count + b) // 2, (even - a) // 2, (odd_count - b) // 2)

@@ -19,6 +19,7 @@ from .errors import DegenerateFormError, DimensionMismatchError, LimitError, Sur
 MAX_ENHANCEMENT_ENUMERATION_DIM = 12
 MAX_ENTRY_BITS = 64  # a Gram entry read from JSON; unimodular forms of the library need 2
 _MAX_PACKED_STRIDE = 160  # _split's rows are packed up to this width; the costs cross near 150
+_SHAPES: dict[tuple[int, int], tuple[int, ...]] = {}  # _split's (row, ones, fan) by (n, w), packed
 
 # byte 0 -> "0", byte 1 -> "1"; every other byte is not a binary digit
 _BIT_DIGITS = b"01" + b"x" * 254
@@ -291,26 +292,36 @@ def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
     i*w to i*w + w - 1 (bit j of it is e_i.e_j), w = ``stride`` or else n + 1 as a
     ``BilinearForm`` packs them; q is two bitmasks, its bits 0 and 1.  Moving the vectors that
     pair with a piece changes no other vector's pairings, so a step adds whole rows to theirs
-    alone: what a caller puts at bits n to w - 1 of a row rides along, and ``odd`` and
-    ``planes`` give each piece's row above bit n, its class when row i has bit n + i.  Only
-    pairings with ``alive`` vectors are read.  A step adds row g to each row v of a set s by
-    one multiply, g * (s * fan & ones), where s * fan is a copy of s every w - 1 bits, whose
-    copy v has bit v at bit v*w, and neither product carries, as the copies of s lie
-    w - 1 >= n bits apart and those of g w apart.  That multiply reads every digit of g once
-    per digit of the rows, so past rows of ``_MAX_PACKED_STRIDE`` bits a step adds row g to
-    each row of s by itself, on the rows unpacked into a list.
+    alone: what a caller puts at bits n to w - 1 of a row rides along.  Only when the rows
+    have such bits, w > n + 1, are ``odd`` and ``planes`` filled, with each piece's row above
+    bit n, its class when row i has bit n + i; otherwise both are empty.  Only pairings with
+    ``alive`` vectors are read.  A step adds row g to each row v of a set s by one multiply,
+    g * (s * fan & ones), where s * fan is a copy of s every w - 1 bits, whose copy v has bit
+    v at bit v*w, and neither product carries, as the copies of s lie w - 1 >= n bits apart
+    and those of g w apart; a step whose piece pairs with no live vector moves nothing, and
+    is skipped.  ``row``, ``ones`` and ``fan`` depend on n and w alone, so each shape's are
+    worked out once and kept in ``_SHAPES``.  That multiply reads every digit of g once per
+    digit of the rows, so past rows of ``_MAX_PACKED_STRIDE`` bits a step adds row g to each
+    row of s by itself, on the rows unpacked into a list, and no shape is kept.
     """
     n = len(values)
     w = stride or n + 1
-    row, rows = (1 << w) - 1, None
+    rows = None
     if w > _MAX_PACKED_STRIDE:  # one multiply would cost more than adding the rows one by one
         rows = _unpack(packed, n, w)
     else:
-        ones = ((1 << n * w) - 1) // row  # bit v*w for each v < n
-        fan = ((1 << n * (w - 1)) - 1) // ((1 << w - 1) - 1 or 1)  # bit k*(w - 1), k < n; 0 at 0
-    raw = bytes(values)[::-1]  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1
-    q0, q1 = int(raw.translate(_BIT0) or b"0", 2), int(raw.translate(_BIT1) or b"0", 2)
+        try:
+            row, ones, fan = _SHAPES[n, w]
+        except KeyError:  # the first split of this shape; fan is 0 at n = 0
+            row = (1 << w) - 1
+            ones = ((1 << n * w) - 1) // row  # bit v*w for each v < n
+            fan = ((1 << n * (w - 1)) - 1) // ((1 << w - 1) - 1 or 1)  # bit k*(w - 1), k < n
+            _SHAPES[n, w] = row, ones, fan
+    raw = bytes(values)[::-1]  # bits 0 and 1 of q(v_i) are bit i of q0 and of q1, one parse
+    q = int(raw.translate(_BIT1) + raw.translate(_BIT0) or b"0", 2)  # q1 << n | q0
     alive = (1 << n) - 1
+    q0, q1 = q & alive, q >> n
+    carry = w > n + 1  # the rows carry bits above n, so the pieces are collected
     beta, r, null_radical, odd, planes = 0, 0, True, [], []
     while alive:
         pick = q0 & alive or alive  # u.u = q(u) mod 2; once no live class is odd, none becomes so
@@ -319,42 +330,44 @@ def _split(packed: int, values: Sequence[int], stride: int = 0) -> tuple:
         gu = rows[bu.bit_length() - 1] if rows else packed >> (bu.bit_length() - 1) * w & row
         s = gu & alive
         if q0 & bu:
-            odd.append(gu >> n)
-            # v + u for each v in s: (v + u).(x + u) = v.x + 1 for v, x in s, the diagonal
-            # too, and q(v + u) = q(v) + q(u) + 2
-            if q1 & bu:  # q(u) = 3: add 1 on s
+            if carry:
+                odd.append(gu >> n)
+            if q1 & bu:  # q(u) = 3
                 beta -= 1
-                q1 ^= q0 & s
-            else:  # q(u) = 1: add 3 on s
+            else:  # q(u) = 1
                 beta += 1
-                q1 ^= s & ~q0
-            q0 ^= s
-            if rows:
-                _add_rows(rows, gu, s)
-            else:
-                packed ^= gu * (s * fan & ones)
+            if s:  # v + u for each v in s: (v + u).(x + u) = v.x + 1 for v, x in s, the
+                # diagonal too, and q(v + u) = q(v) + q(u) + 2: add 1 on s if q(u) = 3, else 3
+                q1 ^= q0 & s if q1 & bu else s & ~q0
+                q0 ^= s
+                if rows:
+                    _add_rows(rows, gu, s)
+                else:
+                    packed ^= gu * (s * fan & ones)
         elif s:  # every live class is even: q is q1 twice
             bw = s & -s
             alive ^= bw
             gw = rows[bw.bit_length() - 1] if rows else packed >> (bw.bit_length() - 1) * w & row
             su, sw = s ^ bw, gw & alive
             qu, qw = q1 & bu, q1 & bw
-            planes.append((gu >> n, gw >> n))
+            if carry:
+                planes.append((gu >> n, gw >> n))
             if qu and qw:
                 beta += 4
             # two reflections make v orthogonal to u and w: v + (v.w)u + (v.u)w, which pairs
             # with x + (x.w)u + (x.u)w to v.x + (v.u)(x.w) + (v.w)(x.u); q moves by q(u) on sw,
             # by q(w) on su, and by 2 more on both.  Row u goes to sw, row w to su.
-            q1 ^= su & sw
-            if qu:
-                q1 ^= sw
-            if qw:
-                q1 ^= su
-            if rows:
-                _add_rows(rows, gu, sw)
-                _add_rows(rows, gw, su)
-            else:
-                packed ^= gu * (sw * fan & ones) ^ gw * (su * fan & ones)
+            if su | sw:
+                q1 ^= su & sw
+                if qu:
+                    q1 ^= sw
+                if qw:
+                    q1 ^= su
+                if rows:
+                    _add_rows(rows, gu, sw)
+                    _add_rows(rows, gw, su)
+                else:
+                    packed ^= gu * (sw * fan & ones) ^ gw * (su * fan & ones)
         else:  # a radical class: q(u) is 0 or 2
             r += 1
             null_radical = null_radical and not q1 & bu

@@ -55,6 +55,14 @@ def pack(rows, stride):
     return sum(g << i * stride for i, g in enumerate(rows))
 
 
+def carried_split(rows, values):
+    """``forms._split`` of the Gram row masks ``rows`` with row i carrying e_i above bit n, on
+    rows 2n + 1 bits wide as ``poincare_dual`` packs them, so the pieces come back as classes."""
+    n, stride = len(rows), 2 * len(rows) + 1
+    carried = [g | 1 << n + i for i, g in enumerate(rows)]
+    return pinquad.forms._split(pack(carried, stride), values, stride)
+
+
 class TestGaussSum:
     def test_dim_zero(self):
         gs = gauss_sum(EMPTY)
@@ -131,10 +139,9 @@ class TestSplit:
         # of <1> per odd class and H per plane; beta adds up over it, r fills the rank
         for gram, values in piece_cases(kind):
             n = len(gram)
-            # row i carries e_i above bit n, so the pieces come back as classes
-            rows = [g | 1 << n + i for i, g in enumerate(BilinearForm.from_rows(gram).row_masks)]
-            stride = 2 * n + 1
-            beta, r, _null, odd, planes = pinquad.forms._split(pack(rows, stride), values, stride)
+            beta, r, _null, odd, planes = carried_split(
+                BilinearForm.from_rows(gram).row_masks, values
+            )
             for u in odd:
                 assert naive_dot(gram, u, u) == 1
             for u, w in planes:
@@ -157,9 +164,13 @@ class TestSplit:
             n = q.form.dim
             degenerate = naive_rank(list(map(bitmask, gram))) < n
             radical = naive_radical(gram)
-            _beta, r, null_radical, odd, planes = pinquad.forms._split(q.form._bits, q.values)
+            plain = pinquad.forms._split(q.form._bits, q.values)
+            _beta, r, null_radical, odd, planes = plain
             assert len(radical) == 1 << r, (gram, values)
-            assert len(odd) + 2 * len(planes) + r == n
+            assert odd == planes == []  # the rows carry no classes
+            carried = carried_split(q.form.row_masks, q.values)
+            assert carried[:3] == plain[:3], (gram, values)
+            assert len(carried[3]) + 2 * len(carried[4]) + r == n
             assert (r > 0) == degenerate == (kind != "rebased")
             assert null_radical == all(naive_q(gram, values, x) == 0 for x in radical)
             assert null_radical == (kind != "radical_q2")
@@ -185,7 +196,8 @@ def contract_cases():
 
 
 class TestSplitContract:
-    """What a caller puts above bit n of a row rides along and steers nothing."""
+    """What a caller puts above bit n of a row rides along and steers nothing, and only rows
+    wider than n + 1 bits have their pieces collected."""
 
     def test_bits_above_n_change_nothing(self):
         rng = random.Random("split-noise")
@@ -195,15 +207,34 @@ class TestSplitContract:
             plain = pinquad.forms._split(pack(rows, n + 1), values)
             loaded = pinquad.forms._split(pack(noisy, 3 * n + 1), values, 3 * n + 1)
             assert plain[:3] == loaded[:3], (rows, values)
-            assert (len(plain[3]), len(plain[4])) == (len(loaded[3]), len(loaded[4]))
+            _beta, r, _null, odd, planes = loaded
+            assert len(odd) + 2 * len(planes) + r == n, (rows, values)
 
-    def test_pieces_are_zeros_without_bits_above_n(self):
+    def test_no_pieces_without_bits_above_n(self):
         seen = set()
         for rows, values in contract_cases():
             _beta, r, _null, odd, planes = pinquad.forms._split(pack(rows, len(rows) + 1), values)
-            assert set(odd) <= {0} and set(planes) <= {(0, 0)}
+            assert odd == planes == [], (rows, values)
+            _beta, _r, _null, odd, planes = carried_split(rows, values)
             seen.add((bool(odd), bool(planes), bool(r)))
         assert (True, True, False) in seen and (True, True, True) in seen
+
+    def test_shapes_of_one_width_keep_their_own_constants(self, monkeypatch):
+        # rank 2 on rows 3n + 1 = 7 bits wide, then the duals of rank 3 on rows 2n + 1 = 7 bits
+        # wide: constants kept by the width alone would move no row of rank 3 past the second.
+        # Rows wider than CUT are not packed, and their shapes are not kept.
+        rng = random.Random("split-shapes")
+        for _ in range(20):
+            monkeypatch.setattr(pinquad.forms, "_SHAPES", {})
+            gram, values, *_ = random_enhancement(rng, 2, "nondegenerate")
+            pinquad.forms._split(pack(BilinearForm.from_rows(gram).row_masks, 7), values, 7)
+            gram, values, *_ = random_enhancement(rng, 3, "nondegenerate")
+            form = BilinearForm.from_rows(gram)
+            for y in range(8):
+                assert naive_mat_vec(form.row_masks, poincare_dual(form, Covector(3, y)).bits) == y
+        gram, values, *_ = random_enhancement(rng, CUT // 2, "nondegenerate")
+        carried_split(BilinearForm.from_rows(gram).row_masks, values)
+        assert set(pinquad.forms._SHAPES) == {(2, 7), (3, 7)}
 
 
 CUT = pinquad.forms._MAX_PACKED_STRIDE  # rows this wide are packed; wider rows are not

@@ -15,13 +15,17 @@ from pinquad.vanishing import _null_bases, has_null_lagrangian, max_vanishing_di
 from oracles import (
     all_enhancement_values,
     bitmask,
+    block_sum,
     enumerate_subspaces,
+    hyperbolic_gram,
     kernel_vanishing_check,
     naive_dot,
     naive_max_null_dim,
     naive_nondegenerate,
     naive_q,
     random_enhancement,
+    random_gl,
+    rebase,
     spanned,
     standard_grams,
 )
@@ -150,6 +154,26 @@ class TestClosedForm:
             assert next(d for d in range(n, -1, -1) if null_subspaces(q, d)) == expected
             if naive_nondegenerate(gram):
                 assert has_null_lagrangian(q) == (n % 2 == 0 and expected == n // 2)
+
+    def test_planes_with_q_zero_add_one_each_to_rank_40(self):
+        # A of rank 1-8 plus k planes with q = 0 on both classes, in a random basis: each such
+        # plane adds one to the Witt index, so the answer is the search's on A, plus k, at
+        # ranks the search cannot reach
+        rng = random.Random("closed-form-planes")
+        ranks = set()
+        for _ in range(60):
+            a = rng.randint(1, 8)
+            kind = rng.choice(("nondegenerate", "radical_q0", "radical_q2"))
+            gram, values, *_ = random_enhancement(rng, a, kind)
+            k = rng.randint((9 - a) // 2, (40 - a) // 2)
+            n = a + 2 * k
+            big, big_values = rebase(
+                block_sum([gram, hyperbolic_gram(k)]), values + (0,) * 2 * k, random_gl(rng, n)
+            )
+            q = Enhancement(BilinearForm.from_rows(big), big_values)
+            assert max_vanishing_dim(q) == naive_max_null_dim(gram, values) + k, (gram, values, k)
+            ranks.add(n)
+        assert min(ranks) >= 8 and max(ranks) > 36
 
 
 def high_rank_case(n, kind):

@@ -33,13 +33,24 @@ PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 
 # (file in src/pinquad, old text, new text, tests in tests/ expected to kill the mutant)
 MUTANTS = [
-    # the orthogonal split: its pick, a plane's 4, an odd class's sign
+    # the orthogonal split: its pick, a plane's 4, an odd class's sign; a step with one partner,
+    # or a plane whose u alone has partners, skipped as if nothing paired with it; the pieces
+    # collected on rows of n + 1 bits too, the constants of a shape kept by its width alone
     ("forms.py", "pick = q0 & alive or alive", "pick = alive",
      ["test_brown.py::TestSplit::test_pieces_against_naive_pairings"]),
     ("forms.py", "beta += 4", "beta += 0",
      ["test_brown.py::TestBrownInvariant::test_known_values"]),
     ("forms.py", "beta -= 1", "beta += 1",
      ["test_brown.py::TestBrownInvariant::test_known_values"]),
+    ("forms.py", "if s:  # v + u", "if s & s - 1:  # v + u",
+     ["test_brown.py::TestSplit::test_pieces_against_naive_pairings"]),
+    ("forms.py", "if su | sw:", "if sw:",
+     ["test_brown.py::TestSplit::test_pieces_against_naive_pairings"]),
+    ("forms.py", "carry = w > n + 1", "carry = w > n",
+     ["test_brown.py::TestSplitContract::test_no_pieces_without_bits_above_n"]),
+    ("forms.py", "_SHAPES[n, w] = row, ones, fan",
+     "_SHAPES.update(dict.fromkeys([(m, w) for m in range(w)], (row, ones, fan)))",
+     ["test_brown.py::TestSplitContract::test_shapes_of_one_width_keep_their_own_constants"]),
     # the split's rows past _MAX_PACKED_STRIDE, one at a time: a plane's row w, the addition
     ("forms.py", "_add_rows(rows, gw, su)", "_add_rows(rows, gu, su)",
      ["test_brown.py::TestSplitOracle::test_matches_the_gauss_sum_by_elimination"]),
@@ -60,12 +71,12 @@ MUTANTS = [
      ["test_f2.py::TestRref::test_reduced_echelon_spanning_the_rows"]),
     ("f2.py", "_rref(m.row_masks, top=True)", "_rref(m.row_masks)",
      ["test_f2.py::TestKernelBasis::test_wide_kernels_of_few_rows"]),
-    # the Gauss sum: its modulus, its ray, the count of even classes
+    # the Gauss sum: its modulus, its ray, the count of even classes by the diagonal
     ("brown.py", "shift = (n + r) // 2", "shift = n // 2",
      ["test_brown.py::TestGaussSumCounts::test_matches_oracle[degenerate]"]),
     ("brown.py", "a, b = _RAYS[beta]", "a, b = _RAYS[-beta]",
      ["test_brown.py::TestGaussSum::test_rp2"]),
-    ("brown.py", "even = 1 << (n - 1) if odd else", "even = 1 << (n - 1) if n else",
+    ("brown.py", "even = 1 << (n - 1) if 1 in q.form._diag else", "even = 1 << (n - 1) if n else",
      ["test_brown.py::TestGaussSumCounts::test_matches_oracle[standard]"]),
     # the form: the Gram check, the packed rows, the diagonal; the parity of q's values
     ("forms.py", "valid = len(gram) == dim and cols == gram", "valid = len(gram) == dim",
@@ -100,9 +111,12 @@ MUTANTS = [
      ["test_vanishing.py::TestVanishingSubspaces::test_matches_filtered_enumeration"]),
     ("vanishing.py", "if nxt.bit_count() >= want:", "if nxt.bit_count() > want:",
      ["test_vanishing.py::TestVanishingSubspaces::test_matches_filtered_enumeration"]),
-    # the closed forms: the radical rule, the anisotropic rank, the Lagrangian test
+    # the closed forms: the radical rule, the anisotropic rank, the answer above rank 12, where
+    # no search reaches, the Lagrangian test
     ("vanishing.py", "else r - 1 + m // 2", "else r + m // 2",
      ["test_vanishing.py::TestClosedForm::test_matches_oracle_and_listing[degenerate]"]),
+    ("vanishing.py", "m = n - r  #", "m = n - r - 2 * (n > 12)  #",
+     ["test_vanishing.py::TestClosedForm::test_planes_with_q_zero_add_one_each_to_rank_40"]),
     ("vanishing.py", "RANK = (0, 1, 2, 3, 2, 3, 2, 1)", "RANK = (0, 1, 2, 3, 2, 3, 2, 3)",
      ["test_vanishing.py::TestClosedForm::test_matches_oracle_and_listing[standard]"]),
     ("vanishing.py", "return beta == 0", "return beta % 4 == 0",
