@@ -8,7 +8,7 @@ JSON files in, fixed-width text on stdout (or machine-readable JSON with
     2  usage error (bad flags, malformed files, dimension mismatches,
        or output that cannot be written)
     3  degenerate form where a nondegenerate one is required
-    4  resource guard exceeded
+    4  resource guard exceeded, or out of memory
     5  vector is not characteristic
     6  surgery obstructed
     7  internal error: a failed consistency check or any other exception; a bug
@@ -377,6 +377,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
     except OSError:  # a failed write: entry() makes it a usage error
         raise
+    except MemoryError:  # a legal input past the memory the process may use: a limit, not a bug
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_GUARD
     except Exception as e:  # any other exception is a bug, not a FAIL and not a traceback
         print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

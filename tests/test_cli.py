@@ -3,12 +3,12 @@
 Each exit code's named cases are rows of one table, ``CLI_CASES``, by code: a command line
 and its exact (code, stdout, stderr), the golden outputs of tests/golden among them.
 ``test_golden_output`` runs the rows named after a golden file, ``test_cli_case`` the others,
-and acceptance criterion 9 runs each row twice.  The tests below
-the table hold the cases a row cannot: text that Python writes (argparse, strerror, the JSON
-decoder), which differs between the Python versions CI runs; monkeypatched faults; memory and
-size bounds; and runs in a child process.  What argparse answers is compared with what the
-parser of all six commands answers on the running Python, since main builds only the subparser
-of a command named first.
+and acceptance criterion 9 runs each row twice.  Text that Python writes differs between the
+Python versions CI runs, so a row that holds strerror or a JSON decoder message reads it from
+the running Python.  The tests below the table hold the cases a row cannot: what argparse
+answers; monkeypatched faults; memory and size bounds; and runs in a child process.  What
+argparse answers is compared with what the parser of all six commands answers on the running
+Python, since main builds only the subparser of a command named first.
 """
 import argparse
 import ast
@@ -19,6 +19,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import signal
 import subprocess
@@ -107,6 +108,15 @@ ENTRY_CAP = "error: a Gram entry exceeds entry cap 64 bits\n"
 OBSTRUCTED = "error: surgery obstructed: "
 E8_CHAR0 = "gm --form E8 --char 0,0,0,0,0,0,0,0"
 
+
+def decoder_message(text):
+    """What the running Python's JSON decoder says of text, whose wording may change with it."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        return str(e)
+
+
 CLI_CASES = {
     # 0: success
     "enumerate_crosscaps1.txt": Case("enumerate --crosscaps 1"),
@@ -191,6 +201,13 @@ CLI_CASES = {
         for name, text in [("empty", ""), ("012", "012"), ("space", "1 0"), ("underscore", "1_0"),
                            ("0b1", "0b1")]
     },
+    # a file that cannot be read or parsed; strerror and the decoder's message, as the running
+    # Python writes them
+    "brown_missing_file": Case(
+        "brown missing.json", 2, "", f"error: cannot read missing.json: {os.strerror(errno.ENOENT)}\n"),
+    "brown_malformed_json": Case(
+        "brown bad.json", 2, "", f"error: bad.json is not valid JSON: {decoder_message('{not json')}\n",
+        files={"bad.json": "{not json"}),
     "gm_unknown_form_name": Case("gm --form K3 --char 1", 2, "", UNKNOWN.format("K3")),
     # --form is a library expression first, and a file only when it does not parse
     "gm_missing_path_is_an_unknown_name": Case("gm --form missing.json --char 1", 2, "", UNKNOWN_PATH),
@@ -387,18 +404,6 @@ class TestExitCodes:
     def test_conflicting_surface_flags(self, capsys):
         assert main(["enumerate", "--genus", "1", "--crosscaps", "2"]) == 2
         capsys.readouterr()
-
-    def test_missing_file(self, capsys):
-        code, _out, err = run(capsys, "brown", str(DATA / "missing.json"))
-        assert code == 2
-        assert "cannot read" in err
-
-    def test_malformed_json(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code, _out, err = run(capsys, "brown", str(bad))
-        assert code == 2
-        assert "not valid JSON" in err
 
     def test_deeply_nested_json(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
@@ -911,6 +916,26 @@ def test_unwritable_output_is_a_usage_error(argv, buffered):
     assert done.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_is_a_resource_limit(tmp_path):
+    # every guard admits the rank-10 zero form, whose 109,221,651 q-null 5-planes the listing
+    # builds before it prints one; past the memory the process may use, that is a resource
+    # limit (exit 4), not a bug (exit 7).  The 150 MB address-space cap binds this child only
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
+
+    path = tmp_path / "zero10.json"
+    path.write_text(enhancement_json([[0] * 10] * 10, [0] * 10), encoding="utf-8")
+    argv = [sys.executable, "-m", "pinquad.cli", "vanishing", str(path), "--dim", "5"]
+    for _ in range(2):  # the same on every run
+        done = subprocess.run(
+            argv, capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=30
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (4, "", "error: out of memory\n")
+
+
 @pytest.fixture(scope="module")
 def startup_modules():
     # which of decimal, fractions, typing, dataclasses and inspect importing the CLI and
@@ -1095,6 +1120,17 @@ def test_readme_library_example(capsys):
     assert comments == ["4", "[0, 0, 0, 4]", "4"]
     exec(block, {})
     assert capsys.readouterr().out.splitlines() == comments
+
+
+def test_ci_and_readme_name_only_files_that_exist():
+    # a deleted script or test file takes its CI step and its README paragraph with it
+    root = Path(__file__).parent.parent
+    for doc in ("README.md", ".github/workflows/tests.yml"):
+        text = (root / doc).read_text()
+        named = re.findall(r"\bpython3? +(?!-)([\w./-]+)", text)
+        named += re.findall(r"\b(?:tools|bench|tests)/[\w./-]*", text)
+        assert named
+        assert [path for path in named if not (root / path.rstrip(".")).exists()] == [], doc
 
 
 def test_oracles_share_little_code_with_the_package():

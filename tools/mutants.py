@@ -133,10 +133,13 @@ MUTANTS = [
      ["test_fourmanifold.py::TestCharacteristic::test_examples"]),
     ("fourmanifold.py", "return ((cc - sig) // 2) % 8", "return ((cc - sig) // 2) % 4",
      ["test_fourmanifold.py::TestGuillouMarin::test_required_beta"]),
-    # the CLI: exit 7 for an unexpected exception, the file size cap at its boundary, the
-    # collector frozen before a command run exits
+    # the CLI: exit 7 for an unexpected exception, exit 4 for running out of memory, the file
+    # size cap at its boundary, the collector frozen before a command run exits
     ("cli.py", "except Exception as e:  # any other", "except ArithmeticError as e:  # any other",
      ["test_cli.py::TestExitCodes::test_unexpected_exception_in_the_installed_entry"]),
+    ("cli.py", "    except MemoryError:  # a legal input past the memory the process may use: a limit, "
+     'not a bug\n        print("error: out of memory", file=sys.stderr)\n        return EXIT_GUARD\n', "",
+     ["test_cli.py::test_out_of_memory_is_a_resource_limit"]),
     ("cli.py", "if len(data) > MAX_FILE_BYTES:", "if len(data) >= MAX_FILE_BYTES:",
      ["test_cli.py::TestJsonBounds::test_size_cap_boundary[at_the_cap]"]),
     ("cli.py", "    gc.freeze()\n", "",
