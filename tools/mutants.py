@@ -144,13 +144,9 @@ MUTANTS = [
      ["test_cli.py::TestJsonBounds::test_size_cap_boundary[at_the_cap]"]),
     ("cli.py", "    gc.freeze()\n", "",
      ["test_cli.py::test_a_command_run_freezes_the_collector_before_it_exits[ok]"]),
-    # the parser of a command named first: its usage line, which still names all six commands,
-    # and the test that names the command, which reads argv[0] alone
-    ("cli.py", '"{%s}" % ",".join(COMMANDS) if command else None', "None",
-     ["test_cli.py::test_parser_matches_the_full_parser[brown_unrecognized]"]),
-    ("cli.py", "argv[0] if argv and argv[0] in COMMANDS else None",
-     "next((arg for arg in argv if arg in COMMANDS), None)",
-     ["test_cli.py::test_parser_matches_the_full_parser[help_before_brown]"]),
+    # argparse's own exit code returned: 0 after help, not the usage error's 2
+    ("cli.py", "return e.code if isinstance(e.code, int) else EXIT_USAGE", "return EXIT_USAGE",
+     ["test_cli.py::test_argparse_help_exits_0_and_usage_errors_exit_2[help]"]),
     # the CLI's two refusals of closed forms: brown's at its boundary, vanishing --max's call
     ("cli.py", "if q.form.dim > MAX_GAUSS_DIM:", "if q.form.dim >= MAX_GAUSS_DIM:",
      ["test_cli.py::test_cli_case[brown_rank20_under_the_gauss_guard]"]),
